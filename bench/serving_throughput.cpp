@@ -1,9 +1,9 @@
 // Serving-cluster throughput: encoded CBRD queries against serve::Cluster
 // at (shards, server threads) = (1,1), (2,2), (4,4), driven by concurrent
 // client threads.  Reports queries/second and the speedup over the 1/1
-// serial configuration.  Each shape sets batch_window = threads, so the
-// scaled configurations also exercise the gate's query coalescing (the
-// batched rescore plane) exactly as a production deployment would.
+// serial configuration.  Every request takes the production path:
+// admission gate, worker pool, cloud::dispatch, and the cluster's binary
+// fan-out.
 //
 // The scaling bar (4/4 must reach >= 3x the 1/1 rate) is only *enforced*
 // on machines with at least 4 hardware threads — on fewer cores the fan-out
@@ -61,7 +61,6 @@ Row run_config(const Config& config,
   serve::ClusterOptions options;
   options.shards = config.shards;
   options.threads = config.threads;
-  options.batch_window = config.threads;
   serve::Cluster cluster(options);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     cluster.seed_binary(seeds[i],

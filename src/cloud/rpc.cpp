@@ -1,9 +1,8 @@
 #include "cloud/rpc.hpp"
 
-#include "net/protocol.hpp"
+#include <string>
+
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/byte_io.hpp"
 
 namespace bees::cloud {
 
@@ -27,111 +26,14 @@ const char* type_name(net::MessageType type) {
   }
 }
 
-net::QueryResponse verdict_of(Server& server, const idx::QueryResult& result) {
-  net::QueryResponse reply;
-  reply.max_similarity = result.max_similarity;
-  reply.best_id = result.best_id;
-  if (result.best_id != idx::kInvalidImageId) {
-    reply.thumbnail_bytes = server.thumbnail_bytes_of(result.best_id);
-  }
-  return reply;
-}
-
 }  // namespace
 
-std::vector<std::uint8_t> dispatch(Server& server,
-                                   const std::vector<std::uint8_t>& request) {
-  try {
-    const net::Envelope env = net::open_envelope(request);
-    obs::ScopedSpan span("dispatch", "cloud", obs::kLaneServer);
-    if (obs::enabled()) {
-      obs::count("cloud.dispatch.requests");
-      obs::count("cloud.dispatch.request_bytes",
-                 static_cast<double>(request.size()));
-      obs::count((std::string("cloud.dispatch.") + type_name(env.type)).c_str());
-    }
-    switch (env.type) {
-      case net::MessageType::kBinaryQuery: {
-        const net::BinaryQueryRequest q =
-            net::decode_binary_query(env.payload);
-        const double accounted_bytes = q.feature_bytes >= 0.0
-                                           ? q.feature_bytes
-                                           : static_cast<double>(request.size());
-        const idx::QueryResult result =
-            server.query_binary(q.features, accounted_bytes, q.top_k);
-        return net::encode(verdict_of(server, result));
-      }
-      case net::MessageType::kBatchQuery: {
-        const net::BatchQueryRequest q = net::decode_batch_query(env.payload);
-        net::BatchQueryResponse reply;
-        reply.verdicts.reserve(q.features.size());
-        for (std::size_t i = 0; i < q.features.size(); ++i) {
-          const idx::QueryResult result =
-              server.query_binary(q.features[i], q.feature_bytes[i], q.top_k);
-          reply.verdicts.push_back(verdict_of(server, result));
-        }
-        return net::encode(reply);
-      }
-      case net::MessageType::kFloatQuery: {
-        const net::FloatQueryRequest q = net::decode_float_query(env.payload);
-        const double accounted_bytes = q.feature_bytes >= 0.0
-                                           ? q.feature_bytes
-                                           : static_cast<double>(request.size());
-        const idx::QueryResult result =
-            server.query_float(q.features, accounted_bytes, q.top_k);
-        net::QueryResponse reply;
-        reply.max_similarity = result.max_similarity;
-        reply.best_id = result.best_id;
-        return net::encode(reply);
-      }
-      case net::MessageType::kGlobalQuery: {
-        const net::GlobalQueryRequest q = net::decode_global_query(env.payload);
-        net::QueryResponse reply;
-        reply.max_similarity = server.query_global(
-            q.histogram, q.geo, q.feature_bytes, q.geo_radius_deg);
-        return net::encode(reply);
-      }
-      case net::MessageType::kImageUpload: {
-        const net::ImageUploadRequest u =
-            net::decode_image_upload(env.payload);
-        net::UploadAck ack;
-        ack.id = server.store_binary(
-            u.features, {u.image_bytes, u.geo, u.thumbnail_bytes});
-        return net::encode(ack);
-      }
-      case net::MessageType::kFloatUpload: {
-        const net::FloatUploadRequest u =
-            net::decode_float_upload(env.payload);
-        net::UploadAck ack;
-        ack.id = server.store_float(u.features, {u.image_bytes, u.geo});
-        return net::encode(ack);
-      }
-      case net::MessageType::kGlobalUpload: {
-        const net::GlobalUploadRequest u =
-            net::decode_global_upload(env.payload);
-        server.store_global(u.histogram, {u.image_bytes, u.geo});
-        return net::encode(net::UploadAck{});
-      }
-      case net::MessageType::kPlainUpload: {
-        const net::PlainUploadRequest u =
-            net::decode_plain_upload(env.payload);
-        server.store_plain({u.image_bytes, u.geo});
-        return net::encode(net::UploadAck{});
-      }
-      case net::MessageType::kChunkManifest:
-      case net::MessageType::kChunkData:
-      case net::MessageType::kChunkCommit:
-        return handle_chunk_message(
-            server.chunk_store(), env,
-            [&server](const std::vector<std::uint8_t>& inner) {
-              return dispatch(server, inner);
-            });
-      default:
-        return net::encode_error("unexpected message type");
-    }
-  } catch (const util::DecodeError& e) {
-    return net::encode_error(e.what());
-  }
+void detail::count_dispatch(net::MessageType type, std::size_t request_bytes) {
+  if (!obs::enabled()) return;
+  obs::count("cloud.dispatch.requests");
+  obs::count("cloud.dispatch.request_bytes",
+             static_cast<double>(request_bytes));
+  obs::count((std::string("cloud.dispatch.") + type_name(type)).c_str());
 }
 
 std::vector<std::uint8_t> handle_chunk_message(

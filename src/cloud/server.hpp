@@ -121,7 +121,9 @@ class Server {
   void attach_chunk_store(store::SegmentStore* chunk_store) noexcept {
     chunk_store_ = chunk_store;
   }
-  store::SegmentStore* chunk_store() const noexcept { return chunk_store_; }
+  /// The attached chunk store (the name serve::Cluster shares, so one
+  /// dispatch serves both); nullptr when none is attached.
+  store::SegmentStore* segment_store() const noexcept { return chunk_store_; }
 
  private:
   void note_location(const idx::GeoTag& geo);

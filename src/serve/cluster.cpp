@@ -118,30 +118,18 @@ std::vector<std::uint8_t> Cluster::handle(
   obs::count("serve.requests");
   auto promise = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
   std::future<std::vector<std::uint8_t>> reply = promise->get_future();
-  if (options_.batch_window > 1) {
-    // Coalescing gate: park the request; some worker's drain task (this
-    // arrival's, or an earlier one's that grabs a bigger batch) serves it
-    // through handle_coalesced.  One drain task per arrival means no job
-    // can be stranded; a drain finding an emptied queue just returns.
-    {
-      std::lock_guard<std::mutex> lock(batch_mutex_);
-      batch_queue_.push_back({request, promise});
-    }
-    pool_->submit([this] { drain_batch_queue(); });
-  } else {
-    pool_->submit([this, request, promise] {
-      std::vector<std::uint8_t> bytes = route_request_noexcept(request);
-      pending_.fetch_sub(1, std::memory_order_acq_rel);
-      promise->set_value(std::move(bytes));
-    });
-  }
+  pool_->submit([this, request, promise] {
+    std::vector<std::uint8_t> bytes = dispatch_fenced(request);
+    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    promise->set_value(std::move(bytes));
+  });
   return reply.get();
 }
 
-std::vector<std::uint8_t> Cluster::route_request_noexcept(
+std::vector<std::uint8_t> Cluster::dispatch_fenced(
     const std::vector<std::uint8_t>& request) {
   try {
-    return route_request(request);
+    return cloud::dispatch(*this, request);
   } catch (const std::exception& e) {
     // Worker tasks must never leak an exception (it would poison the
     // pool's first-error slot); everything becomes an error reply.
@@ -151,88 +139,49 @@ std::vector<std::uint8_t> Cluster::route_request_noexcept(
   }
 }
 
-void Cluster::drain_batch_queue() {
-  std::vector<BatchJob> jobs;
-  {
-    std::lock_guard<std::mutex> lock(batch_mutex_);
-    const std::size_t take =
-        std::min(options_.batch_window, batch_queue_.size());
-    jobs.reserve(take);
-    for (std::size_t i = 0; i < take; ++i) {
-      jobs.push_back(std::move(batch_queue_.front()));
-      batch_queue_.pop_front();
-    }
-  }
-  if (jobs.empty()) return;
-  obs::observe("serve.batch.size", static_cast<double>(jobs.size()));
-  std::vector<std::vector<std::uint8_t>> requests;
-  requests.reserve(jobs.size());
-  for (BatchJob& job : jobs) requests.push_back(std::move(job.request));
-  std::vector<std::vector<std::uint8_t>> replies = handle_coalesced(requests);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    jobs[i].promise->set_value(std::move(replies[i]));
-  }
-}
-
 std::vector<std::vector<std::uint8_t>> Cluster::handle_coalesced(
     const std::vector<std::vector<std::uint8_t>>& requests) {
   const std::size_t n = requests.size();
-  std::vector<std::vector<std::uint8_t>> replies(n);
 
   // Plan: decode every query envelope up front so its queries can join one
-  // batched fan-out; anything else — uploads, the chunk plane, malformed
-  // envelopes — takes the per-request dispatch below, which reproduces
-  // handle()'s replies (including its exact error strings) bit for bit.
+  // batched fan-out (a kBinaryQuery rides as a one-entry batch); anything
+  // else — uploads, the chunk plane, malformed envelopes — goes through
+  // cloud::dispatch below, which replays the decode and so produces the
+  // identical reply, error strings included.
   struct QueryPlan {
-    bool is_batch = false;
-    net::BinaryQueryRequest single;
-    net::BatchQueryRequest batch;
+    net::MessageType type;
+    net::BatchQueryRequest queries;
     std::size_t first_item = 0;  ///< index into `items`
-    std::size_t item_count = 0;
   };
   std::vector<std::optional<QueryPlan>> plans(n);
   for (std::size_t i = 0; i < n; ++i) {
     try {
       const net::Envelope env = net::open_envelope(requests[i]);
       if (env.type == net::MessageType::kBinaryQuery) {
-        QueryPlan plan;
-        plan.single = net::decode_binary_query(env.payload);
+        net::BinaryQueryRequest q = net::decode_binary_query(env.payload);
+        QueryPlan plan{env.type, {}};
+        plan.queries.features.push_back(std::move(q.features));
+        plan.queries.feature_bytes.push_back(
+            cloud::accounted_bytes(q.feature_bytes, requests[i].size()));
+        plan.queries.top_k = q.top_k;
         plans[i] = std::move(plan);
       } else if (env.type == net::MessageType::kBatchQuery) {
-        QueryPlan plan;
-        plan.is_batch = true;
-        plan.batch = net::decode_batch_query(env.payload);
-        plans[i] = std::move(plan);
+        plans[i] = QueryPlan{env.type, net::decode_batch_query(env.payload)};
       }
     } catch (...) {
-      // Malformed query envelope: the per-request path below replays the
-      // decode and produces the identical error reply.
+      // Malformed query envelope: left to cloud::dispatch.
     }
   }
   // Flatten after planning so the item pointers into `plans` stay stable.
   std::vector<BinaryBatchItem> items;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!plans[i]) continue;
-    QueryPlan& plan = *plans[i];
-    plan.first_item = items.size();
-    if (plan.is_batch) {
-      plan.item_count = plan.batch.features.size();
-      for (std::size_t k = 0; k < plan.batch.features.size(); ++k) {
-        BinaryBatchItem item;
-        item.features = &plan.batch.features[k];
-        item.feature_bytes = plan.batch.feature_bytes[k];
-        item.options.top_k = plan.batch.top_k;
-        items.push_back(item);
-      }
-    } else {
-      plan.item_count = 1;
+  for (std::optional<QueryPlan>& plan : plans) {
+    if (!plan) continue;
+    plan->first_item = items.size();
+    for (std::size_t k = 0; k < plan->queries.features.size(); ++k) {
       BinaryBatchItem item;
-      item.features = &plan.single.features;
-      item.feature_bytes = plan.single.feature_bytes >= 0.0
-                               ? plan.single.feature_bytes
-                               : static_cast<double>(requests[i].size());
-      item.options.top_k = plan.single.top_k;
+      item.features = &plan->queries.features[k];
+      item.feature_bytes = plan->queries.feature_bytes[k];
+      item.options.top_k = plan->queries.top_k;
       items.push_back(item);
     }
   }
@@ -247,36 +196,23 @@ std::vector<std::vector<std::uint8_t>> Cluster::handle_coalesced(
     batched = false;
   }
 
+  std::vector<std::vector<std::uint8_t>> replies(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!plans[i] || !batched) {
-      replies[i] = route_request_noexcept(requests[i]);
+      replies[i] = dispatch_fenced(requests[i]);
       continue;
     }
     const QueryPlan& plan = *plans[i];
-    if (plan.is_batch) {
-      net::BatchQueryResponse reply;
-      reply.verdicts.reserve(plan.item_count);
-      for (std::size_t k = 0; k < plan.item_count; ++k) {
-        const idx::QueryResult& result = results[plan.first_item + k];
-        net::QueryResponse verdict;
-        verdict.max_similarity = result.max_similarity;
-        verdict.best_id = result.best_id;
-        if (result.best_id != idx::kInvalidImageId) {
-          verdict.thumbnail_bytes = thumbnail_bytes_of(result.best_id);
-        }
-        reply.verdicts.push_back(verdict);
-      }
-      replies[i] = net::encode(reply);
-    } else {
-      const idx::QueryResult& result = results[plan.first_item];
-      net::QueryResponse reply;
-      reply.max_similarity = result.max_similarity;
-      reply.best_id = result.best_id;
-      if (result.best_id != idx::kInvalidImageId) {
-        reply.thumbnail_bytes = thumbnail_bytes_of(result.best_id);
-      }
-      replies[i] = net::encode(reply);
+    cloud::detail::count_dispatch(plan.type, requests[i].size());
+    net::BatchQueryResponse reply;
+    reply.verdicts.reserve(plan.queries.features.size());
+    for (std::size_t k = 0; k < plan.queries.features.size(); ++k) {
+      reply.verdicts.push_back(
+          cloud::verdict_of(*this, results[plan.first_item + k]));
     }
+    replies[i] = plan.type == net::MessageType::kBinaryQuery
+                     ? net::encode(reply.verdicts.front())
+                     : net::encode(reply);
   }
   return replies;
 }
@@ -285,112 +221,6 @@ net::Transport::Handler Cluster::handler() {
   return [this](const std::vector<std::uint8_t>& request) {
     return handle(request);
   };
-}
-
-std::vector<std::uint8_t> Cluster::route_request(
-    const std::vector<std::uint8_t>& request) {
-  // Mirrors cloud::dispatch message-for-message (same decode paths, same
-  // accounting rules, same error strings) with cluster entry points.
-  try {
-    const net::Envelope env = net::open_envelope(request);
-    obs::ScopedSpan span("dispatch", "serve", obs::kLaneServer);
-    switch (env.type) {
-      case net::MessageType::kBinaryQuery: {
-        const net::BinaryQueryRequest q =
-            net::decode_binary_query(env.payload);
-        const double accounted_bytes =
-            q.feature_bytes >= 0.0 ? q.feature_bytes
-                                   : static_cast<double>(request.size());
-        const idx::QueryResult result =
-            query_binary(q.features, accounted_bytes, q.top_k);
-        net::QueryResponse reply;
-        reply.max_similarity = result.max_similarity;
-        reply.best_id = result.best_id;
-        if (result.best_id != idx::kInvalidImageId) {
-          reply.thumbnail_bytes = thumbnail_bytes_of(result.best_id);
-        }
-        return net::encode(reply);
-      }
-      case net::MessageType::kBatchQuery: {
-        const net::BatchQueryRequest q = net::decode_batch_query(env.payload);
-        net::BatchQueryResponse reply;
-        reply.verdicts.reserve(q.features.size());
-        for (std::size_t i = 0; i < q.features.size(); ++i) {
-          const idx::QueryResult result =
-              query_binary(q.features[i], q.feature_bytes[i], q.top_k);
-          net::QueryResponse verdict;
-          verdict.max_similarity = result.max_similarity;
-          verdict.best_id = result.best_id;
-          if (result.best_id != idx::kInvalidImageId) {
-            verdict.thumbnail_bytes = thumbnail_bytes_of(result.best_id);
-          }
-          reply.verdicts.push_back(verdict);
-        }
-        return net::encode(reply);
-      }
-      case net::MessageType::kFloatQuery: {
-        const net::FloatQueryRequest q = net::decode_float_query(env.payload);
-        const double accounted_bytes =
-            q.feature_bytes >= 0.0 ? q.feature_bytes
-                                   : static_cast<double>(request.size());
-        const idx::QueryResult result =
-            query_float(q.features, accounted_bytes, q.top_k);
-        net::QueryResponse reply;
-        reply.max_similarity = result.max_similarity;
-        reply.best_id = result.best_id;
-        return net::encode(reply);
-      }
-      case net::MessageType::kGlobalQuery: {
-        const net::GlobalQueryRequest q =
-            net::decode_global_query(env.payload);
-        net::QueryResponse reply;
-        reply.max_similarity =
-            query_global(q.histogram, q.geo, q.feature_bytes,
-                         q.geo_radius_deg);
-        return net::encode(reply);
-      }
-      case net::MessageType::kImageUpload: {
-        const net::ImageUploadRequest u =
-            net::decode_image_upload(env.payload);
-        net::UploadAck ack;
-        ack.id = store_binary(u.features,
-                              {u.image_bytes, u.geo, u.thumbnail_bytes});
-        return net::encode(ack);
-      }
-      case net::MessageType::kFloatUpload: {
-        const net::FloatUploadRequest u =
-            net::decode_float_upload(env.payload);
-        net::UploadAck ack;
-        ack.id = store_float(u.features, {u.image_bytes, u.geo});
-        return net::encode(ack);
-      }
-      case net::MessageType::kGlobalUpload: {
-        const net::GlobalUploadRequest u =
-            net::decode_global_upload(env.payload);
-        store_global(u.histogram, {u.image_bytes, u.geo});
-        return net::encode(net::UploadAck{});
-      }
-      case net::MessageType::kPlainUpload: {
-        const net::PlainUploadRequest u =
-            net::decode_plain_upload(env.payload);
-        store_plain({u.image_bytes, u.geo});
-        return net::encode(net::UploadAck{});
-      }
-      case net::MessageType::kChunkManifest:
-      case net::MessageType::kChunkData:
-      case net::MessageType::kChunkCommit:
-        // Shared chunk plane (same handler as the serial server); a commit's
-        // embedded legacy upload re-enters this dispatch.
-        return cloud::handle_chunk_message(
-            store_.get(), env, [this](const std::vector<std::uint8_t>& inner) {
-              return route_request(inner);
-            });
-      default:
-        return net::encode_error("unexpected message type");
-    }
-  } catch (const util::DecodeError& e) {
-    return net::encode_error(e.what());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,61 +236,9 @@ idx::QueryResult Cluster::query_binary(const feat::BinaryFeatures& features,
 idx::QueryResult Cluster::query_binary(
     const feat::BinaryFeatures& features, double feature_bytes,
     const idx::QueryOptions& query_options) {
-  const int top_k = query_options.top_k;
-  obs::ScopedTimer timer("serve.query.binary.seconds");
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++binary_queries_;
-    query_feature_bytes_ += feature_bytes;
-  }
-  obs::ScopedSpan span("fanout.binary", "serve", obs::kLaneServer);
-
-  // Phase 1: merge per-shard candidate rankings.  Each shard's list is the
-  // global (votes desc, gid asc) order restricted to its images, so the
-  // merged-and-truncated list is exactly the single-index candidate set.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> merged;  // (gid, score)
-  for (const auto& backend : backends_) {
-    const auto candidates =
-        backend->active().binary_candidates(features,
-                                            query_options.recall_target);
-    merged.insert(merged.end(), candidates.begin(), candidates.end());
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  // Same budget the single-index candidate path truncates to; per-image
-  // scores are pure pair functions, so the global top-B is contained in
-  // the union of per-shard top-B lists and this truncation reproduces it.
-  const std::size_t budget = idx::candidate_budget(
-      options_.binary_params, query_options.recall_target);
-  if (merged.size() > budget) merged.resize(budget);
-
-  // Phase 2: exact rescore on the owning shards; per-shard top-k lists
-  // cover the global top-k because within a shard local order is gid order.
-  std::vector<std::vector<idx::ImageId>> locals(backends_.size());
-  {
-    std::lock_guard<std::mutex> lock(maps_mutex_);
-    for (const auto& [gid, votes] : merged) {
-      const Location& loc = binary_locations_[gid];
-      locals[static_cast<std::size_t>(loc.shard)].push_back(loc.local);
-    }
-  }
-  idx::QueryResult out;
-  for (std::size_t s = 0; s < backends_.size(); ++s) {
-    if (locals[s].empty()) continue;
-    const idx::QueryResult part =
-        backends_[s]->active().rescore_binary(features, locals[s], top_k);
-    out.hits.insert(out.hits.end(), part.hits.begin(), part.hits.end());
-    out.candidates_checked += part.candidates_checked;
-    out.ops += part.ops;
-  }
-  idx::detail::finalize_top_k(out, top_k);
-  obs::count("serve.query.binary");
-  obs::observe("serve.query.binary.candidates",
-               static_cast<double>(out.candidates_checked));
-  return out;
+  return std::move(
+      query_binary_batch({{&features, feature_bytes, query_options}})
+          .front());
 }
 
 std::vector<idx::QueryResult> Cluster::query_binary_batch(
@@ -476,12 +254,15 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
       query_feature_bytes_ += item.feature_bytes;
     }
   }
-  obs::ScopedSpan span("fanout.binary.batch", "serve", obs::kLaneServer);
+  obs::ScopedSpan span("fanout.binary", "serve", obs::kLaneServer);
 
-  // Phase 1 runs per query — candidate scores are pure (query, image)
-  // functions, so each query's merged-and-truncated shortlist is exactly
-  // what its solo query_binary would compute — while phase-2 work is
-  // accumulated into one batched rescore per shard.
+  // Phase 1, per query: merge per-shard candidate rankings.  Each shard's
+  // list is the global (votes desc, gid asc) order restricted to its
+  // images, and per-image scores are pure (query, image) functions, so the
+  // global top-B is contained in the union of per-shard top-B lists and
+  // truncating the merge to the single-index budget reproduces the
+  // single-index candidate set.  Phase-2 work is accumulated into one
+  // batched rescore per shard.
   const std::size_t n_shards = backends_.size();
   std::vector<std::vector<const feat::BinaryFeatures*>> shard_features(
       n_shards);
@@ -523,8 +304,9 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
     }
   }
 
-  // Phase 2: one batched rescore per shard; scatter the per-query parts
-  // back and finalize exactly like the single-query merge.
+  // Phase 2: one batched rescore per shard; per-shard top-k lists cover the
+  // global top-k because within a shard local order is gid order.  Scatter
+  // the per-query parts back and finalize each query's merge.
   for (std::size_t s = 0; s < n_shards; ++s) {
     if (shard_features[s].empty()) continue;
     const std::vector<idx::QueryResult> parts =

@@ -1,8 +1,11 @@
 // The serving cluster frontend: N durable shards behind a worker pool and
 // an admission gate.  Requests arrive as encoded cloud::rpc envelopes; a
 // bounded number are in flight at once (excess load is shed with an encoded
-// error reply, never a throw), workers drain the queue, and similarity
-// queries fan out to every shard and merge exactly:
+// error reply, never a throw), and each worker answers its request through
+// cloud::dispatch — the serial server's own dispatcher, instantiated over
+// the cluster.  Binary similarity queries take one fan-out,
+// query_binary_batch (a single query is a batch of one), and merge
+// exactly:
 //
 //   phase 1 gathers each shard's candidate ranking (deterministically
 //   tie-broken by global id), merges and truncates to the single-index
@@ -22,8 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,15 +54,6 @@ struct ClusterOptions {
   /// Admission bound: requests in flight (queued + executing) before new
   /// arrivals are shed with an encoded error reply.
   std::size_t queue_depth = 256;
-  /// Admission-gate coalescing window: when > 1, admitted requests are
-  /// queued and a worker drains up to this many at once through
-  /// handle_coalesced, so queued similarity queries share one batched
-  /// fan-out (each shard packs a candidate's descriptors once per batch
-  /// instead of once per query).  Replies are byte-identical to
-  /// batch_window = 1 for every request; only latency/throughput shifts.
-  /// Batch sizes actually formed are observable as the `serve.batch.size`
-  /// histogram.
-  std::size_t batch_window = 1;
   /// Durability root (one subdirectory per shard); empty = in-memory only.
   /// When set, construction recovers from the latest snapshots + WAL tails.
   std::string data_dir;
@@ -110,20 +102,18 @@ class Cluster {
   /// Serves one encoded rpc envelope through the admission gate and worker
   /// pool; blocks until the reply is ready.  Thread-safe; never throws a
   /// request error — malformed input, internal failures, and shed load all
-  /// come back as net::encode_error replies, mirroring cloud::dispatch.
-  /// With `options.batch_window` > 1, admitted requests are queued and
-  /// drained in coalesced batches (see handle_coalesced); the reply for
-  /// each request is unchanged.
+  /// come back as net::encode_error replies, exactly as cloud::dispatch
+  /// answers them (and counted in its `cloud.dispatch.*` metrics).
   std::vector<std::uint8_t> handle(const std::vector<std::uint8_t>& request);
 
-  /// Serves a group of encoded envelopes as one coalesced unit: every
-  /// similarity query the group carries (kBinaryQuery payloads and each
-  /// entry of a kBatchQuery) joins a single query_binary_batch fan-out;
-  /// any other envelope type is dispatched individually.  replies[i] is
-  /// byte-identical to handle(requests[i]) — coalescing is an
-  /// amortization, never a semantic change.  Bypasses the admission gate:
-  /// callers (the gate's own drain loop, the fleet's deterministic
-  /// batcher) do their own admission.  Thread-safe.
+  /// Serves a group of encoded envelopes as one coalesced unit — the entry
+  /// point of the fleet simulator's batcher.  Every similarity query the
+  /// group carries (kBinaryQuery payloads and each entry of a kBatchQuery)
+  /// joins a single query_binary_batch fan-out; any other envelope goes
+  /// through cloud::dispatch on its own.  replies[i] is byte-identical to
+  /// handle(requests[i]) — coalescing is an amortization, never a semantic
+  /// change.  Bypasses the admission gate: the caller does its own
+  /// admission.  Thread-safe.
   std::vector<std::vector<std::uint8_t>> handle_coalesced(
       const std::vector<std::vector<std::uint8_t>>& requests);
 
@@ -143,12 +133,12 @@ class Cluster {
   idx::QueryResult query_binary(const feat::BinaryFeatures& features,
                                 double feature_bytes,
                                 const idx::QueryOptions& query_options);
-  /// Batched fan-out: results[q] is byte-identical to
-  /// query_binary(*items[q].features, items[q].feature_bytes,
-  /// items[q].options) for any shard/thread/batch-size combination —
-  /// per-(query, image) scores are pure pair functions and the per-query
-  /// merge path is unchanged — but phase 2 rescoring runs through each
-  /// shard's batched plane, packing every candidate image once per batch.
+  /// The binary fan-out behind every query_binary call: results[q] is
+  /// byte-identical to a solo query of items[q] for any shard/thread/
+  /// batch-size combination — per-(query, image) scores are pure pair
+  /// functions and each query merges on its own — while phase 2 runs one
+  /// batched rescore per shard, packing every candidate image once per
+  /// batch.
   std::vector<idx::QueryResult> query_binary_batch(
       const std::vector<BinaryBatchItem>& items);
   idx::QueryResult query_float(const feat::FloatFeatures& features,
@@ -226,15 +216,10 @@ class Cluster {
   };
 
   std::size_t route(const idx::GeoTag& geo, std::uint32_t gid) const;
-  std::vector<std::uint8_t> route_request(
+  /// cloud::dispatch against this cluster, fenced so that a worker task
+  /// never throws: internal failures become encoded error replies.
+  std::vector<std::uint8_t> dispatch_fenced(
       const std::vector<std::uint8_t>& request);
-  /// route_request with the worker-task exception fences (never throws).
-  std::vector<std::uint8_t> route_request_noexcept(
-      const std::vector<std::uint8_t>& request);
-  /// Drains up to batch_window queued gate jobs through handle_coalesced
-  /// and fulfills their promises; no-op when another drain emptied the
-  /// queue first.  Runs on the worker pool.
-  void drain_batch_queue();
   /// Routes, WAL-logs and applies one mutation (caller holds
   /// mutation_mutex_).  For indexed ops the routing-table entry is published
   /// *before* the shard applies — the local id is predicted from the
@@ -257,17 +242,6 @@ class Cluster {
 
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> shed_{0};
-
-  /// Gate-coalescing queue (batch_window > 1 only): admitted requests wait
-  /// here until a worker drains a batch of them.  Every arrival submits one
-  /// drain task, so no job can be stranded; a drain that finds the queue
-  /// already emptied by a peer simply returns.
-  struct BatchJob {
-    std::vector<std::uint8_t> request;
-    std::shared_ptr<std::promise<std::vector<std::uint8_t>>> promise;
-  };
-  std::mutex batch_mutex_;
-  std::deque<BatchJob> batch_queue_;
 
   /// Serializes stores/seeds: gid assignment, WAL append order, and routing
   /// table growth stay consistent without finer-grained ordering.

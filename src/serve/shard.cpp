@@ -80,7 +80,11 @@ Shard::Shard(int id, const ShardOptions& options,
   restore_snapshot(snapshot);
   if (!options_.dir.empty()) {
     wal_ = std::make_unique<WriteAheadLog>(wal_path(), options_.segment_store);
-    checkpoint_locked();  // durably seed the installed state
+    // Durably seed the installed state, but leave the shared store
+    // uncompacted: at a reopen this runs while the cluster is still opening
+    // its shards, and the ones it opens later have not re-pinned their
+    // snapshot and WAL chunks yet.
+    checkpoint_locked(/*compact=*/false);
   }
 }
 
@@ -179,19 +183,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> Shard::binary_candidates(
   return out;
 }
 
-idx::QueryResult Shard::rescore_binary(const feat::BinaryFeatures& features,
-                                       const std::vector<idx::ImageId>& locals,
-                                       int top_k) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  idx::QueryResult result =
-      server_.binary_index().rescore(features, locals, top_k);
-  for (auto& hit : result.hits) hit.id = binary_globals_[hit.id];
-  if (result.best_id != idx::kInvalidImageId) {
-    result.best_id = binary_globals_[result.best_id];
-  }
-  return result;
-}
-
 std::vector<idx::QueryResult> Shard::rescore_binary_batch(
     const std::vector<const feat::BinaryFeatures*>& features,
     const std::vector<std::vector<idx::ImageId>>& locals,
@@ -282,7 +273,7 @@ void Shard::checkpoint() {
   checkpoint_locked();
 }
 
-void Shard::checkpoint_locked() {
+void Shard::checkpoint_locked(bool compact) {
   if (options_.dir.empty()) return;
   const std::vector<std::uint8_t> bytes = encode_snapshot_locked();
   if (store::SegmentStore* st = options_.segment_store) {
@@ -322,7 +313,9 @@ void Shard::checkpoint_locked() {
   }
   if (wal_ && options_.wal_reset_on_checkpoint) wal_->reset();
   mutations_since_checkpoint_ = 0;
-  if (options_.segment_store) options_.segment_store->maybe_compact();
+  if (compact && options_.segment_store) {
+    options_.segment_store->maybe_compact();
+  }
   obs::count("serve.checkpoint");
 }
 

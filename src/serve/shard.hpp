@@ -86,16 +86,12 @@ class Shard {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> binary_candidates(
       const feat::BinaryFeatures& features,
       double recall_target = idx::kDefaultRecallTarget) const;
-  /// Query phase 2: exact rescore of `locals` (local ids, as mapped by the
-  /// cluster); returned hits carry global ids.
-  idx::QueryResult rescore_binary(const feat::BinaryFeatures& features,
-                                  const std::vector<idx::ImageId>& locals,
-                                  int top_k) const;
-  /// Batched phase 2: every query's local candidate list rescored under one
-  /// lock acquisition through the index's batched rescore plane (each
-  /// stored image packed once, streamed against all subscribing queries).
-  /// results[q] is byte-identical to
-  /// rescore_binary(*features[q], locals[q], top_k[q]).
+  /// Query phase 2: exact rescore of each query's `locals[q]` (local ids,
+  /// as mapped by the cluster) under one lock acquisition, through the
+  /// index's batched rescore plane (each stored image packed once, streamed
+  /// against all subscribing queries); returned hits carry global ids.
+  /// results[q] is byte-identical to a solo FeatureIndex::rescore of
+  /// query q.
   std::vector<idx::QueryResult> rescore_binary_batch(
       const std::vector<const feat::BinaryFeatures*>& features,
       const std::vector<std::vector<idx::ImageId>>& locals,
@@ -138,7 +134,9 @@ class Shard {
 
  private:
   void apply_locked(const WalRecord& record, idx::ImageId* local_out);
-  void checkpoint_locked();
+  /// Publishes a snapshot and resets the WAL; with `compact`, then runs
+  /// the segment store's compaction trigger.
+  void checkpoint_locked(bool compact = true);
   void recover();
   std::vector<std::uint8_t> encode_snapshot_locked();
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);

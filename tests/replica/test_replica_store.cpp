@@ -130,6 +130,58 @@ TEST_F(ReplicaStoreTest, StoreBackedFailoverMatchesInMemoryReference) {
   }
 }
 
+// Standbys lag the primary by up to a ship queue of frames, so reopening a
+// store-backed replicated cluster snapshot-installs them.  That install
+// must not compact the shared store: shards the cluster opens after it
+// have not re-pinned their snapshot and WAL chunks yet.
+void expect_reopen_recovers_every_store(const std::string& dir,
+                                        std::size_t checkpoint_every) {
+  constexpr int kImages = 40;
+  serve::ClusterOptions durable;
+  durable.shards = 4;
+  durable.data_dir = dir;
+  durable.segment_store.dir = dir + "/segstore";
+  durable.checkpoint_every = checkpoint_every;
+  durable.backend_factory = make_replicated_factory(1);
+  serve::ClusterOptions plain;
+  plain.shards = 4;
+  serve::Cluster reference(plain);
+
+  std::vector<feat::BinaryFeatures> features;
+  {
+    serve::Cluster cluster(durable);
+    for (int i = 0; i < kImages; ++i) {
+      // One place per image, so the router spreads them over every shard.
+      const cloud::StoreInfo info{700'000.0 + i, {2.0 + 0.05 * i, 48.0, true},
+                                  12'000.0 + i};
+      features.push_back(make_binary(50 + static_cast<std::uint64_t>(i)));
+      cluster.store_binary(features.back(), info);
+      reference.store_binary(features.back(), info);
+    }
+  }  // No final checkpoint: the standbys still lag at destruction.
+
+  for (int reopen = 0; reopen < 2; ++reopen) {
+    serve::Cluster cluster(durable);
+    EXPECT_EQ(cluster.stats().images_stored,
+              static_cast<std::size_t>(kImages))
+        << "reopen " << reopen;
+    for (int i = 0; i < kImages; i += 5) {
+      const auto request = net::encode_binary_query(
+          features[static_cast<std::size_t>(i)], idx::kDefaultTopK, 9'000.0);
+      EXPECT_EQ(cluster.handle(request), reference.handle(request))
+          << "reopen " << reopen << " probe " << i;
+    }
+  }
+}
+
+TEST_F(ReplicaStoreTest, ReopenWithLaggingStandbysKeepsEveryStore) {
+  expect_reopen_recovers_every_store(dir_, /*checkpoint_every=*/0);
+}
+
+TEST_F(ReplicaStoreTest, ReopenWithAutoCheckpointsKeepsEveryStore) {
+  expect_reopen_recovers_every_store(dir_, /*checkpoint_every=*/8);
+}
+
 TEST(ReplicaConcurrent, QueriesRaceFailoverSafely) {
   serve::ClusterOptions copts;
   copts.shards = 2;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "features/sift.hpp"
 #include "imaging/synth.hpp"
 #include "net/protocol.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace bees::serve {
@@ -245,6 +247,61 @@ TEST_P(ClusterEquivalence, ErrorRepliesMatchSerial) {
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ClusterEquivalence,
                          ::testing::Values(1, 2, 3, 5));
 
+/// The `cloud.dispatch.*` counters one observed run of `serve` records.
+template <typename Serve>
+std::map<std::string, double> dispatch_counters(Serve serve) {
+  obs::MetricsRegistry::global().reset();
+  obs::set_enabled(true);
+  serve();
+  obs::set_enabled(false);
+  std::map<std::string, double> out;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::global().snapshot().counters) {
+    if (name.rfind("cloud.dispatch.", 0) == 0) out[name] = value;
+  }
+  obs::MetricsRegistry::global().reset();
+  return out;
+}
+
+TEST(Cluster, DispatchCountsClusterTraffic) {
+  // Cluster workers answer through cloud::dispatch, so cluster traffic is
+  // counted exactly like the serial server's: one request per envelope,
+  // per-type counters, and wire bytes.
+  cloud::Server server;
+  ClusterOptions options;
+  options.shards = 3;
+  options.threads = 2;
+  Cluster cluster(options);
+  seed_both(server, cluster);
+  const auto requests = workload_requests();
+
+  const auto serial = dispatch_counters([&] {
+    for (const auto& request : requests) cloud::dispatch(server, request);
+  });
+  const auto sharded = dispatch_counters([&] {
+    for (const auto& request : requests) cluster.handle(request);
+  });
+  ASSERT_TRUE(sharded.count("cloud.dispatch.requests"));
+  EXPECT_EQ(sharded.at("cloud.dispatch.requests"),
+            static_cast<double>(requests.size()));
+  for (const char* type : {"binary_query", "float_query", "global_query",
+                           "image_upload", "float_upload", "global_upload",
+                           "plain_upload"}) {
+    EXPECT_EQ(sharded.at(std::string("cloud.dispatch.") + type), 6.0) << type;
+  }
+  EXPECT_EQ(sharded.at("cloud.dispatch.batch_query"), 1.0);
+  EXPECT_EQ(sharded, serial);
+
+  // The fleet batcher's entry point counts its coalesced queries too.
+  const std::vector<std::vector<std::uint8_t>> queries{requests[1],
+                                                       requests.back()};
+  const auto coalesced = dispatch_counters(
+      [&] { cluster.handle_coalesced(queries); });
+  EXPECT_EQ(coalesced.at("cloud.dispatch.requests"), 2.0);
+  EXPECT_EQ(coalesced.at("cloud.dispatch.binary_query"), 1.0);
+  EXPECT_EQ(coalesced.at("cloud.dispatch.batch_query"), 1.0);
+}
+
 TEST_P(ClusterEquivalence, AnnPrunedQueriesMatchSerialExactly) {
   // The ANN shortlist path must preserve the cluster's core contract: the
   // per-image scores are pure (query, image) functions, so any shard count
@@ -347,8 +404,8 @@ TEST_P(ClusterEquivalence, CoalescedRepliesMatchPerRequestHandling) {
     seed_both(unused, coalesced_cluster);
   }
 
-  // A read-only group — the shape the gate and the fleet batcher actually
-  // coalesce (mutations break a run).  Binary and bulk-CBRD queries join
+  // A read-only group — the shape the fleet batcher coalesces (mutations
+  // break a run).  Binary and bulk-CBRD queries join
   // the shared fan-out; the float query, global query, and malformed
   // envelope take the per-request fallback.  Every reply must match
   // per-request handling byte for byte, in group order.

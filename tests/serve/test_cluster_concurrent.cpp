@@ -18,7 +18,6 @@
 #include "features/orb.hpp"
 #include "imaging/synth.hpp"
 #include "net/protocol.hpp"
-#include "obs/metrics.hpp"
 #include "serve/cluster.hpp"
 #include "util/rng.hpp"
 
@@ -80,68 +79,6 @@ TEST(ClusterConcurrent, ParallelClientsGetSerialReplies) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(cluster.stats().binary_queries,
             static_cast<std::size_t>(kClients * kQueriesPerClient));
-}
-
-TEST(ClusterConcurrent, GateCoalescingKeepsRepliesByteIdentical) {
-  // batch_window > 1 turns the admission gate into a coalescing queue:
-  // concurrent clients' queries drain in batches through the shared
-  // rescore fan-out, and every reply must still be the bytes the serial
-  // path produces — coalescing is an amortization, never a semantic
-  // change.  Also checks the gate actually coalesced (serve.batch.size).
-  constexpr int kSeeds = 6;
-  constexpr int kClients = 4;
-  constexpr int kQueriesPerClient = 8;
-
-  cloud::Server server;
-  ClusterOptions options;
-  options.shards = 2;
-  options.threads = 4;
-  options.batch_window = 3;
-  Cluster cluster(options);
-  for (int i = 0; i < kSeeds; ++i) {
-    const auto features = make_binary(100 + static_cast<std::uint64_t>(i));
-    server.seed_binary(features, geo_of(i), 11'000.0);
-    cluster.seed_binary(features, geo_of(i), 11'000.0);
-  }
-
-  std::vector<std::vector<std::uint8_t>> requests;
-  std::vector<std::vector<std::uint8_t>> expected;
-  for (int q = 0; q < kClients * kQueriesPerClient; ++q) {
-    requests.push_back(net::encode_binary_query(
-        make_binary(100 + static_cast<std::uint64_t>(q % kSeeds)),
-        idx::kDefaultTopK, 9'000.0));
-    expected.push_back(cloud::dispatch(server, requests.back()));
-  }
-
-  obs::MetricsRegistry::global().reset();
-  obs::set_enabled(true);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int q = 0; q < kQueriesPerClient; ++q) {
-        const int i = c * kQueriesPerClient + q;
-        if (cluster.handle(requests[static_cast<std::size_t>(i)]) !=
-            expected[static_cast<std::size_t>(i)]) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  obs::set_enabled(false);
-  const auto snap = obs::MetricsRegistry::global().snapshot();
-  obs::MetricsRegistry::global().reset();
-
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(cluster.stats().binary_queries,
-            static_cast<std::size_t>(kClients * kQueriesPerClient));
-  // Every request passed through a drained batch (sizes 1..batch_window).
-  ASSERT_TRUE(snap.histograms.count("serve.batch.size"));
-  const auto& sizes = snap.histograms.at("serve.batch.size");
-  EXPECT_EQ(sizes.sum, 1.0 * kClients * kQueriesPerClient);
-  EXPECT_LE(sizes.count, static_cast<std::uint64_t>(kClients *
-                                                    kQueriesPerClient));
 }
 
 TEST(ClusterConcurrent, MixedTrafficKeepsAccountingConsistent) {

@@ -36,7 +36,6 @@
 //   --shards         cluster shard count                       (default 1)
 //   --server-threads cluster worker threads                    (default 1)
 //   --queue-depth    admission bound before requests are shed  (default 256)
-//   --batch-window   max queued queries coalesced per fan-out  (default 1)
 //   --data-dir       durability root: recover on start, write per-shard
 //                    WALs during the run, checkpoint on exit
 //   --save-index PATH  save the binary index as a snapshot on exit
@@ -57,13 +56,11 @@
 // Flag coherence: --load-index requires --data-dir (a warm start only
 // makes sense against a durability root to recover into), --queue-depth
 // requires --server-threads (the admission bound gates the cluster's
-// worker pool), --batch-window requires --server-threads (coalescing
-// happens behind the gate that pool serves), --chunk-size requires
-// --store-dir (a chunking interval
+// worker pool), --chunk-size requires --store-dir (a chunking interval
 // without a chunk store has nothing to apply to), --progressive requires
 // --store-dir (scans ride the chunk-manifest plane), and --scans requires
-// --progressive; incoherent combinations
-// are rejected with a one-line error.
+// --progressive; incoherent combinations are rejected with a one-line
+// error.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -108,7 +105,6 @@ struct Options {
   int shards = 0;
   int server_threads = 0;
   int queue_depth = 0;
-  int batch_window = 0;
   std::string data_dir;
   std::string save_index_path;
   std::string load_index_path;
@@ -119,7 +115,7 @@ struct Options {
 
   bool use_cluster() const {
     return shards > 0 || server_threads > 0 || queue_depth > 0 ||
-           batch_window > 0 || !data_dir.empty();
+           !data_dir.empty();
   }
 };
 
@@ -160,8 +156,8 @@ int usage(const char* argv0) {
                "       [--timeout S] [--backoff S] [--csv]\n"
                "       [--metrics-json PATH] [--trace PATH]\n"
                "       [--shards N] [--server-threads N] [--queue-depth N]\n"
-               "       [--batch-window N] [--data-dir PATH] [--save-index PATH]\n"
-               "       [--load-index PATH] [--store-dir PATH]\n"
+               "       [--data-dir PATH] [--save-index PATH] [--load-index PATH]\n"
+               "       [--store-dir PATH]\n"
                "       [--chunk-size BYTES] [--progressive] [--scans N]\n";
   return 2;
 }
@@ -217,8 +213,6 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.server_threads = static_cast<int>(v);
     } else if (arg == "--queue-depth" && next(v)) {
       opt.queue_depth = static_cast<int>(v);
-    } else if (arg == "--batch-window" && next(v)) {
-      opt.batch_window = static_cast<int>(v);
     } else if (arg == "--data-dir" && i + 1 < argc) {
       opt.data_dir = argv[++i];
     } else if (arg == "--save-index" && i + 1 < argc) {
@@ -243,7 +237,7 @@ bool parse(int argc, char** argv, Options& opt) {
          opt.loss >= 0 && opt.loss <= 1 && opt.outage >= 0 && opt.outage <= 1 &&
          opt.outage_dur > 0 && opt.retries >= 1 && opt.timeout_s >= 0 &&
          opt.backoff_s > 0 && opt.shards >= 0 && opt.server_threads >= 0 &&
-         opt.queue_depth >= 0 && opt.batch_window >= 0 && opt.chunk_size >= 0 &&
+         opt.queue_depth >= 0 && opt.chunk_size >= 0 &&
          (opt.scans == 0 || (opt.scans >= 1 && opt.scans <= 6));
 }
 
@@ -260,11 +254,6 @@ int main(int argc, char** argv) {
   if (opt.queue_depth > 0 && opt.server_threads == 0) {
     std::cerr << "bees_sim: --queue-depth requires --server-threads (the "
                  "admission bound gates the cluster worker pool)\n";
-    return 2;
-  }
-  if (opt.batch_window > 0 && opt.server_threads == 0) {
-    std::cerr << "bees_sim: --batch-window requires --server-threads (query "
-                 "coalescing happens behind the gate that pool serves)\n";
     return 2;
   }
   if (opt.chunk_size > 0 && opt.store_dir.empty()) {
@@ -357,9 +346,6 @@ int main(int argc, char** argv) {
     if (opt.queue_depth > 0) {
       cluster_options.queue_depth = static_cast<std::size_t>(opt.queue_depth);
     }
-    if (opt.batch_window > 0) {
-      cluster_options.batch_window = opt.batch_window;
-    }
     cluster_options.data_dir = opt.data_dir;
     if (!opt.store_dir.empty()) {
       cluster_options.segment_store.dir = opt.store_dir;
@@ -367,7 +353,7 @@ int main(int argc, char** argv) {
     }
     cluster = std::make_unique<serve::Cluster>(cluster_options);
     // Every exchange of the run now rides the cluster's admission gate and
-    // worker pool instead of a direct cloud::dispatch bind.
+    // worker pool, whose workers run cloud::dispatch against the cluster.
     scheme->set_server_handler(cluster->handler());
   } else if (!opt.store_dir.empty()) {
     store::SegmentStoreOptions store_options;
