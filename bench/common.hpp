@@ -12,12 +12,14 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/baselines.hpp"
 #include "core/bees.hpp"
 #include "core/simulation.hpp"
+#include "features/simd.hpp"
 #include "obs/json.hpp"
 #include "util/table.hpp"
 
@@ -57,13 +59,24 @@ inline core::SchemeConfig make_config(double byte_scale) {
   return cfg;
 }
 
+/// One named number in a BENCH_*.json row or object; counts convert to
+/// the JSON number type on construction.
+struct JsonField {
+  template <typename Number>
+  JsonField(std::string field_name, Number field_value)
+      : name(std::move(field_name)), value(static_cast<double>(field_value)) {}
+  std::string name;
+  double value;
+};
+
 /// Optional machine-readable bench output.  When the BEES_BENCH_JSON
-/// environment variable names a directory, a BenchJson collects every
-/// BatchReport row added to it and writes them as
-/// `<dir>/BENCH_<name>.json` on destruction — one object per row keyed by
-/// the cell label, with the report's stable named_values() as fields.
-/// Without the variable it is inert and the bench's stdout stays
-/// byte-identical.
+/// environment variable names a directory, a BenchJson collects rows of
+/// named numbers (one object per row, keyed by the row label) plus any
+/// top-level fields, and writes them as `<dir>/BENCH_<name>.json` on
+/// destruction.  Every file is stamped with the machine's hardware_threads
+/// and the active match-kernel ISA, so each number names the hardware that
+/// produced it.  Without the variable it is inert and the bench's stdout
+/// stays byte-identical.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {
@@ -78,10 +91,31 @@ class BenchJson {
 
   bool active() const { return !dir_.empty(); }
 
-  /// Records one cell's full report under the label `row`.
+  /// Records one row of named numbers under the label `row`.
+  void add(const std::string& row, std::vector<JsonField> fields) {
+    if (!active()) return;
+    rows_.emplace_back(row, std::move(fields));
+  }
+
+  /// Records one cell's full report (its stable named_values()) under the
+  /// label `row`.
   void add(const std::string& row, const core::BatchReport& report) {
     if (!active()) return;
-    rows_.emplace_back(row, report.named_values());
+    std::vector<JsonField> fields;
+    for (const core::NamedValue& v : report.named_values()) {
+      fields.push_back({v.name, v.value});
+    }
+    add(row, std::move(fields));
+  }
+
+  /// Adds a top-level number beside "rows".
+  void set(const std::string& key, double value) {
+    fields_.emplace_back(key, obs::json_number(value));
+  }
+
+  /// Adds a top-level object of named numbers beside "rows".
+  void set(const std::string& key, const std::vector<JsonField>& fields) {
+    fields_.emplace_back(key, object(fields));
   }
 
   /// Writes the collected rows now (also done by the destructor).
@@ -89,24 +123,37 @@ class BenchJson {
     if (!active()) return;
     std::ofstream out(dir_ + "/BENCH_" + name_ + ".json");
     out << "{\n  \"bench\": " << obs::json_string(name_)
-        << ",\n  \"rows\": {";
+        << ",\n  \"hardware_threads\": "
+        << std::thread::hardware_concurrency() << ",\n  \"isa\": "
+        << obs::json_string(feat::simd_isa_name(feat::active_simd_isa()));
+    for (const auto& [key, json] : fields_) {
+      out << ",\n  " << obs::json_string(key) << ": " << json;
+    }
+    out << ",\n  \"rows\": {";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-      out << (r == 0 ? "\n" : ",\n")
-          << "    " << obs::json_string(rows_[r].first) << ": {";
-      const std::vector<core::NamedValue>& values = rows_[r].second;
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        out << (i == 0 ? "" : ", ") << obs::json_string(values[i].name)
-            << ": " << obs::json_number(values[i].value);
-      }
-      out << "}";
+      out << (r == 0 ? "\n" : ",\n") << "    "
+          << obs::json_string(rows_[r].first) << ": "
+          << object(rows_[r].second);
     }
     out << "\n  }\n}\n";
   }
 
  private:
+  static std::string object(const std::vector<JsonField>& fields) {
+    std::string out = "{";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += obs::json_string(fields[i].name) + ": " +
+             obs::json_number(fields[i].value);
+    }
+    return out + "}";
+  }
+
   std::string name_;
   std::string dir_;
-  std::vector<std::pair<std::string, std::vector<core::NamedValue>>> rows_;
+  /// Top-level fields as (key, rendered JSON value), in insertion order.
+  std::vector<std::pair<std::string, std::string>> fields_;
+  std::vector<std::pair<std::string, std::vector<JsonField>>> rows_;
 };
 
 /// Kilobyte / megabyte / kilojoule formatting helpers.

@@ -233,27 +233,21 @@ int main_impl(bool smoke) {
                  bench::mb(res.vmhwm_bytes), bench::mb(res.ceiling_bytes)});
   table.print(std::cout);
 
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    const std::string label = smoke ? "smoke"
-                              : bench::paper_scale() ? "paper"
-                                                     : "default";
-    std::ofstream out(std::string(json_dir) + "/BENCH_index.json");
-    out << "{\n  \"bench\": \"index\",\n  \"rows\": {\n    "
-        << obs::json_string(label) << ": {\"images\": " << res.images
-        << ", \"queries\": " << res.queries
-        << ", \"ingest_seconds\": " << obs::json_number(res.ingest_seconds)
-        << ", \"ann_query_us\": " << obs::json_number(res.ann_query_us)
-        << ", \"exact_query_us\": " << obs::json_number(res.exact_query_us)
-        << ", \"ann_candidates\": " << obs::json_number(res.ann_candidates)
-        << ", \"exact_candidates\": "
-        << obs::json_number(res.exact_candidates)
-        << ", \"prune_ratio\": " << obs::json_number(res.prune_ratio)
-        << ", \"recall\": " << obs::json_number(res.recall)
-        << ", \"vmhwm_bytes\": " << obs::json_number(res.vmhwm_bytes)
-        << ", \"ceiling_bytes\": " << obs::json_number(res.ceiling_bytes)
-        << "}\n  }\n}\n";
-  }
+  const std::string label = smoke ? "smoke"
+                            : bench::paper_scale() ? "paper"
+                                                   : "default";
+  bench::BenchJson json("index");
+  json.add(label, {{"images", res.images},
+                   {"queries", res.queries},
+                   {"ingest_seconds", res.ingest_seconds},
+                   {"ann_query_us", res.ann_query_us},
+                   {"exact_query_us", res.exact_query_us},
+                   {"ann_candidates", res.ann_candidates},
+                   {"exact_candidates", res.exact_candidates},
+                   {"prune_ratio", res.prune_ratio},
+                   {"recall", res.recall},
+                   {"vmhwm_bytes", res.vmhwm_bytes},
+                   {"ceiling_bytes", res.ceiling_bytes}});
 
   int failures = 0;
   std::cout << "\nBars (enforced):\n";

@@ -18,8 +18,6 @@
 //
 // Usage: loadgen_slo [--smoke]   (--smoke shrinks the fleet and duration
 // so the perfsmoke ctest label can verify the bench end-to-end quickly)
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -27,7 +25,6 @@
 
 #include "bench/common.hpp"
 #include "fleet/simulator.hpp"
-#include "obs/json.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -112,30 +109,20 @@ int main_impl(bool smoke) {
   }
   table.print(std::cout);
 
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    std::ofstream out(std::string(json_dir) + "/BENCH_loadgen.json");
-    out << "{\n  \"bench\": \"loadgen\",\n  \"hardware_threads\": "
-        << obs::json_number(cores) << ",\n  \"rows\": {";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      const fleet::FleetReport& r = row.result.report;
-      const std::string label = std::to_string(row.shape.shards) +
-                                "shards/" + std::to_string(row.shape.threads) +
-                                "threads";
-      out << (i == 0 ? "\n" : ",\n") << "    " << obs::json_string(label)
-          << ": {\"shards\": " << row.shape.shards
-          << ", \"threads\": " << row.shape.threads
-          << ", \"served\": " << r.totals.served
-          << ", \"shed_rate\": " << obs::json_number(r.totals.shed_rate())
-          << ", \"p99_s\": " << obs::json_number(r.latency_all.p99_s)
-          << ", \"real_handles\": " << row.result.real_handles
-          << ", \"serve_wall_seconds\": "
-          << obs::json_number(row.result.serve_wall_seconds)
-          << ", \"real_qps\": " << obs::json_number(row.real_qps)
-          << ", \"speedup\": " << obs::json_number(row.speedup) << "}";
-    }
-    out << "\n  }\n}\n";
+  bench::BenchJson json("loadgen");
+  for (const Row& row : rows) {
+    const fleet::FleetReport& r = row.result.report;
+    json.add(std::to_string(row.shape.shards) + "shards/" +
+                 std::to_string(row.shape.threads) + "threads",
+             {{"shards", row.shape.shards},
+              {"threads", row.shape.threads},
+              {"served", r.totals.served},
+              {"shed_rate", r.totals.shed_rate()},
+              {"p99_s", r.latency_all.p99_s},
+              {"real_handles", row.result.real_handles},
+              {"serve_wall_seconds", row.result.serve_wall_seconds},
+              {"real_qps", row.real_qps},
+              {"speedup", row.speedup}});
   }
 
   const double scaling = rows.back().speedup;

@@ -19,14 +19,13 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "bench/common.hpp"
 #include "features/match_kernel.hpp"
 #include "features/orb.hpp"
 #include "features/sift.hpp"
@@ -114,7 +113,7 @@ matching_sets(std::size_t n, double overlap, util::Rng& rng) {
   return {std::move(a), std::move(b)};
 }
 
-/// The naive reference matcher (two full Hamming passes, no packing).
+/// The naive reference matcher (two full Hamming passes, no pruning).
 void BM_MatchBinaryNaive(benchmark::State& state) {
   util::Rng rng(41);
   const auto [a, b] =
@@ -125,7 +124,7 @@ void BM_MatchBinaryNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchBinaryNaive)->Arg(100)->Arg(250)->Arg(500);
 
-/// The packed single-pass early-exit kernel on the same sets.
+/// The single-pass early-exit kernel on the same sets.
 void BM_MatchBinaryKernel(benchmark::State& state) {
   util::Rng rng(41);
   const auto [a, b] =
@@ -272,7 +271,7 @@ int simd_dispatch_smoke() {
                feat::simd_isa_name(native));
 
   const std::array<std::size_t, 3> sizes = {100, 250, 500};
-  std::string json_rows;
+  bench::BenchJson json("matching_simd");
   double best_speedup = 0.0;
   for (const std::size_t n : sizes) {
     util::Rng rng(41);
@@ -320,21 +319,10 @@ int simd_dispatch_smoke() {
                  "speedup %.2fx\n",
                  n, n, scalar_ns, feat::simd_isa_name(native), native_ns,
                  speedup);
-    if (!json_rows.empty()) json_rows += ",\n";
-    json_rows += "    \"simd/match/" + std::to_string(n) +
-                 "\": {\"scalar_ns\": " + std::to_string(scalar_ns) +
-                 ", \"native_ns\": " + std::to_string(native_ns) +
-                 ", \"real_time_speedup\": " + std::to_string(speedup) + "}";
-  }
-
-  if (const char* json_dir = std::getenv("BEES_BENCH_JSON")) {
-    const std::string path =
-        std::string(json_dir) + "/BENCH_matching_simd.json";
-    std::ofstream out(path);
-    out << "{\n  \"bench\": \"matching_simd\",\n  \"isa\": \""
-        << feat::simd_isa_name(native) << "\",\n  \"rows\": {\n"
-        << json_rows << "\n  }\n}\n";
-    std::fprintf(stderr, "simd smoke: wrote %s\n", path.c_str());
+    json.add("simd/match/" + std::to_string(n),
+             {{"scalar_ns", scalar_ns},
+              {"native_ns", native_ns},
+              {"real_time_speedup", speedup}});
   }
 
   if (native != feat::SimdIsa::kScalar && best_speedup < 2.0) {

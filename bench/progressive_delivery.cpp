@@ -25,8 +25,6 @@
 // bars are deterministic and enforced in both modes)
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -34,7 +32,6 @@
 #include "bench/common.hpp"
 #include "imaging/progressive.hpp"
 #include "imaging/synth.hpp"
-#include "obs/json.hpp"
 #include "sched/cell.hpp"
 #include "sched/satisfaction.hpp"
 #include "util/rng.hpp"
@@ -173,27 +170,22 @@ int main_impl(bool smoke) {
   table.print(std::cout);
 
   // ---- JSON ---------------------------------------------------------------
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    std::ofstream out(std::string(json_dir) + "/BENCH_progressive.json");
-    out << "{\n  \"bench\": \"progressive\",\n  \"rows\": {\n"
-        << "    \"config\": {\"images\": " << images
-        << ", \"scans\": " << scans << ", \"quality\": " << quality
-        << ", \"bytes_per_s\": " << obs::json_number(bytes_per_s)
-        << ", \"usable_psnr\": " << obs::json_number(kUsablePsnr)
-        << ", \"total_bytes\": " << obs::json_number(total_bytes) << "},\n"
-        << "    \"fifo\": {\"mean_ttu_s\": " << obs::json_number(fifo.mean_ttu_s)
-        << ", \"p99_ttu_s\": " << obs::json_number(fifo.p99_ttu_s)
-        << ", \"makespan_s\": " << obs::json_number(fifo.makespan_s)
-        << ", \"bytes\": " << obs::json_number(fifo.bytes) << "},\n"
-        << "    \"satisfaction\": {\"mean_ttu_s\": "
-        << obs::json_number(sat.mean_ttu_s)
-        << ", \"p99_ttu_s\": " << obs::json_number(sat.p99_ttu_s)
-        << ", \"makespan_s\": " << obs::json_number(sat.makespan_s)
-        << ", \"bytes\": " << obs::json_number(sat.bytes)
-        << ", \"mean_ttu_ratio\": " << obs::json_number(ratio)
-        << "}\n  }\n}\n";
-  }
+  bench::BenchJson json("progressive");
+  json.add("config", {{"images", images},
+                      {"scans", scans},
+                      {"quality", quality},
+                      {"bytes_per_s", bytes_per_s},
+                      {"usable_psnr", kUsablePsnr},
+                      {"total_bytes", total_bytes}});
+  json.add("fifo", {{"mean_ttu_s", fifo.mean_ttu_s},
+                    {"p99_ttu_s", fifo.p99_ttu_s},
+                    {"makespan_s", fifo.makespan_s},
+                    {"bytes", fifo.bytes}});
+  json.add("satisfaction", {{"mean_ttu_s", sat.mean_ttu_s},
+                            {"p99_ttu_s", sat.p99_ttu_s},
+                            {"makespan_s", sat.makespan_s},
+                            {"bytes", sat.bytes},
+                            {"mean_ttu_ratio", ratio}});
 
   // ---- Bars ---------------------------------------------------------------
   int failures = 0;

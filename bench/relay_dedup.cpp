@@ -24,9 +24,7 @@
 // Usage: relay_dedup [--smoke]   (--smoke shrinks the cell and the store
 // count so the perfsmoke ctest label runs the bench end-to-end; both bars
 // are deterministic and enforced in both modes)
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -173,28 +171,26 @@ int main_impl(bool smoke) {
   parity.print(std::cout);
 
   // ---- JSON ---------------------------------------------------------------
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    std::ofstream out(std::string(json_dir) + "/BENCH_relay.json");
-    out << "{\n  \"bench\": \"relay\",\n  \"rows\": {\n"
-        << "    \"care_dedup\": {\"devices\": " << devices
-        << ", \"shared_scenes\": " << shared_scenes
-        << ", \"unique_scenes\": " << unique_scenes
-        << ", \"uploads\": " << uploads
-        << ", \"ingress_bytes\": " << stats.ingress_bytes
-        << ", \"backhaul_bytes\": " << stats.backhaul_bytes
-        << ", \"dedup_bytes_saved\": " << stats.dedup_bytes_saved
-        << ", \"dedup_chunks_hit\": " << stats.dedup_chunks_hit
-        << ", \"backhaul_reduction\": " << obs::json_number(reduction)
-        << "},\n"
-        << "    \"failover_parity\": {\"stores\": " << stores
-        << ", \"kills\": " << kills << ", \"probes\": " << probes
-        << ", \"mismatches\": " << mismatches
-        << ", \"ship_records\": " << res.ship_records
-        << ", \"ship_bytes\": " << res.ship_bytes
-        << ", \"ship_lag_max\": " << res.ship_lag_max
-        << ", \"failovers\": " << res.failovers << "}\n  }\n}\n";
-  }
+  bench::BenchJson json("relay");
+  json.add("care_dedup",
+           {{"devices", devices},
+            {"shared_scenes", shared_scenes},
+            {"unique_scenes", unique_scenes},
+            {"uploads", uploads},
+            {"ingress_bytes", stats.ingress_bytes},
+            {"backhaul_bytes", stats.backhaul_bytes},
+            {"dedup_bytes_saved", stats.dedup_bytes_saved},
+            {"dedup_chunks_hit", stats.dedup_chunks_hit},
+            {"backhaul_reduction", reduction}});
+  json.add("failover_parity",
+           {{"stores", stores},
+            {"kills", kills},
+            {"probes", probes},
+            {"mismatches", mismatches},
+            {"ship_records", res.ship_records},
+            {"ship_bytes", res.ship_bytes},
+            {"ship_lag_max", res.ship_lag_max},
+            {"failovers", res.failovers}});
 
   // ---- Bars ---------------------------------------------------------------
   int failures = 0;

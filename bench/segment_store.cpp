@@ -22,9 +22,7 @@
 // Usage: segment_store [--smoke]   (--smoke shrinks the batch and the
 // churn phase so the perfsmoke ctest label runs the bench end-to-end; the
 // bars are deterministic and enforced in both modes)
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -213,40 +211,31 @@ int main_impl(bool smoke) {
             << ", cross-round dedup hits: " << final_stats.dedup_hits << "\n";
 
   // ---- JSON ---------------------------------------------------------------
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    std::ofstream out(std::string(json_dir) + "/BENCH_segstore.json");
-    out << "{\n  \"bench\": \"segstore\",\n  \"unique_modeled_bytes\": "
-        << obs::json_number(unique_modeled) << ",\n  \"rows\": {";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const SweepRow& row = rows[i];
-      out << (i == 0 ? "\n" : ",\n") << "    "
-          << obs::json_string("loss" + util::Table::num(row.loss, 2)) << ": {"
-          << "\"loss\": " << obs::json_number(row.loss)
-          << ", \"legacy_wire_bytes\": "
-          << obs::json_number(wire_bytes(row.legacy))
-          << ", \"chunked_wire_bytes\": "
-          << obs::json_number(wire_bytes(row.chunked))
-          << ", \"legacy_resent_bytes\": "
-          << obs::json_number(row.legacy_resent)
-          << ", \"chunked_resent_bytes\": "
-          << obs::json_number(row.chunked_resent)
-          << ", \"resent_reduction\": " << obs::json_number(row.reduction)
-          << ", \"chunks_sent\": " << row.chunked.chunks_sent
-          << ", \"chunks_deduped\": " << row.chunked.chunks_deduped
-          << ", \"chunks_resent\": " << row.chunked.chunks_resent << "}";
-    }
-    out << "\n  },\n  \"compaction\": {\"ceiling_bytes\": " << ceiling
-        << ", \"peak_disk_bytes\": " << peak_disk
-        << ", \"max_disk_after_compact_bytes\": ";
-    std::uint64_t max_after = 0;
-    for (const ChurnRow& row : churn_rows) {
-      max_after = std::max(max_after, row.disk_after_compact);
-    }
-    out << max_after << ", \"rounds\": " << rounds
-        << ", \"compactions\": " << final_stats.compactions
-        << ", \"dedup_hits\": " << final_stats.dedup_hits << "}\n}\n";
+  bench::BenchJson json("segstore");
+  json.set("unique_modeled_bytes", unique_modeled);
+  for (const SweepRow& row : rows) {
+    json.add("loss" + util::Table::num(row.loss, 2),
+             {{"loss", row.loss},
+              {"legacy_wire_bytes", wire_bytes(row.legacy)},
+              {"chunked_wire_bytes", wire_bytes(row.chunked)},
+              {"legacy_resent_bytes", row.legacy_resent},
+              {"chunked_resent_bytes", row.chunked_resent},
+              {"resent_reduction", row.reduction},
+              {"chunks_sent", row.chunked.chunks_sent},
+              {"chunks_deduped", row.chunked.chunks_deduped},
+              {"chunks_resent", row.chunked.chunks_resent}});
   }
+  std::uint64_t max_after = 0;
+  for (const ChurnRow& row : churn_rows) {
+    max_after = std::max(max_after, row.disk_after_compact);
+  }
+  json.set("compaction",
+           {{"ceiling_bytes", ceiling},
+            {"peak_disk_bytes", peak_disk},
+            {"max_disk_after_compact_bytes", max_after},
+            {"rounds", rounds},
+            {"compactions", final_stats.compactions},
+            {"dedup_hits", final_stats.dedup_hits}});
 
   // ---- Bars ---------------------------------------------------------------
   int failures = 0;

@@ -15,8 +15,6 @@
 // the perfsmoke ctest label can verify the bench end-to-end in ~a second)
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -138,25 +136,16 @@ int main_impl(bool smoke) {
   }
   table.print(std::cout);
 
-  const char* json_dir = std::getenv("BEES_BENCH_JSON");
-  if (json_dir != nullptr && *json_dir != '\0') {
-    std::ofstream out(std::string(json_dir) + "/BENCH_serving.json");
-    out << "{\n  \"bench\": \"serving\",\n  \"hardware_threads\": "
-        << obs::json_number(cores) << ",\n  \"rows\": {";
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      const Row& row = rows[r];
-      const std::string label = std::to_string(row.config.shards) + "shards/" +
-                                std::to_string(row.config.threads) +
-                                "threads";
-      out << (r == 0 ? "\n" : ",\n") << "    " << obs::json_string(label)
-          << ": {\"shards\": " << row.config.shards
-          << ", \"threads\": " << row.config.threads
-          << ", \"requests\": " << row.requests
-          << ", \"seconds\": " << obs::json_number(row.seconds)
-          << ", \"qps\": " << obs::json_number(row.qps)
-          << ", \"speedup\": " << obs::json_number(row.speedup) << "}";
-    }
-    out << "\n  }\n}\n";
+  bench::BenchJson json("serving");
+  for (const Row& row : rows) {
+    json.add(std::to_string(row.config.shards) + "shards/" +
+                 std::to_string(row.config.threads) + "threads",
+             {{"shards", row.config.shards},
+              {"threads", row.config.threads},
+              {"requests", row.requests},
+              {"seconds", row.seconds},
+              {"qps", row.qps},
+              {"speedup", row.speedup}});
   }
 
   const double scaling = rows.back().speedup;

@@ -1,46 +1,15 @@
 #include "features/match_kernel.hpp"
 
-#include <bit>
-#include <cstring>
 #include <limits>
 
+#include "features/match_lanes.hpp"
 #include "obs/metrics.hpp"
 
 namespace bees::feat {
 
 namespace {
+
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-}  // namespace
-
-// The candidate-major pack is a straight memcpy of the descriptor vector,
-// which requires the wire layout below; a Descriptor256 is exactly one
-// kLaneAlignment-sized block of kLaneBlock words.
-static_assert(sizeof(Descriptor256) ==
-              detail::kLaneBlock * sizeof(std::uint64_t));
-static_assert(sizeof(Descriptor256) == detail::kLaneAlignment);
-
-void PackedDescriptors::assign(const std::vector<Descriptor256>& descriptors) {
-  size_ = descriptors.size();
-  padded_ = (size_ + detail::kLaneBlock - 1) / detail::kLaneBlock *
-            detail::kLaneBlock;
-  lanes_.resize(4 * padded_);
-  for (std::size_t l = 0; l < 4; ++l) {
-    std::uint64_t* out = lanes_.data() + l * padded_;
-    for (std::size_t j = 0; j < size_; ++j) out[j] = descriptors[j].bits[l];
-    // Zero-fill the pad so every buffer word is defined memory; sanitizers
-    // and determinism both prefer zeros.
-    for (std::size_t j = size_; j < padded_; ++j) out[j] = 0;
-  }
-  // Candidate-major copy for the vector kernels: each descriptor's four
-  // lanes contiguous, i.e. the Descriptor256 memory layout itself.
-  words_.resize(detail::kLaneBlock * size_);
-  if (size_ > 0) {
-    std::memcpy(words_.data(), descriptors.data(),
-                size_ * sizeof(Descriptor256));
-  }
-}
-
-namespace {
 
 /// Per-byte popcounts of `x` (each byte holds 0..8): the first three SWAR
 /// reduction steps of the classic popcount, without the final horizontal
@@ -60,31 +29,17 @@ inline int reduce_bytes(std::uint64_t counts) noexcept {
 }  // namespace
 
 struct MatchKernelImpl {
-  /// Shared per-candidate decision step: replays the two early-exit
-  /// checkpoints and the best/second bookkeeping on three partial sums.
-  /// Both the scalar fused loop and the SIMD decision scan funnel through
-  /// this, which is what makes the paths bit-identical by construction —
-  /// they differ only in how the partials are produced.
-  struct RowState {
-    int best;
-    int second;
-    std::size_t best_j;
-  };
-
   /// The scalar SWAR scan loop, templated on the cross-check flag so the
   /// single-pass column bookkeeping compiles out of the forward-only path
   /// entirely.  Requires a and b non-empty.  Returns lanes pruned.
   template <bool Cross>
   static std::uint64_t scan(const std::vector<Descriptor256>& a,
+                            const std::vector<Descriptor256>& b,
                             const BinaryMatchParams& params,
                             MatchWorkspace& ws) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     const std::size_t na = a.size();
-    const std::size_t nb = ws.packed_b_.size();
-    const std::uint64_t* b0 = ws.packed_b_.lane(0);
-    const std::uint64_t* b1 = ws.packed_b_.lane(1);
-    const std::uint64_t* b2 = ws.packed_b_.lane(2);
-    const std::uint64_t* b3 = ws.packed_b_.lane(3);
+    const std::size_t nb = b.size();
     int* col_best = ws.col_best_.data();
     int* col_second = ws.col_second_.data();
     std::size_t* col_best_i = ws.col_best_i_.data();
@@ -105,19 +60,19 @@ struct MatchKernelImpl {
         // updated and the remaining lanes are skipped.  Exact pruning:
         // every comparison the naive matcher acts on is still computed in
         // full, so winners and ties never change.
-        const int d0 = reduce_bytes(byte_counts(q0 ^ b0[j]));
+        const int d0 = reduce_bytes(byte_counts(q0 ^ b[j].bits[0]));
         if (d0 >= second && (!Cross || d0 >= col_second[j])) {
           lanes_pruned += 3;
           continue;
         }
         const int d012 =
-            d0 + reduce_bytes(byte_counts(q1 ^ b1[j]) +
-                              byte_counts(q2 ^ b2[j]));
+            d0 + reduce_bytes(byte_counts(q1 ^ b[j].bits[1]) +
+                              byte_counts(q2 ^ b[j].bits[2]));
         if (d012 >= second && (!Cross || d012 >= col_second[j])) {
           lanes_pruned += 1;
           continue;
         }
-        const int d = d012 + reduce_bytes(byte_counts(q3 ^ b3[j]));
+        const int d = d012 + reduce_bytes(byte_counts(q3 ^ b[j].bits[3]));
         if (d < best) {
           second = best;
           best = d;
@@ -164,13 +119,13 @@ struct MatchKernelImpl {
   /// vector work actually done (which feat.match.simd_lanes reports).
   template <bool Cross>
   static std::uint64_t scan_simd(const std::vector<Descriptor256>& a,
+                                 const std::vector<Descriptor256>& b,
                                  const BinaryMatchParams& params,
                                  MatchWorkspace& ws,
                                  detail::LaneRowFn lane_rows) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     const std::size_t na = a.size();
-    const std::size_t nb = ws.packed_b_.size();
-    const std::uint64_t* words = ws.packed_b_.words();
+    const std::size_t nb = b.size();
     // Candidates are processed in tiles so the sums the vector kernel just
     // wrote are still in L1 when the decision scan reads them back (at a
     // few hundred candidates a full row of sums starts evicting itself).
@@ -189,7 +144,7 @@ struct MatchKernelImpl {
       std::size_t best_j = kNone;
       for (std::size_t t0 = 0; t0 < nb; t0 += tile) {
       const std::size_t tn = nb - t0 < tile ? nb - t0 : tile;
-      lane_rows(a[i].bits.data(), words + detail::kLaneBlock * t0, tn, sums);
+      lane_rows(a[i], b.data() + t0, tn, sums);
       for (std::size_t jt = 0; jt < tn; ++jt) {
         const std::size_t j = t0 + jt;
         const std::uint64_t* s = sums + detail::kLaneBlock * jt;
@@ -242,14 +197,14 @@ struct MatchKernelImpl {
   /// Fills workspace.fwd_/fwd_dist_ with the gated forward matches of every
   /// a-descriptor and (when `cross_check`) workspace.col_* with the reverse
   /// best/second/winner per b-descriptor; charges the modeled comparison
-  /// count and the lane counters.  Requires a non-empty and the workspace's
-  /// packed_b_ already assigned (non-empty).
-  static void run_packed(const std::vector<Descriptor256>& a,
-                         const BinaryMatchParams& params, std::uint64_t* ops,
-                         MatchWorkspace& ws) {
+  /// count and the lane counters.  Requires a and b non-empty.
+  static void run(const std::vector<Descriptor256>& a,
+                  const std::vector<Descriptor256>& b,
+                  const BinaryMatchParams& params, std::uint64_t* ops,
+                  MatchWorkspace& ws) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     const std::size_t na = a.size();
-    const std::size_t nb = ws.packed_b_.size();
+    const std::size_t nb = b.size();
     const bool cross = params.cross_check;
 
     ws.fwd_.assign(na, kNone);
@@ -263,15 +218,15 @@ struct MatchKernelImpl {
     const detail::LaneRowFn lane_rows = detail::active_lane_rows();
     std::uint64_t lanes_pruned;
     if (lane_rows != nullptr) {
-      lanes_pruned = cross ? scan_simd<true>(a, params, ws, lane_rows)
-                           : scan_simd<false>(a, params, ws, lane_rows);
+      lanes_pruned = cross ? scan_simd<true>(a, b, params, ws, lane_rows)
+                           : scan_simd<false>(a, b, params, ws, lane_rows);
       // Vector lane words actually computed (4 lanes x candidates per
       // query row): the real-work counterpart of the modeled
       // examined/pruned split below.
       obs::count("feat.match.simd_lanes", static_cast<double>(4 * nb * na));
     } else {
-      lanes_pruned = cross ? scan<true>(a, params, ws)
-                           : scan<false>(a, params, ws);
+      lanes_pruned = cross ? scan<true>(a, b, params, ws)
+                           : scan<false>(a, b, params, ws);
     }
 
     // Modeled comparisons, exactly as the naive matcher counts them: one
@@ -299,34 +254,20 @@ struct MatchKernelImpl {
     return kNone;
   }
 
-  /// Runs the scan against the already-packed candidate set and emits the
-  /// surviving matches.  Requires a non-empty, packed_b_ non-empty.
-  template <typename Emit>
-  static void matches_packed(const std::vector<Descriptor256>& a,
-                             const BinaryMatchParams& params,
-                             std::uint64_t* ops, MatchWorkspace& ws,
-                             Emit&& emit) {
-    run_packed(a, params, ops, ws);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const std::size_t j = ws.fwd_[i];
-      if (j == kNone) continue;
-      if (params.cross_check && reverse_winner(ws, j, params) != i) continue;
-      emit(i, j, ws.fwd_dist_[i]);
-    }
-  }
-
-  static void pack(const std::vector<Descriptor256>& b, MatchWorkspace& ws) {
-    ws.packed_b_.assign(b);
-  }
-
+  /// Runs the scan and emits the surviving matches as (i, j, distance).
   template <typename Emit>
   static void matches(const std::vector<Descriptor256>& a,
                       const std::vector<Descriptor256>& b,
                       const BinaryMatchParams& params, std::uint64_t* ops,
                       MatchWorkspace& ws, Emit&& emit) {
     if (a.empty() || b.empty()) return;
-    pack(b, ws);
-    matches_packed(a, params, ops, ws, static_cast<Emit&&>(emit));
+    run(a, b, params, ops, ws);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::size_t j = ws.fwd_[i];
+      if (j == kNone) continue;
+      if (params.cross_check && reverse_winner(ws, j, params) != i) continue;
+      emit(i, j, ws.fwd_dist_[i]);
+    }
   }
 };
 
@@ -354,27 +295,6 @@ std::size_t match_binary_count(const std::vector<Descriptor256>& a,
                              ++count;
                            });
   return count;
-}
-
-void match_binary_count_batch(
-    const std::vector<const std::vector<Descriptor256>*>& batch,
-    const std::vector<Descriptor256>& b, const BinaryMatchParams& params,
-    std::size_t* counts, std::uint64_t* ops, MatchWorkspace& workspace) {
-  const std::size_t nq = batch.size();
-  for (std::size_t k = 0; k < nq; ++k) counts[k] = 0;
-  if (nq == 0 || b.empty()) return;
-  MatchKernelImpl::pack(b, workspace);
-  for (std::size_t k = 0; k < nq; ++k) {
-    const std::vector<Descriptor256>& a = *batch[k];
-    if (a.empty()) continue;  // Same no-op (no ops charged) as single-query.
-    std::size_t count = 0;
-    MatchKernelImpl::matches_packed(a, params, ops ? ops + k : nullptr,
-                                    workspace,
-                                    [&count](std::size_t, std::size_t, int) {
-                                      ++count;
-                                    });
-    counts[k] = count;
-  }
 }
 
 }  // namespace bees::feat

@@ -3,12 +3,9 @@
 // naive reference matcher (match_binary_naive) — same matches, same
 // distances, same modeled `ops` — but cheaper:
 //
-//  * Transposed (structure-of-arrays) packing: the candidate set's four
-//    64-bit lanes are split into four contiguous arrays, packed once per
-//    feature set instead of never, so the lane-0 scan streams one dense
-//    array and pruned pairs never touch the other three.  A candidate-major
-//    copy sits beside it for the vector kernels; both live in 32-byte-
-//    aligned storage, so SIMD always issues full aligned loads.
+//  * In-place candidates: the kernel reads the candidate descriptors
+//    straight from the caller's std::vector<Descriptor256>, so a match
+//    costs no copy of either set.
 //  * Cross-check in one pass: the naive matcher computes the full Hamming
 //    matrix twice (forward a->b, then reverse b->a).  The kernel streams
 //    each row once and maintains best/second-best for both the row (a_i
@@ -26,62 +23,24 @@
 //    modeled comparisons exactly like the naive matcher).
 //  * Runtime ISA dispatch (features/simd.hpp): on CPUs with AVX2 (or ARM
 //    builds with NEON) the per-row lane sums are computed branch-free by a
-//    vector kernel into workspace buffers, and a scalar decision scan
+//    vector kernel into a workspace buffer, and a scalar decision scan
 //    replays the exact checkpoint logic on the buffered sums — so the
 //    modeled counters, matches, and distances stay bit-identical to the
 //    scalar SWAR fused loop, which remains the always-built fallback
 //    (BEES_FORCE_SCALAR pins it for differential tests).
 //
-// A MatchWorkspace owns every buffer the kernel needs, so rescore / graph
-// loops that match one query against many candidates reuse allocations
-// across calls instead of reallocating per pair.  The *_batch entry points
-// additionally amortize candidate packing across many queries — the core
-// primitive of the batched multi-query rescore plane.
+// A MatchWorkspace owns every scratch buffer the kernel needs, so rescore /
+// graph loops that match one query against many candidates reuse
+// allocations across calls instead of reallocating per pair.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "features/keypoint.hpp"
-#include "features/match_lanes.hpp"
 #include "features/matching.hpp"
-#include "util/aligned.hpp"
 
 namespace bees::feat {
-
-/// Packed copy of a descriptor set in both layouts the kernel scans:
-///
-///  * Lane-major (transposed, structure-of-arrays): lane `l` of descriptor
-///    `j` lives at lane(l)[j], so the scalar fused loop's lane-0 scan
-///    streams one dense array and pruned pairs never touch the other
-///    three.  Each lane is padded to detail::kLaneBlock words with zeros.
-///  * Candidate-major: descriptor `j`'s four lanes are contiguous at
-///    words()[4j..4j+3] — the natural Descriptor256 layout — so a vector
-///    kernel reads each candidate as one aligned 256-bit load.
-///
-/// Both live in detail::kLaneAlignment-aligned storage; every lane and
-/// every candidate starts on an aligned boundary.
-class PackedDescriptors {
- public:
-  /// Re-packs `descriptors`, reusing the previous allocation when possible.
-  void assign(const std::vector<Descriptor256>& descriptors);
-
-  std::size_t size() const noexcept { return size_; }
-  /// size() rounded up to a whole lane block (the per-lane buffer length).
-  std::size_t padded_size() const noexcept { return padded_; }
-  const std::uint64_t* lane(std::size_t l) const noexcept {
-    return lanes_.data() + l * padded_;
-  }
-  /// Candidate-major words (detail::kLaneBlock per descriptor), handed to
-  /// the vector lane kernels.
-  const std::uint64_t* words() const noexcept { return words_.data(); }
-
- private:
-  std::size_t size_ = 0;
-  std::size_t padded_ = 0;
-  util::AlignedBuffer<std::uint64_t, detail::kLaneAlignment> lanes_;
-  util::AlignedBuffer<std::uint64_t, detail::kLaneAlignment> words_;
-};
 
 /// Reusable scratch buffers for match_binary_kernel.  One workspace serves
 /// any sequence of calls (sizes may differ per call); it is not safe to
@@ -93,7 +52,6 @@ class MatchWorkspace {
  private:
   friend struct MatchKernelImpl;
 
-  PackedDescriptors packed_b_;
   // Forward pass (one slot per descriptor of `a`).
   std::vector<std::size_t> fwd_;   ///< Gated nearest index in b, or npos.
   std::vector<int> fwd_dist_;      ///< Hamming distance of that match.
@@ -102,13 +60,13 @@ class MatchWorkspace {
   std::vector<int> col_second_;
   std::vector<std::size_t> col_best_i_;
   // SIMD row buffer (detail::kLaneBlock slots per candidate): per-lane
-  // Hamming sums of the current query row, filled by the vector lane
-  // kernel with aligned stores and consumed by the scalar decision scan.
-  util::AlignedBuffer<std::uint64_t, detail::kLaneAlignment> row_sums_;
+  // Hamming sums of the current query tile, filled by the vector lane
+  // kernel and consumed by the scalar decision scan.
+  std::vector<std::uint64_t> row_sums_;
 };
 
 /// Drop-in replacement for match_binary_naive: identical matches,
-/// distances, and `ops` accounting, computed with the packed kernel.
+/// distances, and `ops` accounting, computed with the early-exit kernel.
 std::vector<Match> match_binary_kernel(const std::vector<Descriptor256>& a,
                                        const std::vector<Descriptor256>& b,
                                        const BinaryMatchParams& params,
@@ -123,18 +81,5 @@ std::size_t match_binary_count(const std::vector<Descriptor256>& a,
                                const BinaryMatchParams& params,
                                std::uint64_t* ops,
                                MatchWorkspace& workspace);
-
-/// Batched variant of match_binary_count: matches every query in `batch`
-/// against the same candidate set `b`, packing `b` once instead of once
-/// per query.  For each query k, counts[k] and (when `ops` is non-null)
-/// ops[k] receive exactly what
-///   match_binary_count(*batch[k], b, params, &ops[k], workspace)
-/// would have produced — the batch plane is an amortization, never a
-/// semantic change.  `counts` and (if given) `ops` must hold batch.size()
-/// slots; ops slots are accumulated into, matching the single-query API.
-void match_binary_count_batch(
-    const std::vector<const std::vector<Descriptor256>*>& batch,
-    const std::vector<Descriptor256>& b, const BinaryMatchParams& params,
-    std::size_t* counts, std::uint64_t* ops, MatchWorkspace& workspace);
 
 }  // namespace bees::feat

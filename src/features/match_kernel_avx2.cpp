@@ -2,8 +2,9 @@
 // 64-bit lanes), popcount via the classic pshufb nibble lookup (Mula), and
 // one _mm256_sad_epu8 against zero — SAD sums each 8-byte group
 // separately, so its four 64-bit results are exactly the four per-lane
-// Hamming distances, stored with a single aligned write.  Five vector
-// instructions of real work per candidate, no cross-lane shuffles.
+// Hamming distances, stored with a single write.  Five vector instructions
+// of real work per candidate, no cross-lane shuffles.  Candidates are read
+// in place, so loads and stores are unaligned (match_lanes.hpp).
 //
 // This translation unit is the only one compiled with -mavx2, and it is
 // only entered after the runtime CPU probe (features/simd.cpp) confirmed
@@ -33,18 +34,18 @@ inline __m256i popcount_bytes(__m256i v) noexcept {
 
 }  // namespace
 
-void lane_rows_avx2(const std::uint64_t q[4], const std::uint64_t* words,
+void lane_rows_avx2(const Descriptor256& q, const Descriptor256* b,
                     std::size_t n, std::uint64_t* sums) {
   const __m256i qv =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q.bits.data()));
   const __m256i zero = _mm256_setzero_si256();
   for (std::size_t j = 0; j < n; ++j) {
-    const __m256i cand = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(words + kLaneBlock * j));
+    const __m256i cand =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b[j].bits.data()));
     const __m256i diff = _mm256_xor_si256(cand, qv);
     const __m256i lane_sums = _mm256_sad_epu8(popcount_bytes(diff), zero);
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(sums + kLaneBlock * j), lane_sums);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + kLaneBlock * j),
+                        lane_sums);
   }
 }
 

@@ -2,7 +2,8 @@
 // halves (lanes 0-1 and 2-3), popcount via vcntq_u8 with pairwise widening
 // reductions — vpaddl u8->u16->u32->u64 sums each 8-byte half separately,
 // so each uint64x2 result holds two per-lane Hamming distances, stored
-// directly into the candidate-major sums buffer.  Compiled only on ARM
+// directly into the sums buffer.  vld1q/vst1q need only element alignment,
+// so candidates are read in place (match_lanes.hpp).  Compiled only on ARM
 // builds (BEES_HAVE_NEON); NEON is baseline on AArch64, so no runtime
 // probe is needed beyond the build gate.
 #if defined(BEES_HAVE_NEON)
@@ -23,12 +24,12 @@ inline uint64x2_t popcount_words(uint64x2_t v) noexcept {
 
 }  // namespace
 
-void lane_rows_neon(const std::uint64_t q[4], const std::uint64_t* words,
+void lane_rows_neon(const Descriptor256& q, const Descriptor256* b,
                     std::size_t n, std::uint64_t* sums) {
-  const uint64x2_t q01 = vld1q_u64(q);
-  const uint64x2_t q23 = vld1q_u64(q + 2);
+  const uint64x2_t q01 = vld1q_u64(q.bits.data());
+  const uint64x2_t q23 = vld1q_u64(q.bits.data() + 2);
   for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t* cand = words + kLaneBlock * j;
+    const std::uint64_t* cand = b[j].bits.data();
     const uint64x2_t d01 = popcount_words(veorq_u64(vld1q_u64(cand), q01));
     const uint64x2_t d23 =
         popcount_words(veorq_u64(vld1q_u64(cand + 2), q23));

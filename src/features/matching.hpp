@@ -39,7 +39,7 @@ struct Match {
 /// Hamming matching with ratio test and optional cross-check; each
 /// descriptor of `a` matches at most one of `b`.  `ops` (if non-null)
 /// accumulates the number of modeled descriptor comparisons.  Runs on the
-/// packed early-exit kernel (match_kernel.hpp) via a thread-local
+/// early-exit kernel (match_kernel.hpp) via a thread-local
 /// workspace; results are bit-exact with match_binary_naive.
 std::vector<Match> match_binary(const std::vector<Descriptor256>& a,
                                 const std::vector<Descriptor256>& b,

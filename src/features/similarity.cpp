@@ -30,22 +30,6 @@ double jaccard_similarity(const BinaryFeatures& a, const BinaryFeatures& b,
   return jaccard_from_matches(a.size(), b.size(), matched);
 }
 
-void jaccard_similarity_batch(const std::vector<const BinaryFeatures*>& queries,
-                              const BinaryFeatures& b,
-                              const BinaryMatchParams& params, double* sims,
-                              std::uint64_t* ops, MatchWorkspace& workspace) {
-  const std::size_t nq = queries.size();
-  if (nq == 0) return;
-  std::vector<const std::vector<Descriptor256>*> batch(nq);
-  for (std::size_t k = 0; k < nq; ++k) batch[k] = &queries[k]->descriptors;
-  std::vector<std::size_t> counts(nq, 0);
-  match_binary_count_batch(batch, b.descriptors, params, counts.data(), ops,
-                           workspace);
-  for (std::size_t k = 0; k < nq; ++k) {
-    sims[k] = jaccard_from_matches(queries[k]->size(), b.size(), counts[k]);
-  }
-}
-
 double jaccard_similarity(const FloatFeatures& a, const FloatFeatures& b,
                           const FloatMatchParams& params,
                           std::uint64_t* ops) {

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "features/keypoint.hpp"
 #include "features/matching.hpp"
@@ -21,20 +20,11 @@ double jaccard_similarity(const BinaryFeatures& a, const BinaryFeatures& b,
 
 /// Workspace overload for hot loops (index rescore, the IBRD similarity
 /// graph): scores many pairs through one reusable MatchWorkspace, so no
-/// per-pair allocation happens.  Same value as the overload above.
+/// per-pair allocation or copy happens — both sets are matched where they
+/// are stored.  Same value as the overload above.
 double jaccard_similarity(const BinaryFeatures& a, const BinaryFeatures& b,
                           const BinaryMatchParams& params, std::uint64_t* ops,
                           MatchWorkspace& workspace);
-
-/// Batched overload behind the multi-query rescore plane: scores every
-/// query in `queries` against the same candidate `b`, packing `b` once.
-/// sims[k] and (when non-null) ops[k] receive exactly what the workspace
-/// overload above would produce for (*queries[k], b); `sims` and `ops`
-/// must hold queries.size() slots, and ops slots are accumulated into.
-void jaccard_similarity_batch(const std::vector<const BinaryFeatures*>& queries,
-                              const BinaryFeatures& b,
-                              const BinaryMatchParams& params, double* sims,
-                              std::uint64_t* ops, MatchWorkspace& workspace);
 
 /// Jaccard similarity of two float feature sets (SIFT / PCA-SIFT).
 double jaccard_similarity(const FloatFeatures& a, const FloatFeatures& b,

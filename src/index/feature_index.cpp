@@ -109,31 +109,8 @@ ImageId FeatureIndex::insert_with_ann_row(feat::BinaryFeatures features,
 QueryResult FeatureIndex::rescore(const feat::BinaryFeatures& query_features,
                                   const std::vector<ImageId>& candidates,
                                   int top_k) const {
-  obs::ScopedTimer timer("cloud.query.rescore.seconds");
-  QueryResult result;
-  result.candidates_checked = candidates.size();
-  const std::size_t n = candidates.size();
-  // Per-candidate slots keep the parallel path deterministic: every chunk
-  // writes disjoint slots, and the merge below walks them in candidate
-  // order, so hits and `ops` match the serial path for any thread count.
-  std::vector<double> sims(n, 0.0);
-  std::vector<std::uint64_t> slot_ops(n, 0);
-  for_each_chunk(n, rescore_pool(),
-                 [&](std::size_t begin, std::size_t end) {
-                   feat::MatchWorkspace workspace;
-                   for (std::size_t i = begin; i < end; ++i) {
-                     sims[i] = feat::jaccard_similarity(
-                         query_features, images_[candidates[i]].features,
-                         params_.match, &slot_ops[i], workspace);
-                   }
-                 });
-  result.hits.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.ops += slot_ops[i];
-    result.hits.push_back({candidates[i], sims[i]});
-  }
-  detail::finalize_top_k(result, top_k);
-  return result;
+  return std::move(
+      rescore_batch({&query_features}, {candidates}, {top_k}).front());
 }
 
 std::vector<QueryResult> FeatureIndex::rescore_batch(
@@ -141,66 +118,38 @@ std::vector<QueryResult> FeatureIndex::rescore_batch(
     const std::vector<std::vector<ImageId>>& candidates,
     const std::vector<int>& top_k) const {
   obs::ScopedTimer timer("cloud.query.rescore.seconds");
-  const std::size_t nq = queries.size();
-  std::vector<QueryResult> results(nq);
-  // Per-(query, slot) outputs: each slot is written by exactly one
-  // candidate group below, so the parallel sweep is race-free and the
-  // values match the serial single-query rescore slot for slot.
-  std::vector<std::vector<double>> sims(nq);
-  std::vector<std::vector<std::uint64_t>> slot_ops(nq);
-  // Group subscribing (query, slot) pairs by stored image, in first-seen
-  // order: each group packs its image's descriptors once and streams every
-  // subscribed query against them.
-  struct Group {
-    ImageId id;
-    std::vector<std::pair<std::size_t, std::size_t>> slots;
-  };
-  std::unordered_map<ImageId, std::size_t> group_of;
-  std::vector<Group> groups;
-  for (std::size_t q = 0; q < nq; ++q) {
-    const std::size_t n = candidates[q].size();
-    results[q].candidates_checked = n;
-    sims[q].assign(n, 0.0);
-    slot_ops[q].assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const ImageId id = candidates[q][i];
-      const auto [it, fresh] = group_of.try_emplace(id, groups.size());
-      if (fresh) groups.push_back({id, {}});
-      groups[it->second].slots.emplace_back(q, i);
-    }
+  // Every (query, candidate) pair in query-major order.  The pool splits
+  // this flat list statically, so one long shortlist and many short ones
+  // spread over the workers alike.
+  std::vector<std::pair<std::size_t, ImageId>> pairs;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    for (const ImageId id : candidates[q]) pairs.emplace_back(q, id);
   }
-  for_each_chunk(
-      groups.size(), rescore_pool(), [&](std::size_t begin, std::size_t end) {
-        feat::MatchWorkspace workspace;
-        std::vector<const feat::BinaryFeatures*> batch;
-        std::vector<double> batch_sims;
-        std::vector<std::uint64_t> batch_ops;
-        for (std::size_t g = begin; g < end; ++g) {
-          const Group& group = groups[g];
-          const std::size_t m = group.slots.size();
-          batch.resize(m);
-          for (std::size_t k = 0; k < m; ++k) {
-            batch[k] = queries[group.slots[k].first];
-          }
-          batch_sims.assign(m, 0.0);
-          batch_ops.assign(m, 0);
-          feat::jaccard_similarity_batch(batch, images_[group.id].features,
-                                         params_.match, batch_sims.data(),
-                                         batch_ops.data(), workspace);
-          for (std::size_t k = 0; k < m; ++k) {
-            const auto [q, i] = group.slots[k];
-            sims[q][i] = batch_sims[k];
-            slot_ops[q][i] = batch_ops[k];
-          }
-        }
-      });
-  for (std::size_t q = 0; q < nq; ++q) {
+  // Per-pair slots keep the parallel path deterministic: every chunk
+  // writes disjoint slots, and the assembly below walks them in candidate
+  // order, so hits and `ops` are the same for any thread count.
+  std::vector<double> sims(pairs.size(), 0.0);
+  std::vector<std::uint64_t> slot_ops(pairs.size(), 0);
+  for_each_chunk(pairs.size(), rescore_pool(),
+                 [&](std::size_t begin, std::size_t end) {
+                   feat::MatchWorkspace workspace;
+                   for (std::size_t p = begin; p < end; ++p) {
+                     const auto [q, id] = pairs[p];
+                     sims[p] = feat::jaccard_similarity(
+                         *queries[q], images_[id].features, params_.match,
+                         &slot_ops[p], workspace);
+                   }
+                 });
+  std::vector<QueryResult> results(queries.size());
+  std::size_t p = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
     QueryResult& result = results[q];
-    const std::size_t n = candidates[q].size();
-    result.hits.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.ops += slot_ops[q][i];
-      result.hits.push_back({candidates[q][i], sims[q][i]});
+    result.candidates_checked = candidates[q].size();
+    result.hits.reserve(candidates[q].size());
+    for (const ImageId id : candidates[q]) {
+      result.ops += slot_ops[p];
+      result.hits.push_back({id, sims[p]});
+      ++p;
     }
     detail::finalize_top_k(result, top_k[q]);
   }

@@ -95,20 +95,20 @@ class FeatureIndex {
 
   /// Phase 2 of a query: exact Jaccard rescoring of an explicit candidate
   /// list (public so a cluster frontend can rescore a globally merged
-  /// candidate set on the shard that owns the features).
+  /// candidate set on the shard that owns the features).  A one-item
+  /// rescore_batch.
   QueryResult rescore(const feat::BinaryFeatures& query_features,
                       const std::vector<ImageId>& candidates,
                       int top_k = kDefaultTopK) const;
 
-  /// Batched phase 2 — the multi-query rescore plane.  Rescoring work is
-  /// grouped by stored image, so each distinct candidate's descriptors are
-  /// packed once and streamed against every query that shortlisted it
-  /// (query-major blocking inside the match kernel).  results[q] is
-  /// byte-identical to rescore(*queries[q], candidates[q], top_k[q]) for
-  /// any rescore_threads setting: per-(query, slot) similarity and ops are
-  /// pure pair functions written to disjoint slots, and per-query assembly
-  /// walks candidate order exactly like the single-query path.  `queries`,
-  /// `candidates`, and `top_k` must have equal sizes.
+  /// Phase 2 for several queries at once, the index's only binary rescore
+  /// body.  Every (query, candidate) pair is matched against the stored
+  /// descriptors in place, and the flattened pair list is split statically
+  /// over the rescore pool.  results[q] is byte-identical to
+  /// rescore(*queries[q], candidates[q], top_k[q]) for any rescore_threads
+  /// setting: per-pair similarity and ops are pure pair functions written
+  /// to disjoint slots, and each query's assembly walks its own candidate
+  /// order.  `queries`, `candidates`, and `top_k` must have equal sizes.
   std::vector<QueryResult> rescore_batch(
       const std::vector<const feat::BinaryFeatures*>& queries,
       const std::vector<std::vector<ImageId>>& candidates,

@@ -297,7 +297,12 @@ UploadAck decode_upload_ack(const std::vector<std::uint8_t>& payload) {
 BatchQueryRequest decode_batch_query(const std::vector<std::uint8_t>& payload) {
   util::ByteReader r(payload);
   BatchQueryRequest m;
-  const auto n = static_cast<std::size_t>(r.get_varint());
+  const auto n = r.get_varint();
+  // A corrupt count must fail cleanly before the reserve: every entry takes
+  // at least a 1-byte feature length and an 8-byte feature_bytes value.
+  if (n > r.remaining() / 9) {
+    throw util::DecodeError("batch query: count exceeds payload");
+  }
   m.features.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     m.features.push_back(get_binary_features(r));
@@ -316,7 +321,11 @@ BatchQueryResponse decode_batch_query_response(
     const std::vector<std::uint8_t>& payload) {
   util::ByteReader r(payload);
   BatchQueryResponse m;
-  const auto n = static_cast<std::size_t>(r.get_varint());
+  const auto n = r.get_varint();
+  // Every verdict is exactly 20 bytes (f64 + u32 + f64).
+  if (n > r.remaining() / 20) {
+    throw util::DecodeError("batch query response: count exceeds payload");
+  }
   m.verdicts.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     QueryResponse v;

@@ -136,9 +136,9 @@ class Cluster {
   /// The binary fan-out behind every query_binary call: results[q] is
   /// byte-identical to a solo query of items[q] for any shard/thread/
   /// batch-size combination — per-(query, image) scores are pure pair
-  /// functions and each query merges on its own — while phase 2 runs one
-  /// batched rescore per shard, packing every candidate image once per
-  /// batch.
+  /// functions and each query merges on its own — while phase 2 takes one
+  /// shard lock and one Shard::rescore_binary_batch call per shard for the
+  /// whole batch.
   std::vector<idx::QueryResult> query_binary_batch(
       const std::vector<BinaryBatchItem>& items);
   idx::QueryResult query_float(const feat::FloatFeatures& features,

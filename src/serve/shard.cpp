@@ -430,17 +430,31 @@ void Shard::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   stats.feature_bytes_received = r.get_f64();
   stats.binary_queries = static_cast<std::size_t>(r.get_u64());
   stats.float_queries = static_cast<std::size_t>(r.get_u64());
-  std::vector<std::uint64_t> keys(
-      static_cast<std::size_t>(r.get_varint()));
+  // Every count is checked against the bytes left before anything is sized
+  // from it: 8 bytes per key, and per binary image a gid varint (>= 1 byte)
+  // plus an 8-byte thumbnail size; >= 1 byte per float gid.
+  const auto n_keys = r.get_varint();
+  if (n_keys > r.remaining() / 8) {
+    throw util::DecodeError("shard snapshot: key count exceeds buffer");
+  }
+  std::vector<std::uint64_t> keys(n_keys);
   for (std::uint64_t& key : keys) key = r.get_u64();
 
-  binary_globals_.resize(static_cast<std::size_t>(r.get_varint()));
+  const auto n_binary = r.get_varint();
+  if (n_binary > r.remaining() / 9) {
+    throw util::DecodeError("shard snapshot: binary count exceeds buffer");
+  }
+  binary_globals_.resize(n_binary);
   for (std::uint32_t& gid : binary_globals_) {
     gid = static_cast<std::uint32_t>(r.get_varint());
   }
   std::vector<double> thumbs(binary_globals_.size());
   for (double& t : thumbs) t = r.get_f64();
-  float_globals_.resize(static_cast<std::size_t>(r.get_varint()));
+  const auto n_float = r.get_varint();
+  if (n_float > r.remaining()) {
+    throw util::DecodeError("shard snapshot: float count exceeds buffer");
+  }
+  float_globals_.resize(n_float);
   for (std::uint32_t& gid : float_globals_) {
     gid = static_cast<std::uint32_t>(r.get_varint());
   }

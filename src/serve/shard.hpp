@@ -87,9 +87,8 @@ class Shard {
       const feat::BinaryFeatures& features,
       double recall_target = idx::kDefaultRecallTarget) const;
   /// Query phase 2: exact rescore of each query's `locals[q]` (local ids,
-  /// as mapped by the cluster) under one lock acquisition, through the
-  /// index's batched rescore plane (each stored image packed once, streamed
-  /// against all subscribing queries); returned hits carry global ids.
+  /// as mapped by the cluster) under one lock acquisition, through
+  /// FeatureIndex::rescore_batch; returned hits carry global ids.
   /// results[q] is byte-identical to a solo FeatureIndex::rescore of
   /// query q.
   std::vector<idx::QueryResult> rescore_binary_batch(

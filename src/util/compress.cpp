@@ -116,6 +116,12 @@ std::vector<std::uint8_t> lz_decompress(
     return body.get_bytes(size);
   }
   if (mode != 1) throw DecodeError("lz: bad mode");
+  // Every token takes at least 3 bits and yields at most kMaxMatch bytes,
+  // so a larger declared size is corrupt; rejecting it before the reserve
+  // bounds the allocation by the input size.
+  if (size / kMaxMatch > hr.remaining() * 8 / 3) {
+    throw DecodeError("lz: declared size exceeds payload");
+  }
 
   std::vector<std::uint8_t> out;
   out.reserve(size);
@@ -125,7 +131,7 @@ std::vector<std::uint8_t> lz_decompress(
       const std::size_t len =
           static_cast<std::size_t>(br.get_ue()) + kMinMatch;
       const std::size_t dist = static_cast<std::size_t>(br.get_ue()) + 1;
-      if (dist > out.size() || out.size() + len > size + kMaxMatch) {
+      if (len > kMaxMatch || dist > out.size()) {
         throw DecodeError("lz: bad match token");
       }
       // Byte-by-byte copy supports overlapping matches (RLE-style).

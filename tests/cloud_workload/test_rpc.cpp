@@ -247,6 +247,25 @@ TEST(Protocol, BatchQueryRejectsCountMismatch) {
   EXPECT_THROW(net::decode_batch_query(env.payload), util::DecodeError);
 }
 
+TEST(Dispatch, OversizedBatchCountIsAnErrorReply) {
+  // A kBatchQuery whose whole payload is the entry count 2^62: the decoder
+  // must reject the count before reserving anything, and dispatch must
+  // answer with an encoded error instead of throwing.
+  util::ByteWriter payload;
+  payload.put_varint(std::uint64_t{1} << 62);
+  util::ByteWriter request;
+  request.put_u8(static_cast<std::uint8_t>(net::MessageType::kBatchQuery));
+  request.put_varint(payload.size());
+  request.put_bytes(payload.bytes());
+  Server server;
+  const auto env = net::open_envelope(dispatch(server, request.bytes()));
+  EXPECT_EQ(env.type, net::MessageType::kError);
+  EXPECT_FALSE(net::decode_error(env.payload).empty());
+  // The reply decoder bounds the same count.
+  EXPECT_THROW(net::decode_batch_query_response(payload.bytes()),
+               util::DecodeError);
+}
+
 TEST(Dispatch, BatchQueryAnswersPerImage) {
   Server server;
   // Store image 31; then batch-query a matching view plus an unrelated

@@ -1,19 +1,24 @@
-// Property tests of the packed early-exit matching kernel against the
-// naive reference matcher: identical match vectors, distances, and modeled
-// `ops` over randomized descriptor sets, including the degenerate shapes
-// (empty, singleton, duplicates) and both cross-check settings.  Also the
-// ISA differential sweep (scalar / AVX2 / NEON must agree bit for bit,
-// down to the lanes_{examined,pruned} counters), the 32-byte alignment
-// contract of PackedDescriptors, and the batched entry points'
-// equivalence with their serial counterparts.  Labeled `sanitize` and
-// `tsan` so the sanitizer presets cover the kernel's buffer reuse and the
-// dispatch atomics.
+// Property tests of the early-exit matching kernel against the naive
+// reference matcher: identical match vectors, distances, and modeled `ops`
+// over randomized descriptor sets, including the degenerate shapes (empty,
+// singleton, duplicates) and both cross-check settings.  Also the ISA
+// differential sweep (scalar / AVX2 / NEON must agree bit for bit, down to
+// the lanes_{examined,pruned} counters) and the lane kernels' storage
+// contract: candidates and sums at any 8-byte-aligned address.  Labeled
+// `sanitize` and `tsan` so the sanitizer presets cover the kernel's buffer
+// reuse and the dispatch atomics.
 #include "features/match_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
 
+#include "features/match_lanes.hpp"
 #include "features/simd.hpp"
 #include "features/similarity.hpp"
 #include "obs/metrics.hpp"
@@ -22,8 +27,6 @@
 namespace bees::feat {
 namespace {
 
-static_assert(detail::kLaneAlignment == 32,
-              "packed descriptors promise one AVX2 vector of alignment");
 static_assert(detail::kLaneBlock == 4,
               "one 256-bit descriptor is four 64-bit words");
 
@@ -240,81 +243,39 @@ TEST(MatchKernelSimd, ForcingUnavailableIsaFallsBackToScalar) {
   EXPECT_EQ(active_simd_isa(), detected_simd_isa());
 }
 
-TEST(MatchKernelSimd, PackedDescriptorsHonorLaneAlignment) {
+TEST(MatchKernelSimd, LaneRowsReadMisalignedStorage) {
+  IsaGuard guard;
   util::Rng rng(55);
-  PackedDescriptors packed;
-  // Re-assign through growing and shrinking sizes: every (re)allocation
-  // must keep both layouts on 32-byte boundaries.
-  for (const std::size_t n : {5u, 150u, 3u, 64u}) {
-    packed.assign(random_set(n, rng));
-    ASSERT_EQ(packed.size(), n);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(packed.words()) %
-                  detail::kLaneAlignment,
-              0u);
-    for (std::size_t l = 0; l < detail::kLaneBlock; ++l) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(packed.lane(l)) %
-                    detail::kLaneAlignment,
-                0u)
-          << "lane " << l << " n=" << n;
-    }
-    // The candidate-major copy is the natural Descriptor256 layout and the
-    // lane-major copy its transpose; spot-check both against each other.
-    for (std::size_t j = 0; j < n; j += (n / 7) + 1) {
+  constexpr std::size_t kN = 37;
+  const Descriptor256 q = random_descriptor(rng);
+  const std::vector<Descriptor256> src = random_set(kN, rng);
+  // Candidates and sums both start 8 bytes past a 32-byte boundary: legal
+  // for any std::vector<Descriptor256>, and never a valid address for an
+  // aligned 256-bit load or store.
+  alignas(32) std::byte cand_raw[8 + kN * sizeof(Descriptor256)];
+  std::memcpy(cand_raw + 8, src.data(), kN * sizeof(Descriptor256));
+  const Descriptor256* b =
+      std::launder(reinterpret_cast<const Descriptor256*>(cand_raw + 8));
+  alignas(32) std::uint64_t sums_raw[1 + detail::kLaneBlock * kN];
+  std::uint64_t* sums = sums_raw + 1;
+
+  force_simd_isa(SimdIsa::kScalar);
+  EXPECT_EQ(detail::active_lane_rows(), nullptr);  // the fused loop runs
+  for (const SimdIsa isa : {SimdIsa::kAvx2, SimdIsa::kNeon}) {
+    force_simd_isa(isa);
+    if (active_simd_isa() != isa) continue;  // not in this build or CPU
+    const detail::LaneRowFn lane_rows = detail::active_lane_rows();
+    ASSERT_NE(lane_rows, nullptr) << simd_isa_name(isa);
+    std::fill(sums, sums + detail::kLaneBlock * kN, ~std::uint64_t{0});
+    lane_rows(q, b, kN, sums);
+    for (std::size_t j = 0; j < kN; ++j) {
       for (std::size_t l = 0; l < detail::kLaneBlock; ++l) {
-        EXPECT_EQ(packed.words()[detail::kLaneBlock * j + l],
-                  packed.lane(l)[j]);
+        EXPECT_EQ(sums[detail::kLaneBlock * j + l],
+                  static_cast<std::uint64_t>(
+                      std::popcount(q.bits[l] ^ src[j].bits[l])))
+            << simd_isa_name(isa) << " j=" << j << " lane " << l;
       }
     }
-  }
-}
-
-TEST(MatchKernelBatch, CountBatchMatchesSerialCalls) {
-  util::Rng rng(606);
-  MatchWorkspace ws;
-  const auto b = random_set(40, rng);
-  std::vector<std::vector<Descriptor256>> queries;
-  for (const std::size_t n : {0u, 1u, 12u, 33u}) {
-    queries.push_back(random_set(n, rng, b));
-  }
-  std::vector<const std::vector<Descriptor256>*> batch;
-  for (const auto& q : queries) batch.push_back(&q);
-
-  for (const bool cross : {true, false}) {
-    BinaryMatchParams params;
-    params.cross_check = cross;
-    std::vector<std::size_t> counts(batch.size(), 0);
-    std::vector<std::uint64_t> ops(batch.size(), 0);
-    match_binary_count_batch(batch, b, params, counts.data(), ops.data(),
-                             ws);
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      std::uint64_t serial_ops = 0;
-      EXPECT_EQ(counts[k],
-                match_binary_count(*batch[k], b, params, &serial_ops, ws));
-      EXPECT_EQ(ops[k], serial_ops);
-    }
-  }
-}
-
-TEST(MatchKernelBatch, JaccardBatchMatchesSerialCalls) {
-  util::Rng rng(707);
-  MatchWorkspace ws;
-  BinaryFeatures b;
-  b.descriptors = random_set(30, rng);
-  std::vector<BinaryFeatures> queries(4);
-  for (std::size_t k = 0; k < queries.size(); ++k) {
-    queries[k].descriptors = random_set(5 + 9 * k, rng, b.descriptors);
-  }
-  std::vector<const BinaryFeatures*> batch;
-  for (const auto& q : queries) batch.push_back(&q);
-
-  std::vector<double> sims(batch.size(), 0.0);
-  std::vector<std::uint64_t> ops(batch.size(), 0);
-  jaccard_similarity_batch(batch, b, {}, sims.data(), ops.data(), ws);
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    std::uint64_t serial_ops = 0;
-    EXPECT_DOUBLE_EQ(sims[k],
-                     jaccard_similarity(*batch[k], b, {}, &serial_ops, ws));
-    EXPECT_EQ(ops[k], serial_ops);
   }
 }
 

@@ -162,8 +162,9 @@ TEST(ParallelRescore, RescoreBatchMatchesSerialRescore) {
     for (const auto& f : stored) index.insert(f);
 
     // Overlapping candidate lists of different lengths (including one
-    // empty), so the by-image grouping packs shared candidates once and
-    // the per-query assembly still walks each query's own list.
+    // empty), so the flattened (query, candidate) split crosses query
+    // boundaries and the per-query assembly still walks each query's own
+    // list.
     std::vector<const feat::BinaryFeatures*> query_ptrs;
     std::vector<std::vector<ImageId>> candidates;
     std::vector<int> top_k;

@@ -18,6 +18,8 @@
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cluster.hpp"
+#include "serve/shard.hpp"
+#include "util/byte_io.hpp"
 #include "util/rng.hpp"
 
 namespace bees::serve {
@@ -334,6 +336,27 @@ TEST_F(RecoveryTest, FloatIndexSurvivesSnapshotRecovery) {
         make_float(80 + static_cast<std::uint64_t>(i)), idx::kDefaultTopK,
         20'000.0);
     EXPECT_EQ(recovered.handle(request), reference.handle(request));
+  }
+}
+
+TEST(ShardSnapshot, OversizedCountsAreDecodeErrors) {
+  // An empty shard's snapshot: a 56-byte header and accounting block, then
+  // the location-key, binary-gid and float-gid counts as one-byte zeros.
+  const std::vector<std::uint8_t> empty = Shard(0, ShardOptions{})
+                                              .encode_snapshot();
+  constexpr std::size_t kCountsAt = 56;
+  ASSERT_GT(empty.size(), kCountsAt + 3);
+  EXPECT_NO_THROW(Shard(0, ShardOptions{}, empty));
+  // Each count in turn claims 2^62 entries: the snapshot must be rejected
+  // before anything is sized from it.
+  for (std::size_t field = 0; field < 3; ++field) {
+    ASSERT_EQ(empty[kCountsAt + field], 0u);
+    util::ByteWriter w;
+    w.put_bytes(std::span(empty).first(kCountsAt + field));
+    w.put_varint(std::uint64_t{1} << 62);
+    w.put_bytes(std::span(empty).subspan(kCountsAt + field + 1));
+    EXPECT_THROW(Shard(0, ShardOptions{}, w.bytes()), util::DecodeError)
+        << "count " << field;
   }
 }
 

@@ -138,5 +138,22 @@ TEST(LzCompress, FuzzedMutationsOfValidStreams) {
   SUCCEED();  // reaching here without crash/hang is the assertion
 }
 
+TEST(LzCompress, OversizedDeclaredSizeThrowsBeforeAllocating) {
+  // A valid token stream whose header claims 2^62 output bytes: far more
+  // than its few bytes of tokens can produce, so the decoder must reject
+  // it before reserving the declared size.
+  const auto valid = lz_compress(std::vector<std::uint8_t>(10000, 0x42));
+  ByteReader r(valid);
+  const std::uint32_t magic = r.get_u32();
+  r.get_varint();  // the true size
+  const std::size_t body_at = valid.size() - r.remaining();  // mode byte on
+  ASSERT_EQ(valid[body_at], 1u);  // token mode, not stored
+  ByteWriter w;
+  w.put_u32(magic);
+  w.put_varint(std::uint64_t{1} << 62);
+  w.put_bytes(std::span<const std::uint8_t>(valid).subspan(body_at));
+  EXPECT_THROW(lz_decompress(w.bytes()), DecodeError);
+}
+
 }  // namespace
 }  // namespace bees::util
