@@ -26,6 +26,7 @@
 #include <utility>
 
 #include "bench/common.hpp"
+#include "features/fast.hpp"
 #include "features/match_kernel.hpp"
 #include "features/orb.hpp"
 #include "features/sift.hpp"
@@ -231,6 +232,43 @@ void BM_GaussianBlur(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianBlur);
+
+// The remaining AFE kernels at 269x202, the bitmap EAC hands ORB at 60%
+// battery (a 320x240 capture shrunk by 16%).
+img::Image eac_bitmap() {
+  return img::render_scene(img::SceneSpec{77, 18, 4}, 269, 202);
+}
+
+void BM_ToGray(benchmark::State& state) {
+  const img::Image scene = eac_bitmap();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img::to_gray(scene));
+  }
+}
+BENCHMARK(BM_ToGray);
+
+/// ORB's first pyramid step: the gray bitmap downscaled by 1.25.
+void BM_Resize(benchmark::State& state) {
+  const img::Image gray = img::to_gray(eac_bitmap());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(img::resize(gray, 215, 162));
+  }
+}
+BENCHMARK(BM_Resize);
+
+/// FAST-9 on the blurred level-0 bitmap with ORB's threshold and border.
+void BM_DetectFast(benchmark::State& state) {
+  const img::Image blurred =
+      img::gaussian_blur(img::to_gray(eac_bitmap()), 1.0);
+  const feat::OrbParams orb;
+  feat::FastParams params;
+  params.threshold = orb.fast_threshold;
+  params.border = orb.patch_radius + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(feat::detect_fast(blurred, params));
+  }
+}
+BENCHMARK(BM_DetectFast);
 
 /// Best-of-reps wall time of one match_binary_kernel call on (a, b) under
 /// whatever ISA is currently active.  The minimum is the standard

@@ -24,8 +24,9 @@ std::vector<Keypoint> detect_fast(const img::Image& gray,
                                   const FastParams& params,
                                   std::uint64_t* ops = nullptr);
 
-/// Harris corner response at (x, y) computed over a 7x7 window of Sobel
-/// gradients; used to re-rank FAST corners (the "oFAST" ordering in ORB).
+/// Harris corner response at (x, y) computed over a 7x7 window of
+/// central-difference gradients (replicate borders); used to re-rank FAST
+/// corners (the "oFAST" ordering in ORB).
 float harris_response(const img::Image& gray, int x, int y);
 
 }  // namespace bees::feat

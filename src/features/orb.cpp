@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "features/fast.hpp"
 #include "imaging/transform.hpp"
@@ -39,6 +40,15 @@ const BriefPattern& pattern_for_radius15() {
   return p;
 }
 
+/// std::lround of a rotated BRIEF offset.  The offset is a float of
+/// magnitude below 2^5, so d +/- 0.5 in double is exact (or, for a float
+/// too small for that, still strictly between -1 and 1), and truncating it
+/// rounds half away from zero.
+int round_half_away(float v) noexcept {
+  const double d = v;
+  return static_cast<int>(d < 0 ? d - 0.5 : d + 0.5);
+}
+
 Descriptor256 steered_brief(const img::Image& gray, const Keypoint& kp,
                             int cx, int cy, std::uint64_t* ops) {
   const BriefPattern& pat = pattern_for_radius15();
@@ -48,35 +58,57 @@ Descriptor256 steered_brief(const img::Image& gray, const Keypoint& kp,
   for (int i = 0; i < 256; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     // Rotate both test points by the keypoint orientation (steered BRIEF).
-    const int ax = cx + static_cast<int>(std::lround(
-                            cosa * pat.x1[idx] - sina * pat.y1[idx]));
-    const int ay = cy + static_cast<int>(std::lround(
-                            sina * pat.x1[idx] + cosa * pat.y1[idx]));
-    const int bx = cx + static_cast<int>(std::lround(
-                            cosa * pat.x2[idx] - sina * pat.y2[idx]));
-    const int by = cy + static_cast<int>(std::lround(
-                            sina * pat.x2[idx] + cosa * pat.y2[idx]));
+    const int ax =
+        cx + round_half_away(cosa * pat.x1[idx] - sina * pat.y1[idx]);
+    const int ay =
+        cy + round_half_away(sina * pat.x1[idx] + cosa * pat.y1[idx]);
+    const int bx =
+        cx + round_half_away(cosa * pat.x2[idx] - sina * pat.y2[idx]);
+    const int by =
+        cy + round_half_away(sina * pat.x2[idx] + cosa * pat.y2[idx]);
     if (gray.at_clamped(ax, ay) < gray.at_clamped(bx, by)) d.set_bit(i);
   }
   if (ops) *ops += 256 * 8;
   return d;
 }
 
-}  // namespace
-
-float intensity_centroid_angle(const img::Image& gray, int x, int y,
-                               int radius) {
+/// First moments of the circular patch of the given radius, walked row by
+/// row between each row's end points; `px(dx, dy)` reads the pixel at that
+/// offset from the centre.
+template <class Pixel>
+float centroid_angle(Pixel px, int radius) {
   double m10 = 0, m01 = 0;
   const int r2 = radius * radius;
   for (int dy = -radius; dy <= radius; ++dy) {
-    for (int dx = -radius; dx <= radius; ++dx) {
-      if (dx * dx + dy * dy > r2) continue;
-      const double v = gray.at_clamped(x + dx, y + dy);
+    // The row holds exactly the dx with dx * dx + dy * dy <= r2.
+    int half = radius;
+    while (half * half + dy * dy > r2) --half;
+    for (int dx = -half; dx <= half; ++dx) {
+      const double v = px(dx, dy);
       m10 += dx * v;
       m01 += dy * v;
     }
   }
   return static_cast<float>(std::atan2(m01, m10));
+}
+
+}  // namespace
+
+float intensity_centroid_angle(const img::Image& gray, int x, int y,
+                               int radius) {
+  if (x >= radius && y >= radius && x + radius < gray.width() &&
+      y + radius < gray.height()) {
+    const std::ptrdiff_t ch = gray.channels();
+    const std::ptrdiff_t stride = gray.width() * ch;
+    const std::uint8_t* p =
+        gray.data().data() + (y * stride + static_cast<std::ptrdiff_t>(x) * ch);
+    return centroid_angle(
+        [p, ch, stride](int dx, int dy) { return p[dy * stride + dx * ch]; },
+        radius);
+  }
+  return centroid_angle(
+      [&gray, x, y](int dx, int dy) { return gray.at_clamped(x + dx, y + dy); },
+      radius);
 }
 
 BinaryFeatures extract_orb(const img::Image& image, const OrbParams& params) {

@@ -196,9 +196,10 @@ Image decode_jpeg_like(const std::vector<std::uint8_t>& bytes) {
   if (w <= 0 || h <= 0 || (channels != 1 && channels != 3)) {
     throw util::DecodeError("codec: bad header");
   }
+  constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 1 + 1;
+  detail::check_coded_size(w, h, channels, bytes.size() - kHeaderBytes);
   const auto lq = detail::scaled_quant(detail::kLumaQuant, quality);
   const auto cq = detail::scaled_quant(detail::kChromaQuant, quality);
-  constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 1 + 1;
   util::BitReader br(bytes, kHeaderBytes);
 
   std::vector<Plane> planes;

@@ -1,5 +1,9 @@
 #include "imaging/codec_detail.hpp"
 
+#include <climits>
+
+#include "util/byte_io.hpp"
+
 namespace bees::img::detail {
 
 std::array<int, 64> scaled_quant(const std::array<int, 64>& base,
@@ -21,6 +25,24 @@ Plane make_plane(int w, int h) {
   p.samples.assign(
       static_cast<std::size_t>(p.padded_w()) * p.padded_h(), 0.0f);
   return p;
+}
+
+void check_coded_size(int w, int h, int channels,
+                      std::size_t payload_bytes) {
+  const auto blocks = [](std::int64_t pw, std::int64_t ph) {
+    if (pw > INT_MAX - 7 || ph > INT_MAX - 7) {
+      throw util::DecodeError("codec: dimensions overflow");
+    }
+    return static_cast<std::uint64_t>((pw + 7) / 8) *
+           static_cast<std::uint64_t>((ph + 7) / 8);
+  };
+  std::uint64_t total = blocks(w, h);
+  if (channels == 3) {
+    total += 2 * blocks((std::int64_t{w} + 1) / 2, (std::int64_t{h} + 1) / 2);
+  }
+  if ((total + 7) / 8 > payload_bytes) {
+    throw util::DecodeError("codec: dimensions exceed stream length");
+  }
 }
 
 void pad_replicate(Plane& p) {

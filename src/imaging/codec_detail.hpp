@@ -58,6 +58,15 @@ struct Plane {
 Plane make_plane(int w, int h);
 void pad_replicate(Plane& p);
 
+/// Decoder guard, called before anything is sized from a header: throws
+/// util::DecodeError unless the coding planes of a w x h image (w, h > 0)
+/// with `channels` channels have padded dimensions that fit in int and
+/// `payload_bytes` could code all of their 8x8 blocks.  Every block of
+/// every plane costs at least one bit in either format, so this bounds
+/// what a stream can make a decoder allocate by the stream's own length.
+/// Sizes are computed in 64 bits.
+void check_coded_size(int w, int h, int channels, std::size_t payload_bytes);
+
 inline std::uint8_t to_u8(float v) noexcept {
   return static_cast<std::uint8_t>(std::clamp(v, 0.0f, 255.0f));
 }

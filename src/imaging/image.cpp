@@ -18,12 +18,6 @@ Image::Image(int width, int height, int channels)
                0);
 }
 
-std::uint8_t Image::at_clamped(int x, int y, int c) const noexcept {
-  x = std::clamp(x, 0, width_ - 1);
-  y = std::clamp(y, 0, height_ - 1);
-  return at(x, y, c);
-}
-
 void Image::fill(std::uint8_t v) noexcept {
   std::fill(data_.begin(), data_.end(), v);
 }

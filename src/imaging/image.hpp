@@ -3,6 +3,7 @@
 // bitmap" whose compression proportion the paper's AFE stage adjusts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -42,7 +43,9 @@ class Image {
 
   /// Bounds-clamped read: coordinates outside the image are clamped to the
   /// border (replicate padding), the convention used by the filters.
-  std::uint8_t at_clamped(int x, int y, int c = 0) const noexcept;
+  std::uint8_t at_clamped(int x, int y, int c = 0) const noexcept {
+    return at(std::clamp(x, 0, width_ - 1), std::clamp(y, 0, height_ - 1), c);
+  }
 
   const std::vector<std::uint8_t>& data() const noexcept { return data_; }
   std::vector<std::uint8_t>& data() noexcept { return data_; }

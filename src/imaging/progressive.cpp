@@ -522,6 +522,8 @@ PrefixDecode decode_impl(const std::vector<std::uint8_t>& bytes,
   }
   std::vector<std::uint32_t> seg_len;
   for (int k = 0; k < scan_count; ++k) seg_len.push_back(hr.get_u32());
+  // Any decode needs one whole scan, and a scan codes every block.
+  detail::check_coded_size(w, h, channels, bytes.size() - dir_end);
 
   const std::vector<PlaneShape> shapes =
       plane_shapes(w, h, channels, quality);

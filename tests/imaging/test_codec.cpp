@@ -119,6 +119,32 @@ TEST(Codec, TruncatedStreamThrows) {
   EXPECT_THROW(decode_jpeg_like(bytes), util::DecodeError);
 }
 
+/// A BPJG header declaring a w x h gray image, then `payload` zero bytes.
+std::vector<std::uint8_t> bpjg_stream(std::uint32_t w, std::uint32_t h,
+                                      std::size_t payload) {
+  util::ByteWriter bw;
+  bw.put_u32(0x474a5042);  // "BPJG"
+  bw.put_u32(w);
+  bw.put_u32(h);
+  bw.put_u8(1);
+  bw.put_u8(50);
+  std::vector<std::uint8_t> out = bw.take();
+  out.resize(out.size() + payload, 0);
+  return out;
+}
+
+TEST(Codec, OversizedDimensionsAreCleanErrorBeforeAllocating) {
+  // A 22-byte stream must not make the decoder size planes from its
+  // header: 12000 x 12000 would zero 552 MB first, 2^20 x 2^20 is beyond
+  // any allocation, and 0x7fffffff x 8 pads past INT_MAX.
+  EXPECT_THROW(decode_jpeg_like(bpjg_stream(12000, 12000, 8)),
+               util::DecodeError);
+  EXPECT_THROW(decode_jpeg_like(bpjg_stream(1u << 20, 1u << 20, 8)),
+               util::DecodeError);
+  EXPECT_THROW(decode_jpeg_like(bpjg_stream(0x7fffffff, 8, 8)),
+               util::DecodeError);
+}
+
 TEST(QualityFromProportion, MapsPaperKnob) {
   EXPECT_EQ(quality_from_proportion(0.0), 100);
   EXPECT_EQ(quality_from_proportion(0.85), 15);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "imaging/codec.hpp"
@@ -214,6 +215,22 @@ TEST(ProgressiveRobustness, AbsurdScanCountIsCleanError) {
   auto bytes = encode_progressive(src, 60, 3).bytes;
   bytes[14] = 0x7f;  // scan_count field
   EXPECT_THROW(decode_prefix(bytes), util::DecodeError);
+}
+
+TEST(ProgressiveRobustness, OversizedDimensionsAreCleanErrorBeforeAllocating) {
+  // A one-scan 8x8 stream of a few dozen bytes, its header rewritten to
+  // declare dimensions whose coefficient planes would take gigabytes.
+  for (const auto& [channels, w, h] :
+       {std::tuple{1, 65536u, 65536u}, std::tuple{3, 30000u, 30000u}}) {
+    auto bytes =
+        encode_progressive(value_noise(8, 8, channels, 5), 50, 1).bytes;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[4 + i] = static_cast<std::uint8_t>(w >> (8 * i));
+      bytes[8 + i] = static_cast<std::uint8_t>(h >> (8 * i));
+    }
+    EXPECT_THROW(decode_prefix(bytes), util::DecodeError) << bytes.size();
+    EXPECT_THROW(decode_progressive(bytes), util::DecodeError);
+  }
 }
 
 // ---------------------------------------------------------------------------
