@@ -116,13 +116,6 @@ void StageProbe::end() {
                              duration_s, obs::kLaneScheme});
 }
 
-double UploadScheme::transfer_up(double bytes, net::Channel& channel,
-                                 energy::Battery& battery) const {
-  const double seconds = channel.transfer(bytes);
-  battery.drain(seconds * config_.cost.tx_power_w);
-  return seconds;
-}
-
 double UploadScheme::transfer_down(double bytes, net::Channel& channel,
                                    energy::Battery& battery) const {
   const double seconds = channel.transfer(bytes);

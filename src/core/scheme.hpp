@@ -271,10 +271,6 @@ class UploadScheme {
   /// Payload for the as-shot variant (Direct Upload & friends).
   PayloadRef original_image_payload(const wl::ImageSpec& spec);
 
-  /// Transfers `bytes` uplink, charging TX energy for the actual airtime.
-  /// Returns the airtime.
-  double transfer_up(double bytes, net::Channel& channel,
-                     energy::Battery& battery) const;
   /// Transfers `bytes` downlink (RX energy).
   double transfer_down(double bytes, net::Channel& channel,
                        energy::Battery& battery) const;

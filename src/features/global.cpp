@@ -40,16 +40,4 @@ double histogram_intersection(const ColorHistogram& a,
   return sum;
 }
 
-double histogram_chi2(const ColorHistogram& a,
-                      const ColorHistogram& b) noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.bins.size(); ++i) {
-    const double s = a.bins[i] + b.bins[i];
-    if (s <= 0.0) continue;
-    const double d = a.bins[i] - b.bins[i];
-    sum += d * d / s;
-  }
-  return 0.5 * sum;
-}
-
 }  // namespace bees::feat

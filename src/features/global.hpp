@@ -37,9 +37,4 @@ ColorHistogram color_histogram(const img::Image& image,
 double histogram_intersection(const ColorHistogram& a,
                               const ColorHistogram& b) noexcept;
 
-/// Chi-squared distance (>= 0, 0 = identical); the common alternative
-/// metric, exposed for the prefilter ablation.
-double histogram_chi2(const ColorHistogram& a,
-                      const ColorHistogram& b) noexcept;
-
 }  // namespace bees::feat

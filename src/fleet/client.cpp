@@ -23,33 +23,4 @@ ReplyStatus classify_reply(const std::vector<std::uint8_t>& reply) {
   }
 }
 
-bool is_shed_reply(const std::vector<std::uint8_t>& reply) {
-  return classify_reply(reply) == ReplyStatus::kShed;
-}
-
-ShedRetryResult exchange_with_shed_retry(
-    net::Transport& transport, net::Channel& channel,
-    const std::vector<std::uint8_t>& request, util::Rng& backoff_rng,
-    double wire_bytes) {
-  const net::RetryPolicy& policy = transport.policy();
-  ShedRetryResult result;
-  for (int round = 1; round <= policy.max_attempts; ++round) {
-    result.last = transport.exchange(request, wire_bytes);
-    if (!result.last.ok) return result;  // loss budget exhausted: terminal
-    if (!is_shed_reply(result.last.reply)) {
-      result.ok = true;
-      return result;
-    }
-    if (round < policy.max_attempts) {
-      const double wait = policy.backoff_before(round, backoff_rng);
-      if (wait > 0.0) {
-        channel.advance(wait);
-        result.shed_backoff_s += wait;
-      }
-      ++result.shed_retries;
-    }
-  }
-  return result;  // every round shed: give up, result.ok stays false
-}
-
 }  // namespace bees::fleet

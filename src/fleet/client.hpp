@@ -1,18 +1,12 @@
-// Client-side handling of serving-cluster replies: classification of the
-// admission gate's shed error as *retryable* (unlike other encoded errors,
-// which are terminal), and a synchronous exchange wrapper that closes the
-// loop between PR 1's transport retries (message loss) and PR 4's
-// admission shedding (server overload) — a shed reply is backed off and
-// resent with the same RetryPolicy schedule the transport uses for lost
-// messages.  Fleet devices implement the identical policy event-driven
-// (they cannot block inside an exchange); this wrapper is the reference
-// client for callers that can.
+// Client-side classification of serving-cluster replies: the admission
+// gate's shed error (and a relay outage) is *retryable*, unlike other
+// encoded errors, which are terminal.  Fleet devices back a shed reply off
+// and resend it on the same RetryPolicy schedule the transport uses for
+// lost messages (fleet/device.cpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "net/transport.hpp"
 
 namespace bees::fleet {
 
@@ -24,29 +18,5 @@ enum class ReplyStatus {
 
 /// Classifies a reply envelope.  Undecodable bytes classify as kError.
 ReplyStatus classify_reply(const std::vector<std::uint8_t>& reply);
-
-/// True iff `reply` is the cluster's admission-shed error.
-bool is_shed_reply(const std::vector<std::uint8_t>& reply);
-
-/// One exchange_with_shed_retry outcome: the transport result of the final
-/// exchange plus the shed-retry accounting layered on top.
-struct ShedRetryResult {
-  net::ExchangeResult last;      ///< The delivering (or final) exchange.
-  bool ok = false;               ///< Delivered a non-shed reply in budget.
-  int shed_retries = 0;          ///< Resends caused by shed replies.
-  double shed_backoff_s = 0.0;   ///< Idle waits between shed resends.
-};
-
-/// Runs `transport.exchange` until a non-shed reply arrives, the transport
-/// gives up on loss, or the policy's attempt budget is spent on shed
-/// resends.  Backoff between shed resends follows
-/// `transport.policy().backoff_before` drawn from `backoff_rng` and is
-/// waited out on `channel` (the same clock the transport charges), so a
-/// client that is shed k times and then served accounts the same idle
-/// airtime a lossy exchange with k lost attempts would.
-ShedRetryResult exchange_with_shed_retry(
-    net::Transport& transport, net::Channel& channel,
-    const std::vector<std::uint8_t>& request, util::Rng& backoff_rng,
-    double wire_bytes = -1.0);
 
 }  // namespace bees::fleet

@@ -222,9 +222,4 @@ int quality_from_proportion(double proportion) noexcept {
                     1, 100);
 }
 
-std::size_t compressed_size(const Image& src, double quality_proportion) {
-  return encode_jpeg_like(src, quality_from_proportion(quality_proportion))
-      .size();
-}
-
 }  // namespace bees::img

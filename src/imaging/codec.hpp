@@ -28,10 +28,6 @@ Image decode_jpeg_like(const std::vector<std::uint8_t>& bytes);
 /// proportion 0.85 (the paper's fixed choice) -> quality 15.
 int quality_from_proportion(double proportion) noexcept;
 
-/// Convenience used by AIU: encodes at the given quality proportion and
-/// returns only the compressed byte count (the bandwidth cost).
-std::size_t compressed_size(const Image& src, double quality_proportion);
-
 /// Forward 8x8 DCT-II on a block given in row-major `in`, result in `out`
 /// (both length 64).  Exposed for testing against the orthonormality
 /// property.

@@ -73,24 +73,4 @@ class Image {
   std::vector<std::uint8_t> data_;
 };
 
-/// Summed-area table over a grayscale image, enabling O(1) box sums for the
-/// FAST/Harris detectors and SSIM windows.  Values are stored as 64-bit to
-/// avoid overflow for any supported image size.
-class IntegralImage {
- public:
-  explicit IntegralImage(const Image& gray);
-
-  /// Sum of pixels in the inclusive rectangle [x0,x1] x [y0,y1], clamped to
-  /// the image bounds.
-  std::int64_t box_sum(int x0, int y0, int x1, int y1) const noexcept;
-
-  int width() const noexcept { return width_; }
-  int height() const noexcept { return height_; }
-
- private:
-  int width_ = 0;
-  int height_ = 0;
-  std::vector<std::int64_t> sums_;  // (width+1) x (height+1)
-};
-
 }  // namespace bees::img

@@ -221,20 +221,4 @@ Image add_gaussian_noise(const Image& src, double stddev, util::Rng& rng) {
   return out;
 }
 
-Image crop(const Image& src, int x, int y, int w, int h) {
-  if (x < 0 || y < 0 || w <= 0 || h <= 0 || x + w > src.width() ||
-      y + h > src.height()) {
-    throw std::invalid_argument("crop: rectangle out of bounds");
-  }
-  Image out(w, h, src.channels());
-  for (int yy = 0; yy < h; ++yy) {
-    for (int xx = 0; xx < w; ++xx) {
-      for (int c = 0; c < src.channels(); ++c) {
-        out.set(xx, yy, src.at(x + xx, y + yy, c), c);
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace bees::img

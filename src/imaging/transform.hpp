@@ -51,8 +51,4 @@ Image adjust_brightness_contrast(const Image& src, double gain, double bias);
 /// (in 8-bit levels) using `rng`.
 Image add_gaussian_noise(const Image& src, double stddev, util::Rng& rng);
 
-/// Crops the rectangle [x, x+w) x [y, y+h); the rectangle must lie within
-/// the image.
-Image crop(const Image& src, int x, int y, int w, int h);
-
 }  // namespace bees::img

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/byte_io.hpp"
 #include "util/rng.hpp"
 
 namespace bees::idx {
@@ -88,18 +87,12 @@ AnnFrontEnd::Row AnnFrontEnd::make_row(
   return row;
 }
 
-void AnnFrontEnd::install_row(ImageId id, const Row& row) {
-  if (static_cast<std::size_t>(id) != image_count()) {
+void AnnFrontEnd::insert(ImageId id,
+                         const std::vector<feat::Descriptor256>& descriptors) {
+  if (static_cast<std::size_t>(id) != image_count_) {
     throw std::invalid_argument("AnnFrontEnd: out-of-order insert");
   }
-  signatures_.insert(signatures_.end(), row.band_signatures.begin(),
-                     row.band_signatures.end());
-  // Rows of empty descriptor sets have no signatures; pad so the CSR slots
-  // stay `bands` wide and never alias a real signature (id-salted).
-  for (std::size_t b = row.band_signatures.size();
-       b < static_cast<std::size_t>(params_.bands); ++b) {
-    signatures_.push_back(mix(0xe0077e57ULL + b, id));
-  }
+  const Row row = make_row(descriptors);
   if (!row.band_signatures.empty()) {
     for (int b = 0; b < params_.bands; ++b) {
       band_tables_[static_cast<std::size_t>(b)]
@@ -110,40 +103,7 @@ void AnnFrontEnd::install_row(ImageId id, const Row& row) {
   for (const std::uint32_t word : row.words) {
     inverted_[word].push_back(id);
   }
-  words_.insert(words_.end(), row.words.begin(), row.words.end());
-  word_offsets_.push_back(static_cast<std::uint32_t>(words_.size()));
-}
-
-void AnnFrontEnd::insert(ImageId id,
-                         const std::vector<feat::Descriptor256>& descriptors) {
-  install_row(id, make_row(descriptors));
-}
-
-void AnnFrontEnd::insert_row(ImageId id, Row row) {
-  if (!row.band_signatures.empty() &&
-      row.band_signatures.size() != static_cast<std::size_t>(params_.bands)) {
-    throw util::DecodeError("AnnFrontEnd: row band count mismatch");
-  }
-  if (!std::is_sorted(row.words.begin(), row.words.end())) {
-    throw util::DecodeError("AnnFrontEnd: row words not sorted");
-  }
-  install_row(id, row);
-}
-
-AnnFrontEnd::Row AnnFrontEnd::row_of(ImageId id) const {
-  const auto i = static_cast<std::size_t>(id);
-  Row row;
-  const auto bands = static_cast<std::size_t>(params_.bands);
-  row.band_signatures.assign(signatures_.begin() + i * bands,
-                             signatures_.begin() + (i + 1) * bands);
-  row.words.assign(words_.begin() + word_offsets_[i],
-                   words_.begin() + word_offsets_[i + 1]);
-  if (row.words.empty()) {
-    // Empty-set images stored padded signatures; export the canonical
-    // empty row so save/load round-trips bit-exactly.
-    row.band_signatures.clear();
-  }
-  return row;
+  ++image_count_;
 }
 
 void AnnFrontEnd::collect(
@@ -163,21 +123,6 @@ void AnnFrontEnd::collect(
     if (it == inverted_.end()) continue;
     for (const ImageId id : it->second) scores[id] += 1;
   }
-}
-
-std::uint64_t AnnFrontEnd::fingerprint() const noexcept {
-  std::uint64_t h = 0xbee5a22aULL;
-  h = mix(h, static_cast<std::uint64_t>(params_.bands));
-  h = mix(h, static_cast<std::uint64_t>(params_.rows));
-  h = mix(h, params_.band_weight);
-  h = mix(h, static_cast<std::uint64_t>(params_.vocabulary.branching));
-  h = mix(h, static_cast<std::uint64_t>(params_.vocabulary.depth));
-  h = mix(h, static_cast<std::uint64_t>(params_.vocabulary.kmeans_iterations));
-  h = mix(h, params_.vocabulary.seed);
-  h = mix(h, static_cast<std::uint64_t>(params_.vocabulary_sample));
-  h = mix(h, static_cast<std::uint64_t>(params_.minhash.token_bits));
-  h = mix(h, params_.minhash.seed);
-  return h;
 }
 
 }  // namespace bees::idx

@@ -51,9 +51,6 @@ struct AnnParams {
   /// Token quantization for the sketches (MinHashParams::hashes is derived
   /// as bands * rows and need not be set).
   MinHashParams minhash;
-  /// When the index also maintains descriptor LSH tables, fold its
-  /// (bucket-deduplicated) votes into the shortlist score.
-  bool merge_lsh_votes = true;
 };
 
 /// Sizes the exact-rescore shortlist from the caller's recall target: the
@@ -62,15 +59,15 @@ struct AnnParams {
 /// both must truncate to the same budget for byte-identical replies.
 std::size_t ann_shortlist_budget(int max_candidates, double recall_target);
 
-/// The ANN structures of one index: band tables + inverted file, plus the
-/// per-image rows (band signatures, sorted word ids) they are built from.
-/// Rows are kept in flat CSR layout so snapshots can persist them and a
-/// restore can skip the sketch/quantize work.
+/// The ANN structures of one index: band tables + inverted file, built
+/// from each image's row (band signatures, sorted word ids).  Rows are a
+/// pure function of the descriptors and AnnParams, so a restored index
+/// re-sketches them on insert instead of persisting them.
 class AnnFrontEnd {
  public:
   explicit AnnFrontEnd(const AnnParams& params);
 
-  /// Persistable per-image derived state.
+  /// Per-image derived state.
   struct Row {
     std::vector<std::uint64_t> band_signatures;  ///< `bands` entries.
     std::vector<std::uint32_t> words;            ///< sorted, unique.
@@ -81,15 +78,8 @@ class AnnFrontEnd {
   /// order), which keeps every posting list sorted by id for free.
   void insert(ImageId id, const std::vector<feat::Descriptor256>& descriptors);
 
-  /// Restore path: installs a previously computed row (snapshot load).
-  /// Throws util::DecodeError if the row's shape does not match `params`.
-  void insert_row(ImageId id, Row row);
-
   /// Computes the row insert() would store, without storing it.
   Row make_row(const std::vector<feat::Descriptor256>& descriptors) const;
-
-  /// Copies image `id`'s stored row back out (snapshot save).
-  Row row_of(ImageId id) const;
 
   /// Adds band_weight * (band collisions) + (shared distinct words) into
   /// `scores` for every image sharing a band signature or a word with the
@@ -97,32 +87,18 @@ class AnnFrontEnd {
   void collect(const std::vector<feat::Descriptor256>& query,
                std::unordered_map<ImageId, std::uint32_t>& scores) const;
 
-  std::size_t image_count() const noexcept {
-    return word_offsets_.size() - 1;
-  }
-
-  /// Stable digest of every parameter that shapes rows (band/row counts,
-  /// seeds, tree shape).  Snapshots store it; a restore with a different
-  /// fingerprint recomputes rows instead of trusting stale ones.
-  std::uint64_t fingerprint() const noexcept;
+  std::size_t image_count() const noexcept { return image_count_; }
 
   const AnnParams& params() const noexcept { return params_; }
 
  private:
   std::vector<std::uint64_t> band_signatures_of(
       const MinHashSketch& sketch) const;
-  void install_row(ImageId id, const Row& row);
 
   AnnParams params_;
   MinHasher hasher_;
   VocabularyTree tree_;
-
-  /// Per-image rows, CSR: image i's signatures are
-  /// signatures_[i*bands .. (i+1)*bands); its words are
-  /// words_[word_offsets_[i] .. word_offsets_[i+1]).
-  std::vector<std::uint64_t> signatures_;
-  std::vector<std::uint32_t> word_offsets_{0};
-  std::vector<std::uint32_t> words_;
+  std::size_t image_count_ = 0;
 
   /// band -> signature -> images (ascending ids).
   std::vector<std::unordered_map<std::uint64_t, std::vector<ImageId>>>

@@ -75,35 +75,17 @@ util::ThreadPool* FeatureIndex::rescore_pool() const {
   return pool_.get();
 }
 
-ImageId FeatureIndex::insert_entry(feat::BinaryFeatures features,
-                                   const GeoTag& geo,
-                                   const AnnFrontEnd::Row* row) {
+ImageId FeatureIndex::insert(feat::BinaryFeatures features,
+                             const GeoTag& geo) {
   const auto id = static_cast<ImageId>(images_.size());
   if (params_.enable_descriptor_lsh) {
     for (const auto& d : features.descriptors) lsh_.insert(d, id);
   }
-  if (ann_) {
-    if (row != nullptr) {
-      ann_->insert_row(id, *row);
-    } else {
-      ann_->insert(id, features.descriptors);
-    }
-  }
+  if (ann_) ann_->insert(id, features.descriptors);
   descriptor_count_ += features.descriptors.size();
   wire_bytes_ += features.wire_bytes();
   images_.push_back({std::move(features), geo});
   return id;
-}
-
-ImageId FeatureIndex::insert(feat::BinaryFeatures features,
-                             const GeoTag& geo) {
-  return insert_entry(std::move(features), geo, nullptr);
-}
-
-ImageId FeatureIndex::insert_with_ann_row(feat::BinaryFeatures features,
-                                          const GeoTag& geo,
-                                          AnnFrontEnd::Row row) {
-  return insert_entry(std::move(features), geo, &row);
 }
 
 QueryResult FeatureIndex::rescore(const feat::BinaryFeatures& query_features,
@@ -182,7 +164,7 @@ std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
   if (images_.empty() || query_features.empty()) return {};
   std::unordered_map<ImageId, std::uint32_t> scores;
   ann_->collect(query_features.descriptors, scores);
-  if (params_.enable_descriptor_lsh && params_.ann.merge_lsh_votes) {
+  if (params_.enable_descriptor_lsh) {
     for (const auto& d : query_features.descriptors) lsh_.vote(d, scores);
   }
   std::vector<std::pair<ImageId, std::uint32_t>> ranked(scores.begin(),

@@ -26,10 +26,10 @@ namespace bees::idx {
 
 struct FeatureIndexParams {
   LshParams lsh;
-  /// Descriptor-level LSH tables: the exact-vote candidate path and (when
-  /// `ann.merge_lsh_votes`) a score refiner for the ANN shortlist.  Off
-  /// saves the per-descriptor bucket storage at million-image scale; with
-  /// it off, `ann.enabled` must be on for query() to see any candidates.
+  /// Descriptor-level LSH tables: the exact-vote candidate path, and a
+  /// score refiner for the ANN shortlist when `ann.enabled`.  Off saves the
+  /// per-descriptor bucket storage at million-image scale; with it off,
+  /// `ann.enabled` must be on for query() to see any candidates.
   bool enable_descriptor_lsh = true;
   /// ANN candidate-pruning front end (MinHash banding + vocabulary
   /// routing); see index/ann.hpp.
@@ -85,7 +85,8 @@ class FeatureIndex {
   /// Phase 1 with ANN dispatch: the rescore shortlist under
   /// candidate_budget(params, recall_target), ranked (score desc, id asc).
   /// With `params.ann.enabled` the score is band collisions * band_weight
-  /// + shared words (+ deduplicated LSH votes when merging); otherwise
+  /// + shared words (+ deduplicated LSH votes when the index keeps
+  /// descriptor LSH tables); otherwise
   /// this is exactly lsh_candidates().  Scores are pure per-(query, image)
   /// functions either way, so sharded deployments merge per-shard lists
   /// into the single-index shortlist (see index/ann.hpp).
@@ -126,27 +127,12 @@ class FeatureIndex {
 
   const FeatureIndexParams& params() const noexcept { return params_; }
 
-  /// --- snapshot support (index/persistence.cpp) ---
-  bool ann_enabled() const noexcept { return ann_.has_value(); }
-  /// Fingerprint of the ANN row-shaping parameters; 0 when ANN is off.
-  std::uint64_t ann_fingerprint() const noexcept {
-    return ann_ ? ann_->fingerprint() : 0;
-  }
-  AnnFrontEnd::Row ann_row_of(ImageId id) const { return ann_->row_of(id); }
-  /// Restore-path insert: installs a previously persisted ANN row instead
-  /// of re-sketching/re-quantizing the descriptors.  Only valid when ANN is
-  /// enabled and the snapshot fingerprint matched.
-  ImageId insert_with_ann_row(feat::BinaryFeatures features, const GeoTag& geo,
-                              AnnFrontEnd::Row row);
-
  private:
   struct Entry {
     feat::BinaryFeatures features;
     GeoTag geo;
   };
 
-  ImageId insert_entry(feat::BinaryFeatures features, const GeoTag& geo,
-                       const AnnFrontEnd::Row* row);
   util::ThreadPool* rescore_pool() const;
 
   FeatureIndexParams params_;

@@ -1,7 +1,6 @@
 #include "index/persistence.hpp"
 
 #include <fstream>
-#include <limits>
 
 #include "index/serialize.hpp"
 #include "util/byte_io.hpp"
@@ -13,10 +12,10 @@ namespace {
 constexpr std::uint32_t kSnapshotMagic = 0x53454542;       // "BEES"
 constexpr std::uint32_t kFloatSnapshotMagic = 0x46454542;  // "BEEF"
 /// v1: magic, version, count, entries (feature bytes + geo).
-/// v2: adds an ANN block — a presence flag (+ fingerprint and band count)
-/// after the version, and a persisted AnnFrontEnd::Row after each entry's
-/// geotag, so a restore skips the sketch/quantize work when the reader's
-/// ANN parameters match the writer's.  Readers accept both versions.
+/// v2: adds a flag byte after the version of the binary snapshot.  Writers
+/// always set it to 0: a nonzero flag announced per-image ANN rows, which
+/// no reader uses (inserting an image re-sketches its row), so such a
+/// stream is rejected.  Readers accept v1, and v2 with the flag at 0.
 constexpr std::uint32_t kSnapshotVersionLegacy = 1;
 constexpr std::uint32_t kSnapshotVersion = 2;
 /// Tightest possible snapshot entry: 1-byte feature length varint, a
@@ -63,56 +62,13 @@ std::vector<std::uint8_t> read_file(const std::string& path, const char* who) {
   return util::lz_decompress(compressed);
 }
 
-void put_ann_row(util::ByteWriter& w, const AnnFrontEnd::Row& row) {
-  w.put_u8(row.band_signatures.empty() ? 0 : 1);
-  for (const auto sig : row.band_signatures) w.put_u64(sig);
-  w.put_varint(row.words.size());
-  // Words are sorted and unique, so deltas are small — varints stay short.
-  std::uint32_t prev = 0;
-  for (const auto word : row.words) {
-    w.put_varint(word - prev);
-    prev = word;
-  }
-}
-
-AnnFrontEnd::Row get_ann_row(util::ByteReader& r, std::uint32_t bands) {
-  AnnFrontEnd::Row row;
-  if (r.get_u8() != 0) {
-    row.band_signatures.reserve(bands);
-    for (std::uint32_t b = 0; b < bands; ++b) {
-      row.band_signatures.push_back(r.get_u64());
-    }
-  }
-  const auto word_count = r.get_varint();
-  if (word_count > r.remaining()) {  // every word delta is >= 1 byte
-    throw util::DecodeError("decode_index_snapshot: word count exceeds buffer");
-  }
-  row.words.reserve(word_count);
-  std::uint32_t prev = 0;
-  for (std::uint64_t i = 0; i < word_count; ++i) {
-    const auto delta = r.get_varint();
-    const std::uint64_t word = static_cast<std::uint64_t>(prev) + delta;
-    if (word > std::numeric_limits<std::uint32_t>::max()) {
-      throw util::DecodeError("decode_index_snapshot: word id overflow");
-    }
-    row.words.push_back(static_cast<std::uint32_t>(word));
-    prev = static_cast<std::uint32_t>(word);
-  }
-  return row;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_index_snapshot(const FeatureIndex& index) {
   util::ByteWriter w;
   w.put_u32(kSnapshotMagic);
   w.put_u32(kSnapshotVersion);
-  const bool ann = index.ann_enabled();
-  w.put_u8(ann ? 1 : 0);
-  if (ann) {
-    w.put_u64(index.ann_fingerprint());
-    w.put_u32(static_cast<std::uint32_t>(index.params().ann.bands));
-  }
+  w.put_u8(0);  // no ANN rows
   w.put_varint(index.image_count());
   for (std::size_t i = 0; i < index.image_count(); ++i) {
     const auto id = static_cast<ImageId>(i);
@@ -120,13 +76,13 @@ std::vector<std::uint8_t> encode_index_snapshot(const FeatureIndex& index) {
     w.put_varint(features.size());
     w.put_bytes(features);
     put_geo(w, index.geo_of(id));
-    if (ann) put_ann_row(w, index.ann_row_of(id));
   }
   return w.take();
 }
 
-FeatureIndex decode_index_snapshot(const std::vector<std::uint8_t>& bytes,
-                                   const FeatureIndexParams& params) {
+std::size_t visit_index_snapshot(
+    const std::vector<std::uint8_t>& bytes,
+    const std::function<void(feat::BinaryFeatures, const GeoTag&)>& visit) {
   util::ByteReader r(bytes);
   if (r.get_u32() != kSnapshotMagic) {
     throw util::DecodeError("decode_index_snapshot: bad magic");
@@ -135,26 +91,9 @@ FeatureIndex decode_index_snapshot(const std::vector<std::uint8_t>& bytes,
   if (version != kSnapshotVersionLegacy && version != kSnapshotVersion) {
     throw util::DecodeError("decode_index_snapshot: unsupported version");
   }
-  bool stored_rows = false;
-  std::uint64_t fingerprint = 0;
-  std::uint32_t bands = 0;
-  if (version >= kSnapshotVersion) {
-    stored_rows = r.get_u8() != 0;
-    if (stored_rows) {
-      fingerprint = r.get_u64();
-      bands = r.get_u32();
-      if (bands == 0 || bands > 1024) {
-        throw util::DecodeError("decode_index_snapshot: bad band count");
-      }
-    }
+  if (version == kSnapshotVersion && r.get_u8() != 0) {
+    throw util::DecodeError("decode_index_snapshot: unsupported ANN rows");
   }
-  FeatureIndex index(params);
-  // Stored rows are only trusted when the reader's ANN parameters shape
-  // rows identically to the writer's; otherwise they are parsed (to keep
-  // the stream in sync) and recomputed by the plain insert path.
-  const bool use_rows = stored_rows && index.ann_enabled() &&
-                        fingerprint == index.ann_fingerprint() &&
-                        bands == static_cast<std::uint32_t>(params.ann.bands);
   const auto count = r.get_varint();
   if (count > r.remaining() / kMinEntryBytes) {
     throw util::DecodeError("decode_index_snapshot: image count exceeds buffer");
@@ -163,16 +102,19 @@ FeatureIndex decode_index_snapshot(const std::vector<std::uint8_t>& bytes,
     const auto feature_len = static_cast<std::size_t>(r.get_varint());
     const auto feature_bytes = r.get_bytes(feature_len);
     feat::BinaryFeatures features = deserialize_binary(feature_bytes);
-    const GeoTag geo = get_geo(r);
-    if (stored_rows) {
-      AnnFrontEnd::Row row = get_ann_row(r, bands);
-      if (use_rows) {
-        index.insert_with_ann_row(std::move(features), geo, std::move(row));
-        continue;
-      }
-    }
-    index.insert(std::move(features), geo);
+    visit(std::move(features), get_geo(r));
   }
+  return static_cast<std::size_t>(count);
+}
+
+FeatureIndex decode_index_snapshot(const std::vector<std::uint8_t>& bytes,
+                                   const FeatureIndexParams& params) {
+  FeatureIndex index(params);
+  visit_index_snapshot(bytes,
+                       [&index](feat::BinaryFeatures features,
+                                const GeoTag& geo) {
+                         index.insert(std::move(features), geo);
+                       });
   return index;
 }
 
@@ -192,9 +134,9 @@ std::vector<std::uint8_t> encode_float_index_snapshot(
   return w.take();
 }
 
-FloatFeatureIndex decode_float_index_snapshot(
+std::size_t visit_float_index_snapshot(
     const std::vector<std::uint8_t>& bytes,
-    const FloatFeatureIndex::Params& params) {
+    const std::function<void(feat::FloatFeatures, const GeoTag&)>& visit) {
   util::ByteReader r(bytes);
   if (r.get_u32() != kFloatSnapshotMagic) {
     throw util::DecodeError("decode_float_index_snapshot: bad magic");
@@ -203,7 +145,6 @@ FloatFeatureIndex decode_float_index_snapshot(
   if (version != kSnapshotVersionLegacy && version != kSnapshotVersion) {
     throw util::DecodeError("decode_float_index_snapshot: unsupported version");
   }
-  FloatFeatureIndex index(params);
   const auto count = r.get_varint();
   if (count > r.remaining() / kMinEntryBytes) {
     throw util::DecodeError(
@@ -213,9 +154,20 @@ FloatFeatureIndex decode_float_index_snapshot(
     const auto feature_len = static_cast<std::size_t>(r.get_varint());
     const auto feature_bytes = r.get_bytes(feature_len);
     feat::FloatFeatures features = deserialize_float(feature_bytes);
-    const GeoTag geo = get_geo(r);
-    index.insert(std::move(features), geo);
+    visit(std::move(features), get_geo(r));
   }
+  return static_cast<std::size_t>(count);
+}
+
+FloatFeatureIndex decode_float_index_snapshot(
+    const std::vector<std::uint8_t>& bytes,
+    const FloatFeatureIndex::Params& params) {
+  FloatFeatureIndex index(params);
+  visit_float_index_snapshot(bytes,
+                             [&index](feat::FloatFeatures features,
+                                      const GeoTag& geo) {
+                               index.insert(std::move(features), geo);
+                             });
   return index;
 }
 
@@ -226,18 +178,6 @@ void save_index_snapshot(const FeatureIndex& index, const std::string& path) {
 FeatureIndex load_index_snapshot(const std::string& path,
                                  const FeatureIndexParams& params) {
   return decode_index_snapshot(read_file(path, "load_index_snapshot"), params);
-}
-
-void save_float_index_snapshot(const FloatFeatureIndex& index,
-                               const std::string& path) {
-  write_file(encode_float_index_snapshot(index), path,
-             "save_float_index_snapshot");
-}
-
-FloatFeatureIndex load_float_index_snapshot(
-    const std::string& path, const FloatFeatureIndex::Params& params) {
-  return decode_float_index_snapshot(
-      read_file(path, "load_float_index_snapshot"), params);
 }
 
 }  // namespace bees::idx

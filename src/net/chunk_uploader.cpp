@@ -7,14 +7,6 @@
 
 namespace bees::net {
 
-std::optional<Envelope> ChunkUploader::upload(
-    std::span<const std::uint8_t> payload, double modeled_bytes,
-    const std::vector<std::uint8_t>& commit_request, const Exchange& exchange,
-    ChunkUploadStats* stats) {
-  return upload_scans(payload, {}, modeled_bytes, commit_request, exchange,
-                      stats);
-}
-
 std::optional<Envelope> ChunkUploader::upload_scans(
     std::span<const std::uint8_t> payload,
     std::span<const std::size_t> scan_ends, double modeled_bytes,

@@ -68,22 +68,16 @@ class ChunkUploader {
   /// finalizes the upload server-side.  Returns the commit reply, or
   /// nullopt when any leg of the transfer gave up; already-delivered
   /// chunks survive server-side, so the next attempt resends less.
-  std::optional<Envelope> upload(std::span<const std::uint8_t> payload,
-                                 double modeled_bytes,
-                                 const std::vector<std::uint8_t>& commit_request,
-                                 const Exchange& exchange,
-                                 ChunkUploadStats* stats = nullptr);
-
-  /// Scan-structured upload: `scan_ends` are the cumulative byte offsets
-  /// of a progressive payload's scan boundaries (imaging/progressive.hpp's
+  ///
+  /// `scan_ends` are the cumulative byte offsets of a progressive payload's
+  /// scan boundaries (imaging/progressive.hpp's
   /// ProgressiveStream::scan_ends; the last entry must equal
   /// payload.size()).  Each scan becomes its own chunk-manifest transfer —
   /// chunk boundaries restart at every scan, so an identical scan dedups
   /// across devices and relays even when neighbouring scans differ — and
-  /// the final scan's commit carries the legacy envelope exactly like
-  /// upload().  With chunking disabled (or an empty/one-entry boundary
-  /// list) this degrades to upload().  Throws std::invalid_argument for a
-  /// non-monotone boundary list.
+  /// the final scan's commit carries the legacy envelope.  An empty or
+  /// one-entry boundary list uploads the payload as one manifest.  Throws
+  /// std::invalid_argument for a non-monotone boundary list.
   std::optional<Envelope> upload_scans(
       std::span<const std::uint8_t> payload,
       std::span<const std::size_t> scan_ends, double modeled_bytes,

@@ -403,6 +403,9 @@ ChunkManifestAck decode_chunk_manifest_ack(
   if (n > store::kMaxManifestChunks) {
     throw util::DecodeError("chunk ack: missing count exceeds limit");
   }
+  if (n > r.remaining()) {  // every index varint is >= 1 byte
+    throw util::DecodeError("chunk ack: missing count exceeds buffer");
+  }
   m.missing.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     m.missing.push_back(static_cast<std::uint32_t>(r.get_varint()));

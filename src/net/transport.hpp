@@ -74,8 +74,6 @@ class Transport {
   ExchangeResult exchange(const std::vector<std::uint8_t>& request,
                           double wire_bytes = -1.0);
 
-  const RetryPolicy& policy() const noexcept { return policy_; }
-
  private:
   Handler handler_;
   Channel* channel_;

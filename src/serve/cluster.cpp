@@ -31,7 +31,7 @@ std::uint64_t mix64(std::uint64_t x) {
 Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   const int n = std::max(1, options_.shards);
   options_.shards = n;
-  if (options_.enable_segment_store || !options_.segment_store.dir.empty()) {
+  if (!options_.segment_store.dir.empty()) {
     store::SegmentStoreOptions store_options = options_.segment_store;
     if (store_options.pool == nullptr) {
       store_pool_ = std::make_unique<util::ThreadPool>(

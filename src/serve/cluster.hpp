@@ -64,15 +64,11 @@ struct ClusterOptions {
   /// Content-addressed segment store shared by every shard (WAL bodies +
   /// snapshots) and by the wire chunk-upload plane (kChunkManifest /
   /// kChunkData / kChunkCommit requests).  Enabled when
-  /// `segment_store.dir` is non-empty or `enable_segment_store` is true
-  /// (the latter with an empty dir runs memory-backed — durable state
-  /// falls back to inline WAL/snapshot bytes being unavailable across
-  /// restarts, so pair it with data_dir only in tests).  Unless the caller
-  /// supplies one, the store compresses chunks on the cluster's worker
-  /// pool.  Chunk requests answered without a store decode to the
+  /// `segment_store.dir` is non-empty.  Unless the caller supplies one,
+  /// the store compresses chunks on the cluster's worker pool.  Chunk
+  /// requests answered without a store decode to the
   /// kChunkStoreDisabledMessage error, and uploaders fall back to whole
   /// images.
-  bool enable_segment_store = false;
   store::SegmentStoreOptions segment_store;
   /// How each shard slot is backed.  Unset = make_single_backend (one bare
   /// Shard per slot, kill_primary refused).  Install

@@ -459,29 +459,25 @@ void Shard::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
     gid = static_cast<std::uint32_t>(r.get_varint());
   }
 
-  const auto binary_bytes =
-      r.get_bytes(static_cast<std::size_t>(r.get_varint()));
-  const idx::FeatureIndex binary =
-      idx::decode_index_snapshot(binary_bytes, options_.binary_params);
-  const auto float_bytes =
-      r.get_bytes(static_cast<std::size_t>(r.get_varint()));
-  const idx::FloatFeatureIndex floats =
-      idx::decode_float_index_snapshot(float_bytes, options_.float_params);
-  if (binary.image_count() != binary_globals_.size() ||
-      floats.image_count() != float_globals_.size()) {
-    throw util::DecodeError("shard snapshot: id map / index size mismatch");
-  }
-
-  // Rebuild through seed_* (seeding records no stats), then reinstate the
-  // accounting the snapshot carried.
-  for (std::size_t i = 0; i < binary_globals_.size(); ++i) {
-    const auto id = static_cast<idx::ImageId>(i);
-    server_.seed_binary(binary.features_of(id), binary.geo_of(id),
-                        thumbs[i]);
-  }
-  for (std::size_t i = 0; i < float_globals_.size(); ++i) {
-    const auto id = static_cast<idx::ImageId>(i);
-    server_.seed_float(floats.features_of(id), floats.geo_of(id));
+  // Seed the server straight from the embedded index snapshots (seeding
+  // records no stats), then reinstate the accounting the snapshot carried.
+  constexpr const char* kMismatch =
+      "shard snapshot: id map / index size mismatch";
+  std::size_t n_seeded = 0;
+  const std::size_t n_binary_entries = idx::visit_index_snapshot(
+      r.get_bytes(static_cast<std::size_t>(r.get_varint())),
+      [&](feat::BinaryFeatures features, const idx::GeoTag& geo) {
+        if (n_seeded == thumbs.size()) throw util::DecodeError(kMismatch);
+        server_.seed_binary(std::move(features), geo, thumbs[n_seeded++]);
+      });
+  const std::size_t n_float_entries = idx::visit_float_index_snapshot(
+      r.get_bytes(static_cast<std::size_t>(r.get_varint())),
+      [&](feat::FloatFeatures features, const idx::GeoTag& geo) {
+        server_.seed_float(std::move(features), geo);
+      });
+  if (n_binary_entries != binary_globals_.size() ||
+      n_float_entries != float_globals_.size()) {
+    throw util::DecodeError(kMismatch);
   }
   const auto n_globals = static_cast<std::size_t>(r.get_varint());
   for (std::size_t i = 0; i < n_globals; ++i) {

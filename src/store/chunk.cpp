@@ -72,6 +72,12 @@ Manifest get_manifest(util::ByteReader& reader) {
   if (count > kMaxManifestChunks) {
     throw util::DecodeError("manifest: chunk count exceeds limit");
   }
+  // Every chunk key takes at least 13 bytes (u64 hash, u32 CRC, a size
+  // varint of >= 1 byte): a larger count cannot be satisfied by the input
+  // and must fail before the reserve below.
+  if (count > reader.remaining() / 13) {
+    throw util::DecodeError("manifest: chunk count exceeds buffer");
+  }
   if (manifest.chunk_size == 0 && count > 0) {
     throw util::DecodeError("manifest: zero chunk_size with chunks");
   }

@@ -361,6 +361,11 @@ std::vector<std::uint8_t> SegmentStore::get(const ChunkKey& key) {
 }
 
 std::vector<std::uint8_t> SegmentStore::get_payload(const Manifest& manifest) {
+  // total_bytes is only as trustworthy as the chunks behind it: size the
+  // payload once every chunk is known to be stored.
+  for (const ChunkKey& key : manifest.chunks) {
+    if (!contains(key)) throw util::DecodeError("segment store: missing chunk");
+  }
   std::vector<std::uint8_t> payload;
   payload.reserve(manifest.total_bytes);
   for (const ChunkKey& key : manifest.chunks) {

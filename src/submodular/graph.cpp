@@ -5,7 +5,6 @@
 
 #include "features/match_kernel.hpp"
 #include "features/similarity.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bees::sub {
 
@@ -44,37 +43,6 @@ SimilarityGraph build_similarity_graph(
       g.set_weight(i, j, feat::jaccard_similarity(*batch[i], *batch[j], match,
                                                   ops, workspace));
     }
-  }
-  return g;
-}
-
-SimilarityGraph build_similarity_graph_parallel(
-    const std::vector<feat::BinaryFeatures>& batch,
-    const feat::BinaryMatchParams& match, std::uint64_t* ops,
-    std::size_t threads) {
-  SimilarityGraph g(batch.size());
-  if (batch.size() < 2) return g;
-  // One task per row chunk computes weights (i, j > i); rows write
-  // disjoint cells, so no synchronization is needed on the graph itself.
-  // grain=2 keeps tiny batches from fanning out one-row tasks whose
-  // scheduling overhead rivals the matching work.
-  std::vector<std::uint64_t> row_ops(batch.size(), 0);
-  util::ThreadPool pool(threads);
-  pool.parallel_for_chunks(
-      batch.size(),
-      [&](std::size_t begin, std::size_t end) {
-        feat::MatchWorkspace workspace;
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = i + 1; j < batch.size(); ++j) {
-            g.set_weight(i, j,
-                         feat::jaccard_similarity(batch[i], batch[j], match,
-                                                  &row_ops[i], workspace));
-          }
-        }
-      },
-      /*grain=*/2);
-  if (ops) {
-    for (const auto r : row_ops) *ops += r;
   }
   return g;
 }

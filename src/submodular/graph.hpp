@@ -48,16 +48,6 @@ SimilarityGraph build_similarity_graph(
     const feat::BinaryMatchParams& match = {},
     std::uint64_t* ops = nullptr);
 
-/// Same result as build_similarity_graph, computed across `threads` worker
-/// threads (0 = hardware concurrency).  The pairwise work partition is
-/// static, so the graph is bit-identical to the serial one; `ops` reports
-/// the same total work (energy accounting is about the computation done,
-/// not the wall-clock it took).
-SimilarityGraph build_similarity_graph_parallel(
-    const std::vector<feat::BinaryFeatures>& batch,
-    const feat::BinaryMatchParams& match = {}, std::uint64_t* ops = nullptr,
-    std::size_t threads = 0);
-
 /// Partitions the graph into connected components after cutting every edge
 /// with weight < tw (the SSMM partition step).  Returns one component id
 /// per vertex, ids in [0, component_count).

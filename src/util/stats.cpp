@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace bees::util {
@@ -17,33 +16,6 @@ void RunningStats::add(double x) noexcept {
   sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_ + other.n_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / n;
-  mean_ = (mean_ * static_cast<double>(n_) +
-           other.mean_ * static_cast<double>(other.n_)) /
-          n;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
 }
 
 double percentile(std::vector<double> values, double p) {
@@ -55,44 +27,6 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<long>(t * static_cast<double>(counts_.size()));
-  i = std::clamp<long>(i, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  samples_.push_back(x);
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-double Histogram::fraction_above(double x) const noexcept {
-  if (total_ == 0) return 0.0;
-  std::size_t above = 0;
-  for (double s : samples_) {
-    if (s > x) ++above;
-  }
-  return static_cast<double>(above) / static_cast<double>(total_);
 }
 
 LinearFit fit_line(const std::vector<double>& xs,

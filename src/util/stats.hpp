@@ -1,5 +1,5 @@
 // Descriptive statistics used throughout the benchmark harness: running
-// moments, percentiles, histograms, and simple least-squares fits (the paper
+// sums and means, percentiles, and simple least-squares fits (the paper
 // argues energy-vs-compression is approximately linear; we test that claim).
 #pragma once
 
@@ -9,28 +9,22 @@
 
 namespace bees::util {
 
-/// Online mean/variance accumulator (Welford's algorithm).  O(1) memory,
-/// numerically stable; suitable for million-sample simulation streams.
+/// Online count/mean/min/max/sum accumulator.  O(1) memory; the mean
+/// follows Welford's incremental update, numerically stable for
+/// million-sample simulation streams.
 class RunningStats {
  public:
   void add(double x) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return sum_; }
 
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
@@ -39,36 +33,6 @@ class RunningStats {
 /// Linear interpolation percentile of `values` at `p` in [0, 1].
 /// The input is copied and sorted; returns 0 for an empty input.
 double percentile(std::vector<double> values, double p);
-
-/// Mean of `values`; 0 for an empty input.
-double mean_of(const std::vector<double>& values);
-
-/// Equal-width histogram over [lo, hi] with `bins` buckets.  Values outside
-/// the range are clamped into the first/last bucket.  Used for the Fig. 4
-/// similarity-distribution experiment.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
-  /// Fraction of samples strictly greater than `x` — the paper's
-  /// "similarity of P% of pairs is larger than x" statistic.
-  double fraction_above(double x) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::vector<double> samples_;  // retained for exact fraction_above
-  std::size_t total_ = 0;
-};
 
 /// Result of an ordinary least-squares fit y = slope*x + intercept.
 struct LinearFit {

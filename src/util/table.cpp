@@ -44,18 +44,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ',';
-      os << cells[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 void print_banner(std::ostream& os, const std::string& title) {
   os << "\n=== " << title << " ===\n";
 }

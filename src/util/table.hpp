@@ -24,7 +24,6 @@ class Table {
   static std::string pct(double fraction, int precision = 1);
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const noexcept { return rows_.size(); }
   const std::vector<std::string>& row(std::size_t i) const {

@@ -1,8 +1,8 @@
-// Minimal fixed-size thread pool with a parallel_for helper.  The heaviest
-// client-side computation in BEES is the IBRD pairwise-similarity graph
-// (O(n^2) descriptor matchings per batch); build_similarity_graph_parallel
-// spreads it across cores.  Deterministic: the work partition is static,
-// so results are identical to the serial path.
+// Minimal fixed-size thread pool with a parallel_for helper.  The serving
+// cluster runs its request workers and segment-store chunk compression on
+// pools, the feature indexes split exact rescoring over one, and the fleet
+// simulator steps its devices on one.  Deterministic: the work partition is
+// static, so results are identical to the serial path.
 #pragma once
 
 #include <algorithm>
@@ -36,18 +36,16 @@ class ThreadPool {
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
   /// Runs fn(begin, end) for each contiguous chunk of [0, n) across the
-  /// pool, blocking until done.  One chunk goes to each worker; `grain`
-  /// sets a minimum chunk length for cheap iterations (0 = no minimum).
-  /// The partition depends only on n, thread_count() and grain — never on
-  /// runtime timing — so results match the serial path exactly.  Chunk
+  /// pool, blocking until done.  One chunk goes to each worker.  The
+  /// partition depends only on n and thread_count() — never on runtime
+  /// timing — so results match the serial path exactly.  Chunk
   /// granularity lets callers hoist per-worker state (e.g. a
   /// feat::MatchWorkspace) out of the per-index loop.
   template <typename Fn>
-  void parallel_for_chunks(std::size_t n, Fn&& fn, std::size_t grain = 0) {
+  void parallel_for_chunks(std::size_t n, Fn&& fn) {
     if (n == 0) return;
     const std::size_t chunks = std::min(n, thread_count());
-    std::size_t per_chunk = (n + chunks - 1) / chunks;
-    if (grain > 1) per_chunk = std::max(per_chunk, grain);
+    const std::size_t per_chunk = (n + chunks - 1) / chunks;
     for (std::size_t begin = 0; begin < n; begin += per_chunk) {
       const std::size_t end = std::min(begin + per_chunk, n);
       submit([begin, end, &fn] { fn(begin, end); });
@@ -60,13 +58,10 @@ class ThreadPool {
   /// invoked directly (no std::function indirection), letting the compiler
   /// inline per-index bodies.
   template <typename Fn>
-  void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 0) {
-    parallel_for_chunks(
-        n,
-        [&fn](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) fn(i);
-        },
-        grain);
+  void parallel_for(std::size_t n, Fn&& fn) {
+    parallel_for_chunks(n, [&fn](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) fn(i);
+    });
   }
 
  private:

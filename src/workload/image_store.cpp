@@ -119,12 +119,6 @@ const std::vector<std::uint8_t>& ImageStore::encoded_payload(
   return payload_cache_.emplace(key, std::move(bytes)).first->second;
 }
 
-const std::vector<std::uint8_t>& ImageStore::original_payload(
-    const ImageSpec& spec) {
-  const double original_prop = 1.0 - params_.original_quality / 100.0;
-  return encoded_payload(spec, 0.0, original_prop);
-}
-
 const img::ProgressiveStream& ImageStore::progressive_payload(
     const ImageSpec& spec, double resolution_prop, double quality_prop,
     int scans) {

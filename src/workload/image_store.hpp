@@ -74,8 +74,6 @@ class ImageStore {
   const std::vector<std::uint8_t>& encoded_payload(const ImageSpec& spec,
                                                    double resolution_prop,
                                                    double quality_prop);
-  /// Payload of original(): as-shot encoding (Direct Upload's bytes).
-  const std::vector<std::uint8_t>& original_payload(const ImageSpec& spec);
 
   /// Progressive (v2) stream for the same variant as encoded_payload(),
   /// split into `scans` spectral-selection / successive-approximation scans

@@ -74,31 +74,6 @@ TEST(HistogramIntersection, ViewsOfSameSceneBeatDifferentScenes) {
             histogram_intersection(view1, other));
 }
 
-TEST(HistogramChi2, ZeroForIdenticalPositiveOtherwise) {
-  const ColorHistogram a =
-      color_histogram(img::render_scene(img::SceneSpec{29, 18, 4}, 96, 72));
-  const ColorHistogram b =
-      color_histogram(img::render_scene(img::SceneSpec{31, 18, 4}, 96, 72));
-  EXPECT_NEAR(histogram_chi2(a, a), 0.0, 1e-9);
-  EXPECT_GT(histogram_chi2(a, b), 0.0);
-  EXPECT_DOUBLE_EQ(histogram_chi2(a, b), histogram_chi2(b, a));
-}
-
-TEST(HistogramChi2, AgreesWithIntersectionOrdering) {
-  util::Rng rng(5);
-  const img::SceneSpec spec{37, 18, 4};
-  const ColorHistogram base = color_histogram(
-      img::render_view(spec, 96, 72, img::ViewPerturbation{}, rng));
-  const ColorHistogram similar = color_histogram(
-      img::render_view(spec, 96, 72, img::ViewPerturbation{}, rng));
-  const ColorHistogram different =
-      color_histogram(img::render_scene(img::SceneSpec{41, 18, 4}, 96, 72));
-  // Similar pair: higher intersection and lower chi2.
-  EXPECT_GT(histogram_intersection(base, similar),
-            histogram_intersection(base, different));
-  EXPECT_LT(histogram_chi2(base, similar), histogram_chi2(base, different));
-}
-
 TEST(ColorHistogram, EmptyImageIsAllZero) {
   const ColorHistogram h = color_histogram(img::Image{});
   for (const float v : h.bins) EXPECT_EQ(v, 0.0f);

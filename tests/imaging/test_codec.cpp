@@ -152,11 +152,5 @@ TEST(QualityFromProportion, MapsPaperKnob) {
   EXPECT_EQ(quality_from_proportion(-1.0), 100);  // clamped
 }
 
-TEST(CompressedSize, DecreasesWithProportion) {
-  const Image src = render_scene(SceneSpec{53}, 96, 96);
-  EXPECT_LT(compressed_size(src, 0.85), compressed_size(src, 0.3));
-  EXPECT_LT(compressed_size(src, 0.3), compressed_size(src, 0.0));
-}
-
 }  // namespace
 }  // namespace bees::img

@@ -58,38 +58,5 @@ TEST(Image, DefaultIsEmpty) {
   EXPECT_EQ(im.pixel_count(), 0u);
 }
 
-TEST(IntegralImage, MatchesNaiveBoxSums) {
-  Image im(8, 6, 1);
-  int v = 0;
-  for (int y = 0; y < 6; ++y) {
-    for (int x = 0; x < 8; ++x) im.set(x, y, static_cast<std::uint8_t>(v++ % 251));
-  }
-  IntegralImage integral(im);
-  auto naive = [&](int x0, int y0, int x1, int y1) {
-    std::int64_t s = 0;
-    for (int y = y0; y <= y1; ++y) {
-      for (int x = x0; x <= x1; ++x) s += im.at(x, y);
-    }
-    return s;
-  };
-  EXPECT_EQ(integral.box_sum(0, 0, 7, 5), naive(0, 0, 7, 5));
-  EXPECT_EQ(integral.box_sum(2, 1, 5, 4), naive(2, 1, 5, 4));
-  EXPECT_EQ(integral.box_sum(3, 3, 3, 3), naive(3, 3, 3, 3));
-}
-
-TEST(IntegralImage, ClampsOutOfRangeRectangles) {
-  Image im(4, 4, 1);
-  im.fill(1);
-  IntegralImage integral(im);
-  EXPECT_EQ(integral.box_sum(-10, -10, 100, 100), 16);
-}
-
-TEST(IntegralImage, EmptyRectangleIsZero) {
-  Image im(4, 4, 1);
-  im.fill(1);
-  IntegralImage integral(im);
-  EXPECT_EQ(integral.box_sum(3, 3, 1, 1), 0);
-}
-
 }  // namespace
 }  // namespace bees::img

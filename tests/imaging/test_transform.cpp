@@ -162,21 +162,5 @@ TEST(AddGaussianNoise, ChangesPixelsWithBoundedDeviation) {
   EXPECT_NE(out, im);
 }
 
-TEST(Crop, ExtractsSubRectangle) {
-  const Image src = gradient_image(10, 10);
-  const Image out = crop(src, 2, 3, 4, 5);
-  EXPECT_EQ(out.width(), 4);
-  EXPECT_EQ(out.height(), 5);
-  EXPECT_EQ(out.at(0, 0), src.at(2, 3));
-  EXPECT_EQ(out.at(3, 4), src.at(5, 7));
-}
-
-TEST(Crop, RejectsOutOfBounds) {
-  const Image src = gradient_image(10, 10);
-  EXPECT_THROW(crop(src, 8, 8, 4, 4), std::invalid_argument);
-  EXPECT_THROW(crop(src, -1, 0, 2, 2), std::invalid_argument);
-  EXPECT_THROW(crop(src, 0, 0, 0, 2), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace bees::img

@@ -117,10 +117,8 @@ FloatFeatureIndex make_float_index(int images) {
 
 TEST(Persistence, FloatRoundTripPreservesEverything) {
   const FloatFeatureIndex original = make_float_index(4);
-  const std::string path = temp_path("bees_float_snapshot.bin");
-  save_float_index_snapshot(original, path);
-  const FloatFeatureIndex loaded = load_float_index_snapshot(path);
-  std::remove(path.c_str());
+  const FloatFeatureIndex loaded =
+      decode_float_index_snapshot(encode_float_index_snapshot(original));
 
   ASSERT_EQ(loaded.image_count(), original.image_count());
   for (std::size_t i = 0; i < original.image_count(); ++i) {
@@ -134,10 +132,8 @@ TEST(Persistence, FloatRoundTripPreservesEverything) {
 
 TEST(Persistence, FloatLoadedIndexAnswersQueriesIdentically) {
   const FloatFeatureIndex original = make_float_index(5);
-  const std::string path = temp_path("bees_float_snapshot2.bin");
-  save_float_index_snapshot(original, path);
-  const FloatFeatureIndex loaded = load_float_index_snapshot(path);
-  std::remove(path.c_str());
+  const FloatFeatureIndex loaded =
+      decode_float_index_snapshot(encode_float_index_snapshot(original));
 
   for (std::size_t i = 0; i < original.image_count(); ++i) {
     const auto id = static_cast<ImageId>(i);
@@ -150,10 +146,8 @@ TEST(Persistence, FloatLoadedIndexAnswersQueriesIdentically) {
 
 TEST(Persistence, FloatEmptyIndexRoundTrips) {
   const FloatFeatureIndex empty;
-  const std::string path = temp_path("bees_float_empty.bin");
-  save_float_index_snapshot(empty, path);
-  const FloatFeatureIndex loaded = load_float_index_snapshot(path);
-  std::remove(path.c_str());
+  const FloatFeatureIndex loaded =
+      decode_float_index_snapshot(encode_float_index_snapshot(empty));
   EXPECT_EQ(loaded.image_count(), 0u);
 }
 
@@ -180,54 +174,70 @@ FeatureIndex make_ann_index(int images) {
   return index;
 }
 
-TEST(Persistence, AnnRowsRoundTripThroughV2Snapshot) {
-  const FeatureIndex original = make_ann_index(4);
-  const auto bytes = encode_index_snapshot(original);
-  const FeatureIndex loaded = decode_index_snapshot(bytes, ann_params());
-  ASSERT_EQ(loaded.image_count(), original.image_count());
-  ASSERT_TRUE(loaded.ann_enabled());
-  // The restored rows must be bit-identical to the originals (they were
-  // installed from the snapshot, not recomputed — but either path must
-  // produce the same rows, since rows are pure functions of the params).
-  for (std::size_t i = 0; i < original.image_count(); ++i) {
+/// `index`'s images inserted, in id order, into a fresh index built with
+/// `params`: what a snapshot of `index` must load as under `params`.
+FeatureIndex rebuilt(const FeatureIndex& index,
+                     const FeatureIndexParams& params) {
+  FeatureIndex out(params);
+  for (std::size_t i = 0; i < index.image_count(); ++i) {
     const auto id = static_cast<ImageId>(i);
-    const auto a = original.ann_row_of(id);
-    const auto b = loaded.ann_row_of(id);
-    EXPECT_EQ(a.band_signatures, b.band_signatures);
-    EXPECT_EQ(a.words, b.words);
+    out.insert(index.features_of(id), index.geo_of(id));
   }
-  // And re-encoding the loaded index reproduces the snapshot byte-for-byte.
-  EXPECT_EQ(encode_index_snapshot(loaded), bytes);
+  return out;
+}
+
+/// `loaded` must shortlist and answer exactly like `expected` for fresh
+/// views of the scenes make_index/make_ann_index store.
+void expect_same_answers(const FeatureIndex& loaded,
+                         const FeatureIndex& expected) {
+  util::Rng rng(12);
+  img::ViewPerturbation pert;
+  for (std::size_t i = 0; i < expected.image_count(); ++i) {
+    const img::SceneSpec spec{static_cast<std::uint64_t>(9900 + i), 18, 4};
+    const auto query =
+        feat::extract_orb(img::render_view(spec, 200, 150, pert, rng));
+    EXPECT_EQ(loaded.candidates(query), expected.candidates(query));
+    const QueryResult a = loaded.query(query);
+    const QueryResult b = expected.query(query);
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (std::size_t h = 0; h < a.hits.size(); ++h) {
+      EXPECT_EQ(a.hits[h].id, b.hits[h].id);
+      EXPECT_EQ(a.hits[h].similarity, b.hits[h].similarity);
+    }
+    EXPECT_EQ(a.candidates_checked, b.candidates_checked);
+    EXPECT_EQ(a.ops, b.ops);
+  }
 }
 
 TEST(Persistence, AnnSnapshotLoadsIntoAnnDisabledIndex) {
-  // A v2 snapshot with rows must still load into a plain-LSH index: the
-  // rows are parsed (to keep the stream in sync) and discarded.
+  // ANN state is derived: an ANN index writes the same snapshot bytes as a
+  // plain one, and they load into a plain-LSH index like a fresh build.
   const FeatureIndex original = make_ann_index(3);
   const auto bytes = encode_index_snapshot(original);
+  EXPECT_EQ(bytes, encode_index_snapshot(rebuilt(original, {})));
   const FeatureIndex loaded = decode_index_snapshot(bytes);  // default params
   EXPECT_EQ(loaded.image_count(), 3u);
-  EXPECT_FALSE(loaded.ann_enabled());
+  expect_same_answers(loaded, rebuilt(original, {}));
   const QueryResult r = loaded.query_exact(original.features_of(0));
   EXPECT_EQ(r.best_id, 0u);
 }
 
 TEST(Persistence, AnnSnapshotWithMismatchedParamsRecomputesRows) {
-  // Reader trains a differently-shaped tree: the stored fingerprint
-  // mismatches, rows are recomputed, and queries still work.
+  // Reader trains a differently-shaped tree: the rows are sketched under
+  // the reader's params, and the index answers like one built with them.
   const FeatureIndex original = make_ann_index(3);
   const auto bytes = encode_index_snapshot(original);
+  expect_same_answers(decode_index_snapshot(bytes, ann_params()), original);
   FeatureIndexParams params = ann_params();
   params.ann.vocabulary.branching = 3;
   const FeatureIndex loaded = decode_index_snapshot(bytes, params);
-  ASSERT_TRUE(loaded.ann_enabled());
-  EXPECT_NE(loaded.ann_fingerprint(), original.ann_fingerprint());
+  expect_same_answers(loaded, rebuilt(original, params));
   const QueryResult r = loaded.query(original.features_of(1));
   EXPECT_EQ(r.best_id, 1u);
 }
 
 TEST(Persistence, LegacyV1SnapshotStillLoads) {
-  // Hand-build a version-1 snapshot (no ANN block) and check the v2 reader
+  // Hand-build a version-1 snapshot (no flag byte) and check the v2 reader
   // accepts it — the backward-compatibility contract of the version bump.
   const FeatureIndex original = make_index(2);
   util::ByteWriter w;
@@ -252,10 +262,20 @@ TEST(Persistence, LegacyV1SnapshotStillLoads) {
               original.features_of(id).descriptors);
     EXPECT_EQ(loaded.geo_of(id), original.geo_of(id));
   }
-  // ANN rows were rebuilt from the descriptors during the legacy load.
-  EXPECT_TRUE(loaded.ann_enabled());
+  // ANN rows were sketched from the descriptors during the legacy load.
+  expect_same_answers(loaded, rebuilt(original, ann_params()));
   const QueryResult r = loaded.query(original.features_of(0));
   EXPECT_EQ(r.best_id, 0u);
+}
+
+TEST(Persistence, NonzeroAnnFlagIsRejected) {
+  // v2's flag byte once announced persisted ANN rows; no reader parses
+  // them, so a stream claiming them is corrupt, not silently misread.
+  auto bytes = encode_index_snapshot(make_index(2));
+  ASSERT_EQ(bytes.at(8), 0u);  // magic, version, then the flag
+  bytes[8] = 1;
+  EXPECT_THROW(decode_index_snapshot(bytes), util::DecodeError);
+  EXPECT_THROW(decode_index_snapshot(bytes, ann_params()), util::DecodeError);
 }
 
 TEST(Persistence, HugeImageCountFailsCleanly) {
@@ -264,7 +284,7 @@ TEST(Persistence, HugeImageCountFailsCleanly) {
   util::ByteWriter w;
   w.put_u32(0x53454542);
   w.put_u32(2);
-  w.put_u8(0);                        // no ANN block
+  w.put_u8(0);                        // no ANN rows
   w.put_varint(0xffffffffffffull);    // absurd image count
   EXPECT_THROW(decode_index_snapshot(w.take()), util::DecodeError);
 

@@ -339,6 +339,73 @@ TEST_F(RecoveryTest, FloatIndexSurvivesSnapshotRecovery) {
   }
 }
 
+TEST_F(RecoveryTest, AnnIndexRecoversIdenticalReplies) {
+  // A recovered shard rebuilds its ANN state by re-sketching every image
+  // it re-inserts, from the snapshot and from the WAL tail alike.  Every
+  // reply after the reopen must equal the reply before it and the serial
+  // server's: hits, similarities, candidates_checked and ops.
+  idx::FeatureIndexParams binary_params;
+  binary_params.ann.enabled = true;
+  binary_params.ann.vocabulary.branching = 4;
+  binary_params.ann.vocabulary.depth = 2;
+  binary_params.ann.vocabulary_sample = 256;
+  constexpr int kImages = 10;
+  constexpr int kCheckpointed = 6;  // the rest live only in the WAL tail
+
+  std::vector<feat::BinaryFeatures> queries;
+  for (int i = 0; i < kImages; ++i) {
+    const auto scene = 400 + static_cast<std::uint64_t>(i);
+    queries.push_back(make_binary(scene));  // the stored view itself
+    util::Rng rng(scene * 1000 + 1);        // and a fresh view of it
+    queries.push_back(feat::extract_orb(img::render_view(
+        img::SceneSpec{scene, 18, 4}, 200, 150, img::ViewPerturbation{},
+        rng)));
+  }
+  const auto expect_same = [](const idx::QueryResult& got,
+                              const idx::QueryResult& want) {
+    EXPECT_EQ(got.best_id, want.best_id);
+    EXPECT_EQ(got.max_similarity, want.max_similarity);
+    EXPECT_EQ(got.candidates_checked, want.candidates_checked);
+    EXPECT_EQ(got.ops, want.ops);
+    ASSERT_EQ(got.hits.size(), want.hits.size());
+    for (std::size_t h = 0; h < want.hits.size(); ++h) {
+      EXPECT_EQ(got.hits[h].id, want.hits[h].id);
+      EXPECT_EQ(got.hits[h].similarity, want.hits[h].similarity);
+    }
+  };
+
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ClusterOptions durable;
+    durable.shards = shards;
+    durable.data_dir = dir_ + "/shards" + std::to_string(shards);
+    durable.binary_params = binary_params;
+    cloud::Server serial(binary_params, {});
+    std::vector<idx::QueryResult> before;
+    {
+      Cluster cluster(durable);
+      for (int i = 0; i < kImages; ++i) {
+        if (i == kCheckpointed) cluster.checkpoint();
+        const cloud::StoreInfo info{700'000.0 + i, geo_of(i), 12'000.0 + i};
+        const auto features = make_binary(400 + static_cast<std::uint64_t>(i));
+        cluster.store_binary(features, info);
+        serial.store_binary(features, info);
+      }
+      for (const auto& q : queries) {
+        before.push_back(cluster.query_binary(q, 9'000.0));
+      }
+    }
+
+    Cluster recovered(durable);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      const idx::QueryResult after = recovered.query_binary(queries[q], 9'000.0);
+      expect_same(after, before[q]);
+      expect_same(after, serial.query_binary(queries[q], 9'000.0));
+    }
+  }
+}
+
 TEST(ShardSnapshot, OversizedCountsAreDecodeErrors) {
   // An empty shard's snapshot: a 56-byte header and accounting block, then
   // the location-key, binary-gid and float-gid counts as one-byte zeros.

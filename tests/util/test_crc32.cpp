@@ -1,4 +1,4 @@
-#include "util/crc32.hpp"
+#include "util/hash.hpp"
 
 #include <gtest/gtest.h>
 

@@ -41,14 +41,6 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_GE(x_line.find('1'), std::string("longer").size());
 }
 
-TEST(Table, CsvEmitsCommaSeparated) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, BannerContainsTitle) {
   std::ostringstream os;
   print_banner(os, "Figure 7: Energy overhead");

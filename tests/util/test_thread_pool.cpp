@@ -54,16 +54,6 @@ TEST(ThreadPool, ParallelForComputesCorrectSum) {
   EXPECT_EQ(sum, 9999L * 10000L);  // 2 * n(n-1)/2
 }
 
-TEST(ThreadPool, ParallelForGrainCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (const std::size_t grain : {0u, 1u, 7u, 100u, 1000u}) {
-    std::vector<std::atomic<int>> hits(97);
-    pool.parallel_for(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, grain);
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "grain=" << grain;
-  }
-}
-
 TEST(ThreadPool, ParallelForTakesMutableCallableByReference) {
   // The templated overload must not copy the callable per chunk: a
   // mutable-state lambda observed through a reference still works because
