@@ -7,6 +7,7 @@
 // (several-fold slower).
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -21,6 +22,7 @@
 #include "core/simulation.hpp"
 #include "features/simd.hpp"
 #include "obs/json.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace bees::bench {
@@ -57,6 +59,27 @@ inline core::SchemeConfig make_config(double byte_scale) {
   core::SchemeConfig cfg;
   cfg.image_byte_scale = byte_scale;
   return cfg;
+}
+
+/// One number measured over repeated runs: how many, their median, and
+/// their range.  Wall-clock rates on a shared host move run to run, so a
+/// bench reports all three instead of one sample.
+struct RepSpread {
+  int reps = 0;
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+inline RepSpread spread_of(const std::vector<double>& values) {
+  RepSpread out;
+  out.reps = static_cast<int>(values.size());
+  if (values.empty()) return out;
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  out.median = util::percentile(values, 0.5);
+  out.min = *lo;
+  out.max = *hi;
+  return out;
 }
 
 /// One named number in a BENCH_*.json row or object; counts convert to

@@ -144,6 +144,9 @@ int main_impl(bool smoke) {
   params.ann.vocabulary.branching = 16;
   params.ann.vocabulary.depth = 3;
   params.ann.vocabulary_sample = 16384;
+  // One query over the whole corpus with nothing else running: the exact
+  // reference scan is what a per-core rescore pool speeds up.
+  params.rescore_threads = 0;
 
   const int kImages = smoke ? 20'000 : bench::sized(200'000, 1'000'000);
   // The exact reference scans the whole corpus per query, so it dominates

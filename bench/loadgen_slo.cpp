@@ -10,6 +10,8 @@
 // report columns are identical either way — only the real wall clock and
 // the report's batching stats move.
 //
+// The full run repeats each shape 5 times, interleaved, and reports the
+// median real qps with its min/max; the speedup is the ratio of medians.
 // The scaling bar (4/4 must reach >= 3x the 1/1 real rate) is only
 // *enforced* on machines with at least 4 hardware threads; on fewer cores
 // the fan-out cannot physically scale and the ratio is informational.
@@ -17,7 +19,8 @@
 // <dir>/BENCH_loadgen.json alongside the core count that produced them.
 //
 // Usage: loadgen_slo [--smoke]   (--smoke shrinks the fleet and duration
-// so the perfsmoke ctest label can verify the bench end-to-end quickly)
+// and runs each shape once so the perfsmoke ctest label can verify the
+// bench end-to-end quickly)
 #include <iostream>
 #include <string>
 #include <thread>
@@ -36,11 +39,12 @@ struct Shape {
   int threads;
 };
 
+/// One shape's runs: the deterministic report (the same every run) and
+/// each run's real serving rate.
 struct Row {
   Shape shape;
   fleet::FleetResult result;
-  double real_qps = 0.0;
-  double speedup = 1.0;
+  std::vector<double> real_qps;
 };
 
 fleet::FleetOptions base_options(bool smoke) {
@@ -60,23 +64,21 @@ fleet::FleetOptions base_options(bool smoke) {
   return o;
 }
 
-Row run_shape(const Shape& shape, const fleet::FleetOptions& base) {
+/// Runs `shape` once more into `row`.
+void run_shape(const fleet::FleetOptions& base, Row& row) {
   fleet::FleetOptions o = base;
-  o.shards = shape.shards;
-  o.server_threads = shape.threads;
-  o.batch_window = shape.threads;
+  o.shards = row.shape.shards;
+  o.server_threads = row.shape.threads;
+  o.batch_window = row.shape.threads;
   // Barrier query fan-out matches the cluster's parallelism; phase-A
   // device work rides the same pool.  The report stays deterministic for
   // any worker count — only the wall clock moves.
-  o.workers = shape.threads;
-  Row row;
-  row.shape = shape;
+  o.workers = row.shape.threads;
   row.result = fleet::run_fleet(o);
-  row.real_qps = row.result.serve_wall_seconds > 0.0
-                     ? static_cast<double>(row.result.real_handles) /
-                           row.result.serve_wall_seconds
-                     : 0.0;
-  return row;
+  row.real_qps.push_back(row.result.serve_wall_seconds > 0.0
+                             ? static_cast<double>(row.result.real_handles) /
+                                   row.result.serve_wall_seconds
+                             : 0.0);
 }
 
 int main_impl(bool smoke) {
@@ -86,32 +88,34 @@ int main_impl(bool smoke) {
   std::cout << "hardware threads: " << cores << ", devices: " << base.devices
             << ", duration: " << base.duration_s << "s (virtual)\n\n";
 
-  const std::vector<Shape> shapes{{1, 1}, {4, 4}};
-  std::vector<Row> rows;
-  for (const Shape& shape : shapes) {
-    rows.push_back(run_shape(shape, base));
-    if (rows.front().real_qps > 0.0) {
-      rows.back().speedup = rows.back().real_qps / rows.front().real_qps;
-    }
+  const int reps = smoke ? 1 : 5;
+  std::vector<Row> rows{{{1, 1}, {}, {}}, {{4, 4}, {}, {}}};
+  for (int rep = 0; rep < reps; ++rep) {
+    for (Row& row : rows) run_shape(base, row);
   }
+  const double base_qps = bench::spread_of(rows.front().real_qps).median;
+  const auto speedup = [&](const Row& row) {
+    return base_qps > 0.0 ? bench::spread_of(row.real_qps).median / base_qps
+                          : 1.0;
+  };
 
   util::Table table({"shards", "threads", "served", "shed rate", "p99 (s)",
-                     "real qps", "speedup vs 1/1"});
+                     "reps", "median real qps", "min", "max",
+                     "speedup vs 1/1"});
+  bench::BenchJson json("loadgen");
   for (const Row& row : rows) {
     const fleet::FleetReport& r = row.result.report;
+    const bench::RepSpread spread = bench::spread_of(row.real_qps);
     table.add_row({std::to_string(row.shape.shards),
                    std::to_string(row.shape.threads),
                    std::to_string(r.totals.served),
                    util::Table::num(r.totals.shed_rate(), 4),
                    util::Table::num(r.latency_all.p99_s, 3),
-                   util::Table::num(row.real_qps, 1),
-                   util::Table::num(row.speedup, 2) + "x"});
-  }
-  table.print(std::cout);
-
-  bench::BenchJson json("loadgen");
-  for (const Row& row : rows) {
-    const fleet::FleetReport& r = row.result.report;
+                   std::to_string(spread.reps),
+                   util::Table::num(spread.median, 1),
+                   util::Table::num(spread.min, 1),
+                   util::Table::num(spread.max, 1),
+                   util::Table::num(speedup(row), 2) + "x"});
     json.add(std::to_string(row.shape.shards) + "shards/" +
                  std::to_string(row.shape.threads) + "threads",
              {{"shards", row.shape.shards},
@@ -120,12 +124,15 @@ int main_impl(bool smoke) {
               {"shed_rate", r.totals.shed_rate()},
               {"p99_s", r.latency_all.p99_s},
               {"real_handles", row.result.real_handles},
-              {"serve_wall_seconds", row.result.serve_wall_seconds},
-              {"real_qps", row.real_qps},
-              {"speedup", row.speedup}});
+              {"reps", spread.reps},
+              {"real_qps_median", spread.median},
+              {"real_qps_min", spread.min},
+              {"real_qps_max", spread.max},
+              {"speedup", speedup(row)}});
   }
+  table.print(std::cout);
 
-  const double scaling = rows.back().speedup;
+  const double scaling = speedup(rows.back());
   if (cores >= 4) {
     std::cout << "\nScaling bar: 4 shards / 4 threads reached "
               << util::Table::num(scaling, 2) << "x (required >= 3x)\n";

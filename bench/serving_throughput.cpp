@@ -5,14 +5,18 @@
 // admission gate, worker pool, cloud::dispatch, and the cluster's binary
 // fan-out.
 //
-// The scaling bar (4/4 must reach >= 3x the 1/1 rate) is only *enforced*
-// on machines with at least 4 hardware threads — on fewer cores the fan-out
-// cannot physically scale and the number is reported as informational.
-// When BEES_BENCH_JSON names a directory the measured rows are written to
+// The full run repeats every configuration 5 times, interleaved so a drift
+// in host speed spreads over all of them, and reports the median qps with
+// its min/max; the speedup is the ratio of medians.  The scaling bar (4/4
+// must reach >= 3x the 1/1 rate) is only *enforced* on machines with at
+// least 4 hardware threads — on fewer cores the fan-out cannot physically
+// scale and the number is reported as informational.  When BEES_BENCH_JSON
+// names a directory the measured rows are written to
 // <dir>/BENCH_serving.json alongside the core count that produced them.
 //
-// Usage: serving_throughput [--smoke]   (--smoke cuts the request count so
-// the perfsmoke ctest label can verify the bench end-to-end in ~a second)
+// Usage: serving_throughput [--smoke]   (--smoke cuts the request count and
+// runs each configuration once so the perfsmoke ctest label can verify the
+// bench end-to-end in ~a second)
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -44,18 +48,11 @@ struct Config {
   int threads;
 };
 
-struct Row {
-  Config config;
-  int requests = 0;
-  double seconds = 0.0;
-  double qps = 0.0;
-  double speedup = 1.0;
-};
-
-Row run_config(const Config& config,
-               const std::vector<feat::BinaryFeatures>& seeds,
-               const std::vector<std::vector<std::uint8_t>>& requests,
-               int client_threads) {
+/// Queries per second of one run of `config`.
+double run_config(const Config& config,
+                  const std::vector<feat::BinaryFeatures>& seeds,
+                  const std::vector<std::vector<std::uint8_t>>& requests,
+                  int client_threads) {
   serve::ClusterOptions options;
   options.shards = config.shards;
   options.threads = config.threads;
@@ -83,23 +80,17 @@ Row run_config(const Config& config,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-
-  Row row;
-  row.config = config;
-  row.requests = static_cast<int>(requests.size());
-  row.seconds = seconds;
-  row.qps = seconds > 0.0 ? static_cast<double>(requests.size()) / seconds
-                          : 0.0;
-  return row;
+  return seconds > 0.0 ? static_cast<double>(requests.size()) / seconds : 0.0;
 }
 
 int main_impl(bool smoke) {
   const int kSeeds = bench::sized(16, 48);
   const int kRequests = smoke ? 32 : bench::sized(256, 1024);
+  const int kReps = smoke ? 1 : 5;
   const unsigned cores = std::thread::hardware_concurrency();
   util::print_banner(std::cout, "Serving throughput: sharded cluster scaling");
   std::cout << "hardware threads: " << cores << ", requests per config: "
-            << kRequests << "\n\n";
+            << kRequests << ", reps: " << kReps << "\n\n";
 
   std::vector<feat::BinaryFeatures> seeds;
   for (int i = 0; i < kSeeds; ++i) {
@@ -113,42 +104,52 @@ int main_impl(bool smoke) {
   }
 
   const std::vector<Config> configs{{1, 1}, {2, 2}, {4, 4}};
-  std::vector<Row> rows;
-  for (const Config& config : configs) {
-    // Client-side concurrency matches the server's worker count (the 1/1
-    // baseline is the serial reference: one client, one worker).
-    rows.push_back(run_config(config, seeds, requests,
-                              std::max(1, config.threads)));
-    if (!rows.empty() && rows.front().qps > 0.0) {
-      rows.back().speedup = rows.back().qps / rows.front().qps;
+  std::vector<std::vector<double>> qps(configs.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      // Client-side concurrency matches the server's worker count (the 1/1
+      // baseline is the serial reference: one client, one worker).
+      qps[c].push_back(run_config(configs[c], seeds, requests,
+                                  std::max(1, configs[c].threads)));
     }
   }
+  std::vector<bench::RepSpread> spreads;
+  for (const std::vector<double>& runs : qps) {
+    spreads.push_back(bench::spread_of(runs));
+  }
+  const auto speedup = [&](std::size_t c) {
+    return spreads.front().median > 0.0
+               ? spreads[c].median / spreads.front().median
+               : 1.0;
+  };
 
-  util::Table table({"shards", "threads", "requests", "seconds", "qps",
-                     "speedup vs 1/1"});
-  for (const Row& row : rows) {
-    table.add_row({std::to_string(row.config.shards),
-                   std::to_string(row.config.threads),
-                   std::to_string(row.requests),
-                   util::Table::num(row.seconds, 3),
-                   util::Table::num(row.qps, 1),
-                   util::Table::num(row.speedup, 2) + "x"});
+  util::Table table({"shards", "threads", "requests", "reps", "median qps",
+                     "min qps", "max qps", "speedup vs 1/1"});
+  bench::BenchJson json("serving");
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const Config& config = configs[c];
+    const bench::RepSpread& spread = spreads[c];
+    table.add_row({std::to_string(config.shards),
+                   std::to_string(config.threads), std::to_string(kRequests),
+                   std::to_string(spread.reps),
+                   util::Table::num(spread.median, 1),
+                   util::Table::num(spread.min, 1),
+                   util::Table::num(spread.max, 1),
+                   util::Table::num(speedup(c), 2) + "x"});
+    json.add(std::to_string(config.shards) + "shards/" +
+                 std::to_string(config.threads) + "threads",
+             {{"shards", config.shards},
+              {"threads", config.threads},
+              {"requests", kRequests},
+              {"reps", spread.reps},
+              {"qps_median", spread.median},
+              {"qps_min", spread.min},
+              {"qps_max", spread.max},
+              {"speedup", speedup(c)}});
   }
   table.print(std::cout);
 
-  bench::BenchJson json("serving");
-  for (const Row& row : rows) {
-    json.add(std::to_string(row.config.shards) + "shards/" +
-                 std::to_string(row.config.threads) + "threads",
-             {{"shards", row.config.shards},
-              {"threads", row.config.threads},
-              {"requests", row.requests},
-              {"seconds", row.seconds},
-              {"qps", row.qps},
-              {"speedup", row.speedup}});
-  }
-
-  const double scaling = rows.back().speedup;
+  const double scaling = speedup(configs.size() - 1);
   if (cores >= 4) {
     std::cout << "\nScaling bar: 4 shards / 4 threads reached "
               << util::Table::num(scaling, 2) << "x (required >= 3x)\n";

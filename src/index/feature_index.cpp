@@ -34,10 +34,15 @@ void finalize_top_k(QueryResult& result, int top_k) {
 
 namespace {
 
-/// Resolves a rescore_threads setting: 0 means hardware concurrency.
-std::size_t resolve_threads(int configured) {
-  if (configured > 0) return static_cast<std::size_t>(configured);
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+/// The pool a rescore_threads setting asks for: none when it resolves to
+/// one thread (0 means hardware concurrency).
+std::shared_ptr<util::ThreadPool> make_rescore_pool(int configured) {
+  const std::size_t threads =
+      configured > 0
+          ? static_cast<std::size_t>(configured)
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (threads <= 1) return nullptr;
+  return std::make_shared<util::ThreadPool>(threads);
 }
 
 /// Runs score(begin, end) over [0, n): through the pool when one is given,
@@ -64,15 +69,10 @@ std::size_t candidate_budget(const FeatureIndexParams& params,
 }
 
 FeatureIndex::FeatureIndex(const FeatureIndexParams& params)
-    : params_(params), lsh_(params.lsh) {
+    : params_(params),
+      lsh_(params.lsh),
+      pool_(make_rescore_pool(params.rescore_threads)) {
   if (params_.ann.enabled) ann_.emplace(params_.ann);
-}
-
-util::ThreadPool* FeatureIndex::rescore_pool() const {
-  const std::size_t threads = resolve_threads(params_.rescore_threads);
-  if (threads <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_shared<util::ThreadPool>(threads);
-  return pool_.get();
 }
 
 ImageId FeatureIndex::insert(feat::BinaryFeatures features,
@@ -112,7 +112,7 @@ std::vector<QueryResult> FeatureIndex::rescore_batch(
   // order, so hits and `ops` are the same for any thread count.
   std::vector<double> sims(pairs.size(), 0.0);
   std::vector<std::uint64_t> slot_ops(pairs.size(), 0);
-  for_each_chunk(pairs.size(), rescore_pool(),
+  for_each_chunk(pairs.size(), pool_.get(),
                  [&](std::size_t begin, std::size_t end) {
                    feat::MatchWorkspace workspace;
                    for (std::size_t p = begin; p < end; ++p) {
@@ -206,14 +206,8 @@ QueryResult FeatureIndex::query_exact(
   return rescore(query_features, all, top_k);
 }
 
-FloatFeatureIndex::FloatFeatureIndex(const Params& params) : params_(params) {}
-
-util::ThreadPool* FloatFeatureIndex::rescore_pool() const {
-  const std::size_t threads = resolve_threads(params_.rescore_threads);
-  if (threads <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_shared<util::ThreadPool>(threads);
-  return pool_.get();
-}
+FloatFeatureIndex::FloatFeatureIndex(const Params& params)
+    : params_(params), pool_(make_rescore_pool(params.rescore_threads)) {}
 
 std::vector<float> FloatFeatureIndex::centroid_of(
     const feat::FloatFeatures& f) {
@@ -268,7 +262,7 @@ QueryResult FloatFeatureIndex::rescore(
   result.candidates_checked = n;
   std::vector<double> sims(n, 0.0);
   std::vector<std::uint64_t> slot_ops(n, 0);
-  for_each_chunk(n, rescore_pool(),
+  for_each_chunk(n, pool_.get(),
                  [&](std::size_t begin, std::size_t end) {
                    for (std::size_t i = begin; i < end; ++i) {
                      sims[i] = feat::jaccard_similarity(

@@ -38,11 +38,14 @@ struct FeatureIndexParams {
   /// widens it to ann_shortlist_budget(max_candidates, recall_target).
   int max_candidates = 16;
   feat::BinaryMatchParams match;
-  /// Worker threads for the exact-rescore stage: 0 = hardware concurrency,
-  /// 1 = serial (no pool).  Results are identical for every setting — the
-  /// candidate partition is static and per-candidate results are merged in
-  /// candidate order.
-  int rescore_threads = 0;
+  /// Worker threads for the exact-rescore stage: 1 = serial (no pool),
+  /// 0 = hardware concurrency, n = n threads.  Any other setting than 1
+  /// gives the index its own pool, created with it.  Serial is the default
+  /// because a server's request workers already fill the cores; one long
+  /// query with nothing else running is what a pool speeds up.  Results
+  /// are identical for every setting — the candidate partition is static
+  /// and per-candidate results are merged in candidate order.
+  int rescore_threads = 1;
 };
 
 /// Phase-2 rescore budget for one query: max_candidates on the exact
@@ -133,17 +136,15 @@ class FeatureIndex {
     GeoTag geo;
   };
 
-  util::ThreadPool* rescore_pool() const;
-
   FeatureIndexParams params_;
   DescriptorLsh lsh_;
   std::optional<AnnFrontEnd> ann_;
   std::size_t descriptor_count_ = 0;
   std::vector<Entry> images_;
   std::size_t wire_bytes_ = 0;
-  /// Lazily-created rescore pool (shared_ptr keeps the index copyable;
-  /// copies share the pool, which holds no query state).
-  mutable std::shared_ptr<util::ThreadPool> pool_;
+  /// Rescore pool, null when serial (shared_ptr keeps the index copyable;
+  /// copies share the pool, which concurrent queries may use at once).
+  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 /// Index over float (SIFT / PCA-SIFT) feature sets, used by the SmartEye
@@ -154,9 +155,10 @@ class FloatFeatureIndex {
   struct Params {
     int max_candidates = 16;
     feat::FloatMatchParams match;
-    /// Worker threads for the exact-rescore stage: 0 = hardware
-    /// concurrency, 1 = serial.  Results are thread-count independent.
-    int rescore_threads = 0;
+    /// Worker threads for the exact-rescore stage, as
+    /// FeatureIndexParams::rescore_threads: 1 = serial (the default),
+    /// 0 = hardware concurrency.  Results are thread-count independent.
+    int rescore_threads = 1;
   };
 
   FloatFeatureIndex() : FloatFeatureIndex(Params{}) {}
@@ -195,12 +197,11 @@ class FloatFeatureIndex {
   };
 
   static std::vector<float> centroid_of(const feat::FloatFeatures& f);
-  util::ThreadPool* rescore_pool() const;
 
   Params params_;
   std::vector<Entry> images_;
   std::size_t wire_bytes_ = 0;
-  mutable std::shared_ptr<util::ThreadPool> pool_;
+  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace bees::idx

@@ -131,8 +131,8 @@ std::vector<std::uint8_t> Cluster::dispatch_fenced(
   try {
     return cloud::dispatch(*this, request);
   } catch (const std::exception& e) {
-    // Worker tasks must never leak an exception (it would poison the
-    // pool's first-error slot); everything becomes an error reply.
+    // Worker tasks must never leak an exception (it would terminate the
+    // process); everything becomes an error reply.
     return net::encode_error(e.what());
   } catch (...) {
     return net::encode_error("internal server error");

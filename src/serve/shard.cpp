@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <stdexcept>
 
 #include "index/persistence.hpp"
@@ -99,7 +100,7 @@ std::string Shard::manifest_path() const {
 }
 
 idx::ImageId Shard::apply(WalRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard lock(mutex_);
   record.seq = ++seq_;
   if (wal_) wal_->append(record);  // Write-ahead: log before apply.
   idx::ImageId local = idx::kInvalidImageId;
@@ -113,7 +114,7 @@ idx::ImageId Shard::apply(WalRecord record) {
 }
 
 idx::ImageId Shard::apply_replicated(const WalRecord& record) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard lock(mutex_);
   if (record.seq <= seq_) return idx::kInvalidImageId;  // redelivery: no-op
   if (record.seq != seq_ + 1) {
     throw std::logic_error("shard: replicated record skips a sequence number");
@@ -170,7 +171,7 @@ void Shard::apply_locked(const WalRecord& record, idx::ImageId* local_out) {
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> Shard::binary_candidates(
     const feat::BinaryFeatures& features, double recall_target) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   const auto locals =
       server_.binary_index().candidates(features, recall_target);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
@@ -187,7 +188,7 @@ std::vector<idx::QueryResult> Shard::rescore_binary_batch(
     const std::vector<const feat::BinaryFeatures*>& features,
     const std::vector<std::vector<idx::ImageId>>& locals,
     const std::vector<int>& top_k) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   std::vector<idx::QueryResult> results =
       server_.binary_index().rescore_batch(features, locals, top_k);
   for (idx::QueryResult& result : results) {
@@ -201,7 +202,7 @@ std::vector<idx::QueryResult> Shard::rescore_binary_batch(
 
 std::vector<std::pair<double, std::uint32_t>> Shard::float_candidates(
     const feat::FloatFeatures& features) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   const auto locals = server_.float_index().centroid_candidates(features);
   std::vector<std::pair<double, std::uint32_t>> out;
   out.reserve(locals.size());
@@ -214,7 +215,7 @@ std::vector<std::pair<double, std::uint32_t>> Shard::float_candidates(
 idx::QueryResult Shard::rescore_float(const feat::FloatFeatures& features,
                                       const std::vector<idx::ImageId>& locals,
                                       int top_k) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   idx::QueryResult result =
       server_.float_index().rescore(features, locals, top_k);
   for (auto& hit : result.hits) hit.id = float_globals_[hit.id];
@@ -227,49 +228,49 @@ idx::QueryResult Shard::rescore_float(const feat::FloatFeatures& features,
 double Shard::peek_global(const feat::ColorHistogram& histogram,
                           const idx::GeoTag& geo,
                           double geo_radius_deg) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return server_.peek_global(histogram, geo, geo_radius_deg);
 }
 
 double Shard::thumbnail_bytes_of_local(idx::ImageId local) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return server_.thumbnail_bytes_of(local);
 }
 
 std::pair<feat::BinaryFeatures, idx::GeoTag> Shard::binary_entry(
     idx::ImageId local) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return {server_.binary_index().features_of(local),
           server_.binary_index().geo_of(local)};
 }
 
 cloud::ServerStats Shard::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return server_.stats();
 }
 
 std::vector<std::uint64_t> Shard::location_keys() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return server_.location_keys();
 }
 
 ShardIdentity Shard::identity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return {binary_globals_, float_globals_};
 }
 
 std::uint64_t Shard::last_applied_seq() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::shared_lock lock(mutex_);
   return seq_;
 }
 
 std::vector<std::uint8_t> Shard::encode_snapshot() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard lock(mutex_);
   return encode_snapshot_locked();
 }
 
 void Shard::checkpoint() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard lock(mutex_);
   checkpoint_locked();
 }
 

@@ -1,5 +1,6 @@
-// One shard of the serving cluster: a cloud::Server behind its own mutex,
-// made durable by a write-ahead log plus periodic snapshot checkpoints.
+// One shard of the serving cluster: a cloud::Server behind its own
+// reader/writer lock (queries share it, mutations hold it alone), made
+// durable by a write-ahead log plus periodic snapshot checkpoints.
 // The shard speaks in *global* image ids (assigned by the cluster frontend)
 // and keeps the local<->global mapping itself; within a shard, local
 // insertion order follows global id order, which is what lets per-shard
@@ -8,7 +9,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,7 +88,7 @@ class Shard {
       const feat::BinaryFeatures& features,
       double recall_target = idx::kDefaultRecallTarget) const;
   /// Query phase 2: exact rescore of each query's `locals[q]` (local ids,
-  /// as mapped by the cluster) under one lock acquisition, through
+  /// as mapped by the cluster) under one shared lock acquisition, through
   /// FeatureIndex::rescore_batch; returned hits carry global ids.
   /// results[q] is byte-identical to a solo FeatureIndex::rescore of
   /// query q.
@@ -145,7 +146,10 @@ class Shard {
 
   const int id_;
   ShardOptions options_;
-  mutable std::mutex mutex_;
+  /// Shared by the const read paths, exclusive for apply, apply_replicated,
+  /// checkpoint and encode_snapshot.  Every const path below the shard is
+  /// pure, so concurrent readers need nothing more.
+  mutable std::shared_mutex mutex_;
   cloud::Server server_;
   std::vector<std::uint32_t> binary_globals_;  // local id -> global id
   std::vector<std::uint32_t> float_globals_;

@@ -27,19 +27,20 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::scoped_lock lock(mutex_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
+void ThreadPool::Completion::finish(std::exception_ptr error) {
+  std::scoped_lock lock(mutex_);
+  if (error && !error_) error_ = std::move(error);
+  if (--remaining_ == 0) done_.notify_all();
+}
+
+void ThreadPool::Completion::wait() {
   std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    const std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
+  done_.wait(lock, [this] { return remaining_ == 0; });
+  if (error_) std::rethrow_exception(error_);
 }
 
 void ThreadPool::worker_loop() {
@@ -53,16 +54,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    try {
-      task();
-    } catch (...) {
-      std::scoped_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::scoped_lock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    task();
   }
 }
 

@@ -18,6 +18,7 @@
 #include "features/orb.hpp"
 #include "imaging/synth.hpp"
 #include "net/protocol.hpp"
+#include "replica/replication.hpp"
 #include "serve/cluster.hpp"
 #include "util/rng.hpp"
 
@@ -155,6 +156,105 @@ TEST(ClusterConcurrent, MixedTrafficKeepsAccountingConsistent) {
       const idx::QueryResult r = cluster.query_binary(features, 9'000.0);
       EXPECT_DOUBLE_EQ(r.max_similarity, 1.0);
     }
+  }
+}
+
+TEST(ClusterConcurrent, SharedReadersWithExplicitPoolsMatchSerial) {
+  constexpr int kSeeds = 8;
+  constexpr int kStores = 6;
+  constexpr int kReaders = 4;
+  constexpr int kQueriesPerReader = 6;
+
+  // Every shard instance, standby included, owns a 4-thread rescore pool,
+  // so concurrent readers of one shard share its index's pool.
+  ClusterOptions options;
+  options.shards = 4;
+  options.threads = 4;
+  options.backend_factory = replica::make_replicated_factory(1);
+  options.binary_params.rescore_threads = 4;
+  Cluster cluster(options);
+  cloud::Server server;
+  for (int i = 0; i < kSeeds; ++i) {
+    const auto features = make_binary(100 + static_cast<std::uint64_t>(i));
+    server.seed_binary(features, geo_of(i), 11'000.0);
+    cluster.seed_binary(features, geo_of(i), 11'000.0);
+  }
+
+  std::vector<std::vector<std::uint8_t>> uploads;
+  for (int i = 0; i < kStores; ++i) {
+    net::ImageUploadRequest up;
+    up.features = make_binary(1'000 + static_cast<std::uint64_t>(i));
+    up.image_bytes = 700'000.0 + 1'000.0 * i;
+    up.geo = geo_of(i);
+    up.thumbnail_bytes = 12'000.0 + 100.0 * i;
+    uploads.push_back(net::encode(up));
+  }
+  // Queries re-find the seeds, the images the writer stores, and nothing.
+  std::vector<std::vector<std::uint8_t>> queries;
+  for (int q = 0; q < kReaders * kQueriesPerReader; ++q) {
+    const std::uint64_t seed =
+        q % 3 == 0   ? 100 + static_cast<std::uint64_t>(q % kSeeds)
+        : q % 3 == 1 ? 1'000 + static_cast<std::uint64_t>(q % kStores)
+                     : 5'000 + static_cast<std::uint64_t>(q);
+    queries.push_back(net::encode_binary_query(make_binary(seed),
+                                               idx::kDefaultTopK, 9'000.0));
+  }
+  // Each reader thread sends its own share of the queries.
+  const auto read_concurrently = [&](const auto& check_reply) {
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        for (int k = 0; k < kQueriesPerReader; ++k) {
+          const std::size_t q =
+              static_cast<std::size_t>(r * kQueriesPerReader + k);
+          check_reply(q, cluster.handle(queries[q]));
+        }
+      });
+    }
+    for (auto& t : readers) t.join();
+  };
+
+  // Phase 1: readers only.  Nothing changes the state, so each reply must
+  // be the serial server's reply to the same query.
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const auto& query : queries) {
+    expected.push_back(cloud::dispatch(server, query));
+  }
+  std::atomic<int> mismatches{0};
+  read_concurrently([&](std::size_t q, const auto& reply) {
+    if (reply != expected[q]) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Phase 2: the same readers while one writer stores images.  A reply may
+  // see any prefix of the stores, so each must only be a query response.
+  std::atomic<int> bad_replies{0};
+  std::vector<std::vector<std::uint8_t>> acks;
+  std::thread writer([&] {
+    for (const auto& upload : uploads) acks.push_back(cluster.handle(upload));
+  });
+  read_concurrently([&](std::size_t, const auto& reply) {
+    try {
+      if (net::open_envelope(reply).type != net::MessageType::kQueryResponse) {
+        bad_replies.fetch_add(1, std::memory_order_relaxed);
+      }
+    } catch (...) {
+      bad_replies.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  writer.join();
+  EXPECT_EQ(bad_replies.load(), 0);
+
+  // Afterwards the cluster answers as a serial server that stored the same
+  // images in the same global-id order.
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    EXPECT_EQ(acks[i], cloud::dispatch(server, uploads[i])) << "upload " << i;
+  }
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(cluster.handle(queries[q]), cloud::dispatch(server, queries[q]))
+        << "query " << q;
   }
 }
 

@@ -3,26 +3,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 namespace bees::util {
 namespace {
 
+// Long enough for a loaded sanitizer run; a pool that makes one caller
+// wait on another's chunks misses it instead of hanging the suite.
+constexpr auto kReturnBound = std::chrono::seconds(10);
+
 TEST(ThreadPool, RunsAllSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
+  std::vector<std::future<void>> done;
   for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+    auto task = std::make_shared<std::packaged_task<void()>>(
+        [&counter] { counter.fetch_add(1); });
+    done.push_back(task->get_future());
+    pool.submit([task] { (*task)(); });
   }
-  pool.wait_idle();
+  for (auto& f : done) f.get();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  SUCCEED();
 }
 
 TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
@@ -65,15 +71,66 @@ TEST(ThreadPool, ParallelForTakesMutableCallableByReference) {
   EXPECT_EQ(calls, 25u);
 }
 
-TEST(ThreadPool, ExceptionPropagatesFromWaitIdle) {
+TEST(ThreadPool, ParallelForWaitsOnlyForItsOwnChunks) {
   ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+  std::promise<void> a_started;
+  std::promise<void> release_a;
+  std::shared_future<void> a_released = release_a.get_future().share();
+  // Caller A's only chunk holds one worker until released.
+  std::future<void> a = std::async(std::launch::async, [&] {
+    pool.parallel_for_chunks(1, [&](std::size_t, std::size_t) {
+      a_started.set_value();
+      a_released.wait();
+    });
+  });
+  a_started.get_future().wait();
+
+  // Caller B's chunk runs on the other worker; B must not wait for A's.
+  std::atomic<int> b_hits{0};
+  std::future<void> b = std::async(std::launch::async, [&] {
+    pool.parallel_for(1, [&](std::size_t) { b_hits.fetch_add(1); });
+  });
+  EXPECT_EQ(b.wait_for(kReturnBound), std::future_status::ready);
+
+  release_a.set_value();
+  a.get();
+  b.get();
+  EXPECT_EQ(b_hits.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForExceptionReachesOnlyItsCaller) {
+  ThreadPool pool(2);
+  std::promise<void> a_started, b_started, release_a, release_b;
+  std::shared_future<void> a_released = release_a.get_future().share();
+  std::shared_future<void> b_released = release_b.get_future().share();
+  // Both callers' chunks occupy a worker each, so A's chunk throws while
+  // B's call is still in flight.
+  std::future<void> a = std::async(std::launch::async, [&] {
+    pool.parallel_for_chunks(1, [&](std::size_t, std::size_t) {
+      a_started.set_value();
+      a_released.wait();
+      throw std::runtime_error("chunk of A failed");
+    });
+  });
+  a_started.get_future().wait();
+  std::future<void> b = std::async(std::launch::async, [&] {
+    pool.parallel_for_chunks(1, [&](std::size_t, std::size_t) {
+      b_started.set_value();
+      b_released.wait();
+    });
+  });
+  b_started.get_future().wait();
+
+  release_a.set_value();
+  EXPECT_EQ(a.wait_for(kReturnBound), std::future_status::ready);
+  release_b.set_value();
+  EXPECT_NO_THROW(b.get());
+  EXPECT_THROW(a.get(), std::runtime_error);
+
   // The pool remains usable after a failure.
   std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
+  pool.parallel_for(8, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(ThreadPool, ManySmallBatchesStress) {
@@ -94,8 +151,7 @@ TEST(ThreadPool, DestructionWithPendingWorkCompletes) {
     for (int i = 0; i < 20; ++i) {
       pool.submit([&counter] { counter.fetch_add(1); });
     }
-    pool.wait_idle();
-  }  // destructor joins
+  }  // destructor runs the queued tasks, then joins
   EXPECT_EQ(counter.load(), 20);
 }
 
