@@ -90,9 +90,7 @@ struct MatchKernelImpl {
           }
         }
       }
-      if (best <= params.max_distance &&
-          (second == kIntMax ||
-           best < params.ratio * static_cast<double>(second))) {
+      if (detail::passes_gates(best, second, params)) {
         ws.fwd_[i] = best_j;
         ws.fwd_dist_[i] = best;
       }
@@ -184,9 +182,7 @@ struct MatchKernelImpl {
         }
       }
       }
-      if (best <= params.max_distance &&
-          (second == kIntMax ||
-           best < params.ratio * static_cast<double>(second))) {
+      if (detail::passes_gates(best, second, params)) {
         ws.fwd_[i] = best_j;
         ws.fwd_dist_[i] = best;
       }
@@ -215,18 +211,26 @@ struct MatchKernelImpl {
       ws.col_best_i_.assign(nb, kNone);
     }
 
-    const detail::LaneRowFn lane_rows = detail::active_lane_rows();
     std::uint64_t lanes_pruned;
-    if (lane_rows != nullptr) {
+    const detail::ScanFn vector_scan = detail::active_scan();
+    const detail::LaneRowFn lane_rows = detail::active_lane_rows();
+    if (vector_scan != nullptr) {
+      lanes_pruned = vector_scan(
+          a.data(), na, b.data(), nb, params,
+          {ws.fwd_.data(), ws.fwd_dist_.data(), ws.col_best_.data(),
+           ws.col_second_.data(), ws.col_best_i_.data()});
+    } else if (lane_rows != nullptr) {
       lanes_pruned = cross ? scan_simd<true>(a, b, params, ws, lane_rows)
                            : scan_simd<false>(a, b, params, ws, lane_rows);
+    } else {
+      lanes_pruned = cross ? scan<true>(a, b, params, ws)
+                           : scan<false>(a, b, params, ws);
+    }
+    if (vector_scan != nullptr || lane_rows != nullptr) {
       // Vector lane words actually computed (4 lanes x candidates per
       // query row): the real-work counterpart of the modeled
       // examined/pruned split below.
       obs::count("feat.match.simd_lanes", static_cast<double>(4 * nb * na));
-    } else {
-      lanes_pruned = cross ? scan<true>(a, b, params, ws)
-                           : scan<false>(a, b, params, ws);
     }
 
     // Modeled comparisons, exactly as the naive matcher counts them: one
@@ -243,12 +247,7 @@ struct MatchKernelImpl {
   /// returns the winning a-index, or kNone.
   static std::size_t reverse_winner(const MatchWorkspace& ws, std::size_t j,
                                     const BinaryMatchParams& params) {
-    constexpr int kIntMax = std::numeric_limits<int>::max();
-    const int best = ws.col_best_[j];
-    const int second = ws.col_second_[j];
-    if (best <= params.max_distance &&
-        (second == kIntMax ||
-         best < params.ratio * static_cast<double>(second))) {
+    if (detail::passes_gates(ws.col_best_[j], ws.col_second_[j], params)) {
       return ws.col_best_i_[j];
     }
     return kNone;

@@ -21,13 +21,17 @@
 //    via the obs counters `feat.match.lanes_examined` /
 //    `feat.match.lanes_pruned` (the energy model's `ops` keeps counting
 //    modeled comparisons exactly like the naive matcher).
-//  * Runtime ISA dispatch (features/simd.hpp): on CPUs with AVX2 (or ARM
-//    builds with NEON) the per-row lane sums are computed branch-free by a
-//    vector kernel into a workspace buffer, and a scalar decision scan
-//    replays the exact checkpoint logic on the buffered sums — so the
-//    modeled counters, matches, and distances stay bit-identical to the
-//    scalar SWAR fused loop, which remains the always-built fallback
-//    (BEES_FORCE_SCALAR pins it for differential tests).
+//  * Runtime ISA dispatch (features/simd.hpp): on CPUs with AVX-512 F and
+//    VPOPCNTDQ the whole scan runs vectorized, decisions included, 16
+//    candidates per step, with each candidate's row bound taken from an
+//    exclusive prefix of the running (best, second) pair.  On CPUs with
+//    only AVX2 (or ARM builds with NEON) the per-row lane sums are
+//    computed branch-free by a vector kernel into a workspace buffer, and
+//    a scalar decision scan replays the exact checkpoint logic on the
+//    buffered sums.  Either way the modeled counters, matches, and
+//    distances stay bit-identical to the scalar SWAR fused loop, which
+//    remains the always-built fallback (BEES_FORCE_SCALAR pins it for
+//    differential tests).
 //
 // A MatchWorkspace owns every scratch buffer the kernel needs, so rescore /
 // graph loops that match one query against many candidates reuse
@@ -59,9 +63,9 @@ class MatchWorkspace {
   std::vector<int> col_best_;
   std::vector<int> col_second_;
   std::vector<std::size_t> col_best_i_;
-  // SIMD row buffer (detail::kLaneBlock slots per candidate): per-lane
-  // Hamming sums of the current query tile, filled by the vector lane
-  // kernel and consumed by the scalar decision scan.
+  // Lane-kernel row buffer (detail::kLaneBlock slots per candidate):
+  // per-lane Hamming sums of the current query tile, filled by the AVX2 or
+  // NEON lane kernel and consumed by the scalar decision scan.
   std::vector<std::uint64_t> row_sums_;
 };
 

@@ -1,31 +1,38 @@
-// Internal contract between the matching kernel's scan loop and the
-// vectorized lane kernels (match_kernel_avx2.cpp / match_kernel_neon.cpp).
-// A lane kernel computes, for ONE query descriptor against a run of
-// candidates, the four per-lane Hamming sums the early-exit checkpoints
-// consume:
+// Internal contract between the matching kernel (match_kernel.cpp) and its
+// vectorized kernels.  There are two kinds:
 //
-//   sums[4j + l] = popcount(q.bits[l] ^ b[j].bits[l])      l = 0..3
+//  * Lane kernels (match_kernel_avx2.cpp / match_kernel_neon.cpp) compute,
+//    for ONE query descriptor against a run of candidates, the four
+//    per-lane Hamming sums the early-exit checkpoints consume:
 //
-// The candidates are read in place from the caller's descriptor storage: a
-// Descriptor256 is four contiguous 64-bit lanes, which is what makes the
-// AVX2 path one instruction per step: load the candidate, XOR with the
-// query, byte-popcount, and one _mm256_sad_epu8 — whose four 64-bit group
-// sums ARE the four lane sums — then store.  The decision scan replays the
-// exact scalar checkpoint logic on the buffered sums (d0 = sums[4j],
-// d12 = sums[4j+1]+sums[4j+2], d3 = sums[4j+3]), so matches, distances,
-// `ops`, and the pruning counters are bit-identical to the fused scalar
-// loop — the vector path trades the skipped lane arithmetic for
-// branch-free streaming, which is the winning trade on wide cores.
+//      sums[4j + l] = popcount(q.bits[l] ^ b[j].bits[l])      l = 0..3
 //
-// Neither the candidates nor the sums buffer need more than the natural
-// alignment of std::uint64_t: kernels use unaligned vector loads and stores
-// and handle any n with no tail case (one candidate per step).
+//    The candidates are read in place from the caller's descriptor
+//    storage: a Descriptor256 is four contiguous 64-bit lanes, which is
+//    what makes the AVX2 path one instruction per step: load the
+//    candidate, XOR with the query, byte-popcount, and one _mm256_sad_epu8
+//    — whose four 64-bit group sums ARE the four lane sums — then store.
+//    The kernel's scalar decision scan replays the exact checkpoint logic
+//    on the buffered sums (d0 = sums[4j], d12 = sums[4j+1]+sums[4j+2],
+//    d3 = sums[4j+3]), so matches, distances, `ops`, and the pruning
+//    counters are bit-identical to the fused scalar loop.  Neither the
+//    candidates nor the sums buffer need more than the natural alignment
+//    of std::uint64_t: lane kernels use unaligned vector loads and stores
+//    and handle any n with no tail case (one candidate per step).
+//
+//  * Scan kernels (match_kernel_avx512.cpp) run the whole scan, decisions
+//    included, 16 candidates per step, and fill the forward and reverse
+//    match slots directly (ScanSlots).  They replay the scalar loop's
+//    prune decisions from an exclusive prefix of each row's running
+//    (best, second) pair, so they too are bit-identical (DESIGN.md §13).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "features/keypoint.hpp"
+#include "features/matching.hpp"
 
 namespace bees::feat::detail {
 
@@ -34,11 +41,47 @@ inline constexpr std::size_t kLaneBlock = 4;
 static_assert(sizeof(Descriptor256) == kLaneBlock * sizeof(std::uint64_t),
               "a descriptor is exactly its four contiguous lanes");
 
+/// The distance and ratio gates one side's nearest neighbour must pass:
+/// `best` within max_distance and, unless it had no rival, strictly under
+/// ratio * `second`.
+inline bool passes_gates(int best, int second,
+                         const BinaryMatchParams& params) noexcept {
+  return best <= params.max_distance &&
+         (second == std::numeric_limits<int>::max() ||
+          best < params.ratio * static_cast<double>(second));
+}
+
 /// One query row worth of per-lane sums: fills sums[4j + l] for every
 /// candidate j < n.  `sums` holds kLaneBlock * n words.
 using LaneRowFn = void (*)(const Descriptor256& q, const Descriptor256* b,
                            std::size_t n, std::uint64_t* sums);
 
+/// The match state a scan fills: MatchWorkspace's buffers, sized and
+/// initialised by the caller (fwd and col_best_i to npos, col_best and
+/// col_second to INT_MAX).  fwd/fwd_dist hold one slot per descriptor of
+/// `a`; the col_* slots, one per descriptor of `b`, are touched only when
+/// cross-checking.
+struct ScanSlots {
+  std::size_t* fwd;         ///< Gated nearest index in b; left npos if none.
+  int* fwd_dist;            ///< Hamming distance of that match.
+  int* col_best;            ///< Per b: best distance over the rows seen.
+  int* col_second;          ///< Per b: second-best distance.
+  std::size_t* col_best_i;  ///< Per b: first row reaching col_best.
+};
+
+/// A whole scan of `a` (na >= 1) against `b` (nb >= 1): fills `slots`
+/// exactly as the scalar loop does and returns the lanes it pruned.
+using ScanFn = std::uint64_t (*)(const Descriptor256* a, std::size_t na,
+                                 const Descriptor256* b, std::size_t nb,
+                                 const BinaryMatchParams& params,
+                                 const ScanSlots& slots);
+
+#if defined(BEES_HAVE_AVX512)
+std::uint64_t scan_avx512(const Descriptor256* a, std::size_t na,
+                          const Descriptor256* b, std::size_t nb,
+                          const BinaryMatchParams& params,
+                          const ScanSlots& slots);
+#endif
 #if defined(BEES_HAVE_AVX2)
 void lane_rows_avx2(const Descriptor256& q, const Descriptor256* b,
                     std::size_t n, std::uint64_t* sums);
@@ -48,8 +91,13 @@ void lane_rows_neon(const Descriptor256& q, const Descriptor256* b,
                     std::size_t n, std::uint64_t* sums);
 #endif
 
-/// The active ISA's row kernel, or nullptr when the scalar fused loop
-/// should run (scalar forced, or no vector ISA in this build/CPU).
+/// The active ISA's scan kernel, or nullptr when it has none (only
+/// AVX-512 does).
+ScanFn active_scan();
+
+/// The active ISA's row kernel, or nullptr when a scan kernel or the
+/// scalar fused loop runs instead (scalar forced, AVX-512 active, or no
+/// vector ISA in this build/CPU).
 LaneRowFn active_lane_rows();
 
 }  // namespace bees::feat::detail

@@ -18,7 +18,18 @@ bool scalar_forced_by_env() {
   return v != nullptr && std::string(v) != "0";
 }
 
+#if defined(BEES_HAVE_AVX512)
+/// True when the CPU reports everything the AVX-512 scan kernel runs.
+bool cpu_has_avx512() {
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vpopcntdq");
+}
+#endif
+
 SimdIsa probe() {
+#if defined(BEES_HAVE_AVX512)
+  if (cpu_has_avx512()) return SimdIsa::kAvx512;
+#endif
 #if defined(BEES_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
 #endif
@@ -42,6 +53,12 @@ bool supported(SimdIsa isa) {
     case SimdIsa::kNeon:
 #if defined(BEES_HAVE_NEON)
       return true;
+#else
+      return false;
+#endif
+    case SimdIsa::kAvx512:
+#if defined(BEES_HAVE_AVX512)
+      return cpu_has_avx512();
 #else
       return false;
 #endif
@@ -81,11 +98,20 @@ const char* simd_isa_name(SimdIsa isa) {
       return "avx2";
     case SimdIsa::kNeon:
       return "neon";
+    case SimdIsa::kAvx512:
+      return "avx512";
   }
   return "scalar";
 }
 
 namespace detail {
+
+ScanFn active_scan() {
+#if defined(BEES_HAVE_AVX512)
+  if (active_simd_isa() == SimdIsa::kAvx512) return &scan_avx512;
+#endif
+  return nullptr;
+}
 
 LaneRowFn active_lane_rows() {
   switch (active_simd_isa()) {

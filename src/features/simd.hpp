@@ -1,6 +1,6 @@
 // Runtime ISA dispatch for the descriptor-matching kernel.  The scalar SWAR
-// path is always built and always correct; explicit AVX2 (x86) and NEON
-// (ARM) lane kernels are compiled when the toolchain supports them and
+// path is always built and always correct; explicit AVX-512, AVX2 (x86)
+// and NEON (ARM) kernels are compiled when the toolchain supports them and
 // selected once per process after a CPU-feature probe.  Every path is
 // bit-exact with the others — same matches, distances, modeled `ops`, and
 // `feat.match.lanes_{examined,pruned}` counters — so dispatch is purely a
@@ -12,16 +12,17 @@
 //  * BEES_FORCE_SCALAR environment variable (any value but "0") — forces
 //    the scalar SWAR kernel, the knob differential harnesses use to diff a
 //    production binary against its own fallback.
-//  * CPU probe: AVX2 when the CPU reports it, NEON on ARM builds, scalar
-//    otherwise.
+//  * CPU probe: AVX-512 when the CPU reports AVX512F and AVX512_VPOPCNTDQ,
+//    else AVX2 when it reports that, NEON on ARM builds, scalar otherwise.
 #pragma once
 
 namespace bees::feat {
 
 enum class SimdIsa {
   kScalar = 0,  ///< Portable SWAR popcount (always available).
-  kAvx2 = 1,    ///< 4 candidates per 256-bit vector, pshufb popcount.
-  kNeon = 2,    ///< 2 candidates per 128-bit vector, vcnt popcount.
+  kAvx2 = 1,    ///< 1 candidate per 256-bit vector, pshufb popcount.
+  kNeon = 2,    ///< 1 candidate per two 128-bit vectors, vcnt popcount.
+  kAvx512 = 3,  ///< 16 candidates per step, vpopcntq, vectorized decisions.
 };
 
 /// The ISA the kernel will actually run: the forced override if one is
@@ -38,7 +39,7 @@ SimdIsa detected_simd_isa();
 void force_simd_isa(SimdIsa isa);
 void clear_forced_simd_isa();
 
-/// Stable lowercase name: "scalar", "avx2", "neon".
+/// Stable lowercase name: "scalar", "avx2", "neon", "avx512".
 const char* simd_isa_name(SimdIsa isa);
 
 }  // namespace bees::feat

@@ -43,8 +43,9 @@ std::size_t ann_shortlist_budget(int max_candidates, double recall_target) {
 AnnFrontEnd::AnnFrontEnd(const AnnParams& params)
     : params_(params),
       hasher_([&] {
-        if (params.bands <= 0 || params.rows <= 0) {
-          throw std::invalid_argument("AnnFrontEnd: bad band shape");
+        if (params.bands <= 0 || params.rows <= 0 ||
+            params.band_weight == 0) {
+          throw std::invalid_argument("AnnFrontEnd: bad band parameters");
         }
         MinHashParams mh = params.minhash;
         mh.hashes = params.bands * params.rows;
@@ -106,10 +107,10 @@ void AnnFrontEnd::insert(ImageId id,
   ++image_count_;
 }
 
-void AnnFrontEnd::collect(
-    const std::vector<feat::Descriptor256>& query,
-    std::unordered_map<ImageId, std::uint32_t>& scores) const {
+void AnnFrontEnd::collect(const std::vector<feat::Descriptor256>& query,
+                          std::vector<std::uint32_t>& scores) const {
   if (query.empty() || image_count() == 0) return;
+  if (scores.size() < image_count_) scores.resize(image_count_, 0);
   const Row q = make_row(query);
   for (int b = 0; b < params_.bands; ++b) {
     const auto& table = band_tables_[static_cast<std::size_t>(b)];

@@ -41,7 +41,8 @@ struct AnnParams {
   int bands = 8;
   int rows = 4;
   /// Score weight of one band collision relative to one shared visual word
-  /// (a band collision is far stronger evidence of high Jaccard).
+  /// (a band collision is far stronger evidence of high Jaccard).  At
+  /// least 1: an image scoring 0 is not a candidate.
   std::uint32_t band_weight = 8;
   /// Vocabulary-tree shape; the tree is trained on `vocabulary_sample`
   /// pseudo-random descriptors derived from `vocabulary.seed`, so it is a
@@ -82,10 +83,12 @@ class AnnFrontEnd {
   Row make_row(const std::vector<feat::Descriptor256>& descriptors) const;
 
   /// Adds band_weight * (band collisions) + (shared distinct words) into
-  /// `scores` for every image sharing a band signature or a word with the
-  /// query.  Touches only posting-list entries — never the whole corpus.
+  /// scores[id] for every image sharing a band signature or a word with
+  /// the query; every other image keeps its score.  Touches only
+  /// posting-list entries — never the whole corpus.  A shorter `scores`
+  /// is first zero-filled up to image_count().
   void collect(const std::vector<feat::Descriptor256>& query,
-               std::unordered_map<ImageId, std::uint32_t>& scores) const;
+               std::vector<std::uint32_t>& scores) const;
 
   std::size_t image_count() const noexcept { return image_count_; }
 

@@ -1,8 +1,8 @@
 #include "index/feature_index.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <thread>
-#include <unordered_map>
 
 #include "features/match_kernel.hpp"
 #include "features/similarity.hpp"
@@ -45,6 +45,29 @@ std::shared_ptr<util::ThreadPool> make_rescore_pool(int configured) {
   return std::make_shared<util::ThreadPool>(threads);
 }
 
+/// The top `budget` images of a dense score vector (indexed by image id),
+/// ranked (score desc, id asc); an image scoring 0 is not a candidate.
+/// Ids are unique, so the order is total and the partial sort's top
+/// `budget` is exactly a full sort's.
+std::vector<std::pair<ImageId, std::uint32_t>> top_scored(
+    const std::vector<std::uint32_t>& scores, std::size_t budget) {
+  std::vector<std::pair<ImageId, std::uint32_t>> ranked;
+  for (std::size_t id = 0; id < scores.size(); ++id) {
+    if (scores[id] != 0) {
+      ranked.emplace_back(static_cast<ImageId>(id), scores[id]);
+    }
+  }
+  const std::size_t kept = std::min(budget, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<std::ptrdiff_t>(kept),
+                    ranked.end(), [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
+  ranked.resize(kept);
+  return ranked;
+}
+
 /// Runs score(begin, end) over [0, n): through the pool when one is given,
 /// inline otherwise.  The chunk partition is the pool's static split, so
 /// per-slot outputs are identical either way.
@@ -66,6 +89,10 @@ std::size_t candidate_budget(const FeatureIndexParams& params,
     return static_cast<std::size_t>(std::max(1, params.max_candidates));
   }
   return ann_shortlist_budget(params.max_candidates, recall_target);
+}
+
+std::size_t candidate_budget(const FloatFeatureIndex::Params& params) {
+  return static_cast<std::size_t>(std::max(1, params.max_candidates));
 }
 
 FeatureIndex::FeatureIndex(const FeatureIndexParams& params)
@@ -143,40 +170,21 @@ std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::lsh_candidates(
   if (images_.empty() || query_features.empty()) return {};
   // LSH voting: every query descriptor votes for owners of colliding
   // stored descriptors.
-  std::unordered_map<std::uint32_t, std::uint32_t> votes;
+  std::vector<std::uint32_t> votes(images_.size(), 0);
   for (const auto& d : query_features.descriptors) lsh_.vote(d, votes);
-
-  std::vector<std::pair<ImageId, std::uint32_t>> ranked(votes.begin(),
-                                                        votes.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  const auto budget = static_cast<std::size_t>(params_.max_candidates);
-  if (ranked.size() > budget) ranked.resize(budget);
-  return ranked;
+  return top_scored(votes, candidate_budget(params_));
 }
 
 std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
     const feat::BinaryFeatures& query_features, double recall_target) const {
   if (!ann_) return lsh_candidates(query_features);
   if (images_.empty() || query_features.empty()) return {};
-  std::unordered_map<ImageId, std::uint32_t> scores;
+  std::vector<std::uint32_t> scores(images_.size(), 0);
   ann_->collect(query_features.descriptors, scores);
   if (params_.enable_descriptor_lsh) {
     for (const auto& d : query_features.descriptors) lsh_.vote(d, scores);
   }
-  std::vector<std::pair<ImageId, std::uint32_t>> ranked(scores.begin(),
-                                                        scores.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  const std::size_t budget = candidate_budget(params_, recall_target);
-  if (ranked.size() > budget) ranked.resize(budget);
-  return ranked;
+  return top_scored(scores, candidate_budget(params_, recall_target));
 }
 
 QueryResult FeatureIndex::query(const feat::BinaryFeatures& query_features,
@@ -247,9 +255,7 @@ std::vector<std::pair<double, ImageId>> FloatFeatureIndex::centroid_candidates(
     ranked.emplace_back(d, static_cast<ImageId>(i));
   }
   std::sort(ranked.begin(), ranked.end());
-  const auto budget = std::min<std::size_t>(
-      ranked.size(), static_cast<std::size_t>(params_.max_candidates));
-  ranked.resize(budget);
+  ranked.resize(std::min(ranked.size(), candidate_budget(params_)));
   return ranked;
 }
 

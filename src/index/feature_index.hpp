@@ -48,12 +48,13 @@ struct FeatureIndexParams {
   int rescore_threads = 1;
 };
 
-/// Phase-2 rescore budget for one query: max_candidates on the exact
-/// LSH-vote path, the recall-target-sized ANN shortlist otherwise.  The
-/// cluster frontend truncates its merged candidate list with this same
-/// function — the requirement for byte-identical sharded replies.
+/// Phase-2 rescore budget for one query: max_candidates (at least 1) on
+/// the exact LSH-vote path, the recall-target-sized ANN shortlist
+/// otherwise.  The index and the cluster frontend's merge both truncate
+/// with this one function — the requirement for byte-identical sharded
+/// replies.
 std::size_t candidate_budget(const FeatureIndexParams& params,
-                             double recall_target);
+                             double recall_target = kDefaultRecallTarget);
 
 /// Index over binary (ORB) feature sets.
 class FeatureIndex {
@@ -76,12 +77,12 @@ class FeatureIndex {
   QueryResult query_exact(const feat::BinaryFeatures& query_features,
                           int top_k = kDefaultTopK) const;
 
-  /// Phase 1 of a query: the top `max_candidates` stored images by LSH
-  /// collision votes, ranked (votes desc, id asc).  The deterministic
-  /// tie-break makes the candidate set independent of hash-map iteration
-  /// order, which lets a sharded deployment reproduce the single-index
-  /// candidate set exactly: the global top-N by (votes, id) is always
-  /// contained in the union of each shard's local top-N.
+  /// Phase 1 of a query on the exact path: the top
+  /// candidate_budget(params) stored images by LSH collision votes, ranked
+  /// (votes desc, id asc).  The total order makes the candidate set a pure
+  /// function of the votes, which lets a sharded deployment reproduce the
+  /// single-index candidate set exactly: the global top-N by (votes, id)
+  /// is always contained in the union of each shard's local top-N.
   std::vector<std::pair<ImageId, std::uint32_t>> lsh_candidates(
       const feat::BinaryFeatures& query_features) const;
 
@@ -168,8 +169,8 @@ class FloatFeatureIndex {
   QueryResult query(const feat::FloatFeatures& query_features,
                     int top_k = kDefaultTopK) const;
 
-  /// Phase 1 of a query: the `max_candidates` nearest stored images by
-  /// centroid distance, ranked (distance asc, id asc).  Like
+  /// Phase 1 of a query: the candidate_budget(params) nearest stored
+  /// images by centroid distance, ranked (distance asc, id asc).  Like
   /// FeatureIndex::lsh_candidates, the deterministic ranking lets a sharded
   /// deployment merge per-shard candidate lists into exactly the
   /// single-index candidate set.
@@ -203,5 +204,10 @@ class FloatFeatureIndex {
   std::size_t wire_bytes_ = 0;
   std::shared_ptr<util::ThreadPool> pool_;
 };
+
+/// Phase-2 rescore budget of the float path: max_candidates, at least 1.
+/// FloatFeatureIndex::centroid_candidates and the cluster frontend's merge
+/// both truncate with it, as on the binary path.
+std::size_t candidate_budget(const FloatFeatureIndex::Params& params);
 
 }  // namespace bees::idx

@@ -1,5 +1,6 @@
 #include "index/lsh.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -47,11 +48,12 @@ void DescriptorLsh::insert(const feat::Descriptor256& d,
     bucket.push_back(payload);
   }
   ++inserted_;
+  payload_end_ = std::max(payload_end_, std::size_t{payload} + 1);
 }
 
-void DescriptorLsh::vote(
-    const feat::Descriptor256& d,
-    std::unordered_map<std::uint32_t, std::uint32_t>& votes) const {
+void DescriptorLsh::vote(const feat::Descriptor256& d,
+                         std::vector<std::uint32_t>& votes) const {
+  if (votes.size() < payload_end_) votes.resize(payload_end_, 0);
   for (std::size_t t = 0; t < positions_.size(); ++t) {
     const auto it = buckets_[t].find(key_for(d, t));
     if (it == buckets_[t].end()) continue;

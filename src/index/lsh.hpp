@@ -21,7 +21,8 @@ struct LshParams {
 
 /// Multi-table bit-sampling LSH mapping descriptors to caller-supplied
 /// 32-bit payloads (the owning image id).  Buckets hold payload lists;
-/// queries return collision votes per payload.
+/// queries count collision votes per payload into a dense vector indexed
+/// by payload, so payloads should be small, dense ids.
 class DescriptorLsh {
  public:
   explicit DescriptorLsh(const LshParams& params = {});
@@ -32,14 +33,16 @@ class DescriptorLsh {
   /// land adjacently and the per-bucket payload list stays duplicate-free.
   void insert(const feat::Descriptor256& d, std::uint32_t payload);
 
-  /// Accumulates, for each payload, in how many (table, bucket) cells the
-  /// query descriptor collides with at least one of the payload's stored
-  /// descriptors.  Payloads are deduplicated per bucket: an image whose
-  /// descriptors collide k times in the same (table, key) bucket gets one
-  /// vote from this query descriptor, not k — otherwise descriptor-dense
-  /// images would outrank genuinely closer ones.
+  /// Adds to votes[payload], for each payload, the number of (table,
+  /// bucket) cells in which the query descriptor collides with at least
+  /// one of the payload's stored descriptors.  Payloads are deduplicated
+  /// per bucket: an image whose descriptors collide k times in the same
+  /// (table, key) bucket gets one vote from this query descriptor, not k —
+  /// otherwise descriptor-dense images would outrank genuinely closer
+  /// ones.  A shorter `votes` is first zero-filled up to one past the
+  /// largest payload inserted; a payload that never collides keeps 0.
   void vote(const feat::Descriptor256& d,
-            std::unordered_map<std::uint32_t, std::uint32_t>& votes) const;
+            std::vector<std::uint32_t>& votes) const;
 
   std::size_t descriptor_count() const noexcept { return inserted_; }
   int tables() const noexcept { return static_cast<int>(positions_.size()); }
@@ -56,6 +59,7 @@ class DescriptorLsh {
   std::vector<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
       buckets_;
   std::size_t inserted_ = 0;
+  std::size_t payload_end_ = 0;  // one past the largest payload inserted
   int bits_per_key_ = 16;
 };
 

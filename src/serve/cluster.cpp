@@ -345,8 +345,7 @@ idx::QueryResult Cluster::query_float(const feat::FloatFeatures& features,
     merged.insert(merged.end(), candidates.begin(), candidates.end());
   }
   std::sort(merged.begin(), merged.end());  // (distance asc, gid asc)
-  const auto budget = static_cast<std::size_t>(
-      std::max(0, options_.float_params.max_candidates));
+  const std::size_t budget = idx::candidate_budget(options_.float_params);
   if (merged.size() > budget) merged.resize(budget);
 
   std::vector<std::vector<idx::ImageId>> locals(backends_.size());

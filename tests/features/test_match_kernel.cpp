@@ -2,9 +2,9 @@
 // reference matcher: identical match vectors, distances, and modeled `ops`
 // over randomized descriptor sets, including the degenerate shapes (empty,
 // singleton, duplicates) and both cross-check settings.  Also the ISA
-// differential sweep (scalar / AVX2 / NEON must agree bit for bit, down to
-// the lanes_{examined,pruned} counters) and the lane kernels' storage
-// contract: candidates and sums at any 8-byte-aligned address.  Labeled
+// differential sweep (scalar / AVX-512 / AVX2 / NEON must agree bit for
+// bit, down to the lanes_{examined,pruned} counters) and the lane kernels'
+// storage contract: candidates and sums at any 8-byte-aligned address.  Labeled
 // `sanitize` and `tsan` so the sanitizer presets cover the kernel's buffer
 // reuse and the dispatch atomics.
 #include "features/match_kernel.hpp"
@@ -192,8 +192,9 @@ TEST(MatchKernelSimd, EveryIsaAgreesWithScalarBitForBit) {
   // kScalar always runs the fused SWAR loop; forcing an ISA this build or
   // CPU lacks falls back to scalar, so the sweep is safe everywhere and
   // differential wherever a vector unit exists.
-  const SimdIsa isas[] = {SimdIsa::kAvx2, SimdIsa::kNeon};
-  const std::size_t sizes[] = {0, 1, 3, 17, 64, 131, 150};
+  const SimdIsa isas[] = {SimdIsa::kAvx512, SimdIsa::kAvx2, SimdIsa::kNeon};
+  // 15 and 16 sit on the AVX-512 kernel's 16-candidate step edge.
+  const std::size_t sizes[] = {0, 1, 3, 15, 16, 17, 64, 131, 150};
   for (int round = 0; round < 3; ++round) {
     for (const std::size_t na : sizes) {
       for (const std::size_t nb : sizes) {
@@ -235,6 +236,10 @@ TEST(MatchKernelSimd, ForcingUnavailableIsaFallsBackToScalar) {
 #endif
 #if !defined(BEES_HAVE_AVX2)
   force_simd_isa(SimdIsa::kAvx2);
+  EXPECT_EQ(active_simd_isa(), SimdIsa::kScalar);
+#endif
+#if !defined(BEES_HAVE_AVX512)
+  force_simd_isa(SimdIsa::kAvx512);
   EXPECT_EQ(active_simd_isa(), SimdIsa::kScalar);
 #endif
   force_simd_isa(SimdIsa::kScalar);

@@ -103,6 +103,43 @@ TEST(FeatureIndex, StoresGeoAndBytes) {
   EXPECT_EQ(index.descriptor_count(), pairs.stored[0].size());
 }
 
+TEST(FeatureIndex, BudgetCutThroughEqualVotesKeepsLowestIds) {
+  // Images 1-6 store the same descriptors, so the query gives them equal
+  // votes; image 7 stores those plus the query's extra descriptors and
+  // outvotes them.  A budget of 3 cuts through the tied group: the ranking
+  // is (votes desc, id asc), so 7 leads and the lowest tied ids follow.
+  util::Rng rng(31);
+  const auto random_set = [&rng](std::size_t n) {
+    std::vector<feat::Descriptor256> out(n);
+    for (auto& d : out) {
+      for (auto& lane : d.bits) lane = rng.next_u64();
+    }
+    return out;
+  };
+  FeatureIndexParams params;
+  params.max_candidates = 3;
+  FeatureIndex index(params);
+  feat::BinaryFeatures unrelated;
+  unrelated.descriptors = random_set(20);
+  feat::BinaryFeatures shared;
+  shared.descriptors = random_set(20);
+  feat::BinaryFeatures query = shared;
+  for (const auto& d : random_set(5)) query.descriptors.push_back(d);
+  index.insert(unrelated);
+  for (int copy = 0; copy < 6; ++copy) index.insert(shared);
+  index.insert(query);
+
+  const auto ranked = index.lsh_candidates(query);
+  ASSERT_EQ(ranked.size(), 3u);
+  EXPECT_EQ(ranked[0].first, 7u);
+  EXPECT_EQ(ranked[1].first, 1u);
+  EXPECT_EQ(ranked[2].first, 2u);
+  EXPECT_GT(ranked[0].second, ranked[1].second);
+  EXPECT_EQ(ranked[1].second, ranked[2].second);
+  EXPECT_EQ(index.candidates(query), ranked);
+  EXPECT_EQ(index.query(query).candidates_checked, 3u);
+}
+
 TEST(FeatureIndex, UnrelatedQueryScoresBelowPaperThreshold) {
   FeatureIndex index;
   const ScenePairs stored = make_pairs(4, 8);

@@ -244,6 +244,78 @@ TEST_P(ClusterEquivalence, ErrorRepliesMatchSerial) {
   EXPECT_EQ(net::decode_error(envelope.payload), "unexpected message type");
 }
 
+/// Fresh views of the scenes seed_both stores and of scenes it does not:
+/// queries whose LSH votes spread over several seeded images, so a reply
+/// depends on how many candidates the budget lets through to the rescore.
+std::vector<feat::BinaryFeatures> fresh_views() {
+  std::vector<feat::BinaryFeatures> views;
+  for (const std::uint64_t first : {100, 150}) {
+    for (std::uint64_t scene = first; scene < first + 5; ++scene) {
+      for (std::uint64_t salt = 1; salt <= 2; ++salt) {
+        util::Rng rng(scene * 1000 + salt);
+        img::ViewPerturbation pert;
+        views.push_back(feat::extract_orb(img::render_view(
+            img::SceneSpec{scene, 18, 4}, 200, 150, pert, rng)));
+      }
+    }
+  }
+  return views;
+}
+
+/// A serial server and a cluster with `shards` shards, built from the same
+/// index parameters and seeded alike.
+struct SerialAndCluster {
+  SerialAndCluster(int shards, const idx::FeatureIndexParams& binary_params,
+                   const idx::FloatFeatureIndex::Params& float_params)
+      : server(binary_params, float_params),
+        cluster([&] {
+          ClusterOptions options;
+          options.shards = shards;
+          options.binary_params = binary_params;
+          options.float_params = float_params;
+          return options;
+        }()) {
+    seed_both(server, cluster);
+  }
+  cloud::Server server;
+  Cluster cluster;
+};
+
+TEST_P(ClusterEquivalence, BinaryDegenerateBudgetMatchesSerial) {
+  // A max_candidates below 1 still rescores one candidate: the index and
+  // the cluster merge truncate with the same idx::candidate_budget.
+  idx::FeatureIndexParams binary_params;
+  binary_params.max_candidates = -1;
+  SerialAndCluster both(GetParam(), binary_params, {});
+  const std::vector<feat::BinaryFeatures> views = fresh_views();
+  for (std::size_t q = 0; q < views.size(); ++q) {
+    net::BinaryQueryRequest request;
+    request.features = views[q];
+    request.feature_bytes = 9'000.0;
+    const auto encoded = net::encode(request);
+    ASSERT_EQ(both.cluster.handle(encoded),
+              cloud::dispatch(both.server, encoded))
+        << "shards=" << GetParam() << " q=" << q;
+    const idx::QueryResult a = both.server.query_binary(views[q], 0.0);
+    const idx::QueryResult b = both.cluster.query_binary(views[q], 0.0);
+    EXPECT_EQ(b.candidates_checked, a.candidates_checked) << "q=" << q;
+    EXPECT_EQ(b.ops, a.ops) << "q=" << q;
+  }
+}
+
+TEST_P(ClusterEquivalence, FloatDegenerateBudgetMatchesSerial) {
+  idx::FloatFeatureIndex::Params float_params;
+  float_params.max_candidates = -1;
+  SerialAndCluster both(GetParam(), {}, float_params);
+  int step = 0;
+  for (const auto& request : workload_requests()) {
+    ASSERT_EQ(both.cluster.handle(request),
+              cloud::dispatch(both.server, request))
+        << "shards=" << GetParam() << " step=" << step;
+    ++step;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ClusterEquivalence,
                          ::testing::Values(1, 2, 3, 5));
 
