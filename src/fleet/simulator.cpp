@@ -1,6 +1,7 @@
 #include "fleet/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -534,7 +535,7 @@ FleetResult run_fleet(const FleetOptions& o) {
         }
         const std::size_t run_len = run_end - i;
         const std::size_t n_groups = (run_len + window - 1) / window;
-        pool.parallel_for(n_groups, [&](std::size_t g) {
+        const auto serve_group = [&](std::size_t g) {
           const std::size_t gb = i + g * window;
           const std::size_t ge = std::min(gb + window, run_end);
           std::vector<std::vector<std::uint8_t>> group;
@@ -547,7 +548,20 @@ FleetResult run_fleet(const FleetOptions& o) {
           for (std::size_t r = gb; r < ge; ++r) {
             replies[r] = std::move(group_replies[r - gb]);
           }
-        });
+        };
+        // Free workers claim groups: each loop takes the next unclaimed
+        // group, so a costly group or a shared CPU holds up one worker
+        // rather than a fixed chunk.  Which worker serves a group cannot
+        // change a reply: each group writes only its own reply slots and
+        // the index is read-only for the whole run.
+        std::atomic<std::size_t> next_group{0};
+        pool.parallel_for(std::min(n_groups, pool.thread_count()),
+                          [&](std::size_t) {
+                            for (std::size_t g = next_group++; g < n_groups;
+                                 g = next_group++) {
+                              serve_group(g);
+                            }
+                          });
         for (std::size_t g = 0; g < n_groups; ++g) {
           const std::size_t gb = i + g * window;
           batch_sizes.push_back(std::min(gb + window, run_end) - gb);

@@ -65,6 +65,20 @@ TEST(FleetSimulator, BatchedReportInvariantAcrossWorkerCounts) {
   o.workers = 8;
   const std::string w8 = run_fleet(o).report.to_json();
   EXPECT_EQ(w1, w8);
+
+  // Free workers claim a run's groups, so which worker serves which group
+  // follows the wall clock; the report must not.  A deep queue and 4
+  // virtual servers admit the spike, so its barrier runs hold more groups
+  // than workers.
+  o = busy_options();
+  o.queue_depth = 64;
+  o.server_threads = 4;
+  o.batch_window = 2;
+  o.workers = 1;
+  const std::string deep1 = run_fleet(o).report.to_json();
+  o.workers = 2;
+  const std::string deep2 = run_fleet(o).report.to_json();
+  EXPECT_EQ(deep1, deep2);
 }
 
 TEST(FleetSimulator, BatchWindowOnlyMovesBatchingStats) {
