@@ -1,5 +1,6 @@
 #include "cloud/rpc.hpp"
 
+#include <exception>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -34,6 +35,16 @@ void detail::count_dispatch(net::MessageType type, std::size_t request_bytes) {
   obs::count("cloud.dispatch.request_bytes",
              static_cast<double>(request_bytes));
   obs::count((std::string("cloud.dispatch.") + type_name(type)).c_str());
+}
+
+std::vector<std::uint8_t> detail::current_error_reply() {
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return net::encode_error(e.what());
+  } catch (...) {
+    return net::encode_error("internal server error");
+  }
 }
 
 std::vector<std::uint8_t> handle_chunk_message(

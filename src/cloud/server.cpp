@@ -18,17 +18,22 @@ void Server::note_location(const idx::GeoTag& geo) {
   stats_.unique_locations = locations_.size();
 }
 
-idx::QueryResult Server::query_binary(const feat::BinaryFeatures& features,
-                                      double feature_bytes, int top_k) {
+std::vector<idx::QueryResult> Server::query_binary_batch(
+    const std::vector<BinaryBatchItem>& items) {
   obs::ScopedTimer timer("cloud.query.binary.seconds");
-  ++stats_.binary_queries;
-  stats_.feature_bytes_received += feature_bytes;
-  const idx::QueryResult result = binary_.query(features, top_k);
-  obs::count("cloud.query.binary");
-  obs::count("cloud.query.ops", static_cast<double>(result.ops));
-  obs::observe("cloud.query.binary.candidates",
-               static_cast<double>(result.candidates_checked));
-  return result;
+  std::vector<idx::QueryResult> results;
+  results.reserve(items.size());
+  for (const BinaryBatchItem& item : items) {
+    ++stats_.binary_queries;
+    stats_.feature_bytes_received += item.feature_bytes;
+    const idx::QueryResult& result =
+        results.emplace_back(binary_.query(*item.features, item.top_k));
+    obs::count("cloud.query.binary");
+    obs::count("cloud.query.ops", static_cast<double>(result.ops));
+    obs::observe("cloud.query.binary.candidates",
+                 static_cast<double>(result.candidates_checked));
+  }
+  return results;
 }
 
 idx::QueryResult Server::query_float(const feat::FloatFeatures& features,

@@ -35,16 +35,26 @@ struct StoreInfo {
   double thumbnail_bytes = 0.0;
 };
 
+/// One query of a batched CBRD query: its feature set (borrowed; must
+/// outlive the call), the wire bytes it is accounted for, and how many
+/// ranked hits it asks for.  Both backends of cloud::dispatch —
+/// cloud::Server and serve::Cluster — answer query_binary_batch over these.
+struct BinaryBatchItem {
+  const feat::BinaryFeatures* features = nullptr;
+  double feature_bytes = 0.0;
+  int top_k = idx::kDefaultTopK;
+};
+
 class Server {
  public:
   explicit Server(const idx::FeatureIndexParams& binary_params = {},
                   const idx::FloatFeatureIndex::Params& float_params = {});
 
-  /// CBRD query against the binary (ORB) index.  Counts the received
-  /// feature payload of `feature_bytes` wire bytes.
-  idx::QueryResult query_binary(const feat::BinaryFeatures& features,
-                                double feature_bytes,
-                                int top_k = idx::kDefaultTopK);
+  /// CBRD queries against the binary (ORB) index, answered in order;
+  /// results[q] is FeatureIndex::query of items[q].  Counts each query and
+  /// its received feature payload of `feature_bytes` wire bytes.
+  std::vector<idx::QueryResult> query_binary_batch(
+      const std::vector<BinaryBatchItem>& items);
 
   /// CBRD query against the float (SIFT / PCA-SIFT) index.
   idx::QueryResult query_float(const feat::FloatFeatures& features,

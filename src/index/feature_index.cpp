@@ -68,27 +68,13 @@ std::vector<std::pair<ImageId, std::uint32_t>> top_scored(
   return ranked;
 }
 
-/// Runs score(begin, end) over [0, n): through the pool when one is given,
-/// inline otherwise.  The chunk partition is the pool's static split, so
-/// per-slot outputs are identical either way.
-template <typename ScoreChunk>
-void for_each_chunk(std::size_t n, util::ThreadPool* pool,
-                    ScoreChunk&& score) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for_chunks(n, score);
-  } else if (n > 0) {
-    score(0, n);
-  }
-}
-
 }  // namespace
 
-std::size_t candidate_budget(const FeatureIndexParams& params,
-                             double recall_target) {
+std::size_t candidate_budget(const FeatureIndexParams& params) {
   if (!params.ann.enabled) {
     return static_cast<std::size_t>(std::max(1, params.max_candidates));
   }
-  return ann_shortlist_budget(params.max_candidates, recall_target);
+  return ann_shortlist_budget(params.max_candidates, kDefaultRecallTarget);
 }
 
 std::size_t candidate_budget(const FloatFeatureIndex::Params& params) {
@@ -139,16 +125,22 @@ std::vector<QueryResult> FeatureIndex::rescore_batch(
   // order, so hits and `ops` are the same for any thread count.
   std::vector<double> sims(pairs.size(), 0.0);
   std::vector<std::uint64_t> slot_ops(pairs.size(), 0);
-  for_each_chunk(pairs.size(), pool_.get(),
-                 [&](std::size_t begin, std::size_t end) {
-                   feat::MatchWorkspace workspace;
-                   for (std::size_t p = begin; p < end; ++p) {
-                     const auto [q, id] = pairs[p];
-                     sims[p] = feat::jaccard_similarity(
-                         *queries[q], images_[id].features, params_.match,
-                         &slot_ops[p], workspace);
-                   }
-                 });
+  const auto score = [&](std::size_t begin, std::size_t end) {
+    feat::MatchWorkspace workspace;
+    for (std::size_t p = begin; p < end; ++p) {
+      const auto [q, id] = pairs[p];
+      sims[p] = feat::jaccard_similarity(*queries[q], images_[id].features,
+                                         params_.match, &slot_ops[p],
+                                         workspace);
+    }
+  };
+  // The pool's chunk partition is a static split, so per-slot outputs are
+  // the same as the inline run's.
+  if (pool_ && pairs.size() > 1) {
+    pool_->parallel_for_chunks(pairs.size(), score);
+  } else if (!pairs.empty()) {
+    score(0, pairs.size());
+  }
   std::vector<QueryResult> results(queries.size());
   std::size_t p = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -165,43 +157,27 @@ std::vector<QueryResult> FeatureIndex::rescore_batch(
   return results;
 }
 
-std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::lsh_candidates(
+std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
     const feat::BinaryFeatures& query_features) const {
   if (images_.empty() || query_features.empty()) return {};
-  // LSH voting: every query descriptor votes for owners of colliding
-  // stored descriptors.
-  std::vector<std::uint32_t> votes(images_.size(), 0);
-  for (const auto& d : query_features.descriptors) lsh_.vote(d, votes);
-  return top_scored(votes, candidate_budget(params_));
-}
-
-std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
-    const feat::BinaryFeatures& query_features, double recall_target) const {
-  if (!ann_) return lsh_candidates(query_features);
-  if (images_.empty() || query_features.empty()) return {};
   std::vector<std::uint32_t> scores(images_.size(), 0);
-  ann_->collect(query_features.descriptors, scores);
+  if (ann_) ann_->collect(query_features.descriptors, scores);
+  // LSH voting: every query descriptor votes for owners of colliding
+  // stored descriptors (the tables are empty when descriptor LSH is off).
   if (params_.enable_descriptor_lsh) {
     for (const auto& d : query_features.descriptors) lsh_.vote(d, scores);
   }
-  return top_scored(scores, candidate_budget(params_, recall_target));
+  return top_scored(scores, candidate_budget(params_));
 }
 
 QueryResult FeatureIndex::query(const feat::BinaryFeatures& query_features,
                                 int top_k) const {
-  QueryOptions options;
-  options.top_k = top_k;
-  return query(query_features, options);
-}
-
-QueryResult FeatureIndex::query(const feat::BinaryFeatures& query_features,
-                                const QueryOptions& options) const {
   if (images_.empty() || query_features.empty()) return {};
-  const auto ranked = candidates(query_features, options.recall_target);
+  const auto ranked = candidates(query_features);
   std::vector<ImageId> shortlist;
   shortlist.reserve(ranked.size());
   for (const auto& [id, score] : ranked) shortlist.push_back(id);
-  return rescore(query_features, shortlist, options.top_k);
+  return rescore(query_features, shortlist, top_k);
 }
 
 QueryResult FeatureIndex::query_exact(
@@ -215,7 +191,7 @@ QueryResult FeatureIndex::query_exact(
 }
 
 FloatFeatureIndex::FloatFeatureIndex(const Params& params)
-    : params_(params), pool_(make_rescore_pool(params.rescore_threads)) {}
+    : params_(params) {}
 
 std::vector<float> FloatFeatureIndex::centroid_of(
     const feat::FloatFeatures& f) {
@@ -264,22 +240,14 @@ QueryResult FloatFeatureIndex::rescore(
     const std::vector<ImageId>& candidates, int top_k) const {
   obs::ScopedTimer timer("cloud.query.rescore.seconds");
   QueryResult result;
-  const std::size_t n = candidates.size();
-  result.candidates_checked = n;
-  std::vector<double> sims(n, 0.0);
-  std::vector<std::uint64_t> slot_ops(n, 0);
-  for_each_chunk(n, pool_.get(),
-                 [&](std::size_t begin, std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     sims[i] = feat::jaccard_similarity(
-                         query_features, images_[candidates[i]].features,
-                         params_.match, &slot_ops[i]);
-                   }
-                 });
-  result.hits.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    result.ops += slot_ops[i];
-    result.hits.push_back({candidates[i], sims[i]});
+  result.candidates_checked = candidates.size();
+  result.hits.reserve(candidates.size());
+  for (const ImageId id : candidates) {
+    std::uint64_t ops = 0;
+    const double sim = feat::jaccard_similarity(
+        query_features, images_[id].features, params_.match, &ops);
+    result.ops += ops;
+    result.hits.push_back({id, sim});
   }
   detail::finalize_top_k(result, top_k);
   return result;

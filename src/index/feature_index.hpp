@@ -35,7 +35,7 @@ struct FeatureIndexParams {
   /// routing); see index/ann.hpp.
   AnnParams ann;
   /// Exact-rescore budget: the top candidates by LSH votes.  The ANN path
-  /// widens it to ann_shortlist_budget(max_candidates, recall_target).
+  /// widens it to ann_shortlist_budget(max_candidates, kDefaultRecallTarget).
   int max_candidates = 16;
   feat::BinaryMatchParams match;
   /// Worker threads for the exact-rescore stage: 1 = serial (no pool),
@@ -49,12 +49,11 @@ struct FeatureIndexParams {
 };
 
 /// Phase-2 rescore budget for one query: max_candidates (at least 1) on
-/// the exact LSH-vote path, the recall-target-sized ANN shortlist
+/// the exact LSH-vote path, the ANN shortlist sized at kDefaultRecallTarget
 /// otherwise.  The index and the cluster frontend's merge both truncate
 /// with this one function — the requirement for byte-identical sharded
 /// replies.
-std::size_t candidate_budget(const FeatureIndexParams& params,
-                             double recall_target = kDefaultRecallTarget);
+std::size_t candidate_budget(const FeatureIndexParams& params);
 
 /// Index over binary (ORB) feature sets.
 class FeatureIndex {
@@ -69,34 +68,24 @@ class FeatureIndex {
   /// votes otherwise.
   QueryResult query(const feat::BinaryFeatures& query_features,
                     int top_k = kDefaultTopK) const;
-  QueryResult query(const feat::BinaryFeatures& query_features,
-                    const QueryOptions& options) const;
 
   /// Exhaustive query over every stored image (no LSH); the accuracy
   /// reference for the LSH ablation bench.
   QueryResult query_exact(const feat::BinaryFeatures& query_features,
                           int top_k = kDefaultTopK) const;
 
-  /// Phase 1 of a query on the exact path: the top
-  /// candidate_budget(params) stored images by LSH collision votes, ranked
-  /// (votes desc, id asc).  The total order makes the candidate set a pure
-  /// function of the votes, which lets a sharded deployment reproduce the
-  /// single-index candidate set exactly: the global top-N by (votes, id)
-  /// is always contained in the union of each shard's local top-N.
-  std::vector<std::pair<ImageId, std::uint32_t>> lsh_candidates(
-      const feat::BinaryFeatures& query_features) const;
-
-  /// Phase 1 with ANN dispatch: the rescore shortlist under
-  /// candidate_budget(params, recall_target), ranked (score desc, id asc).
-  /// With `params.ann.enabled` the score is band collisions * band_weight
-  /// + shared words (+ deduplicated LSH votes when the index keeps
-  /// descriptor LSH tables); otherwise
-  /// this is exactly lsh_candidates().  Scores are pure per-(query, image)
-  /// functions either way, so sharded deployments merge per-shard lists
-  /// into the single-index shortlist (see index/ann.hpp).
+  /// Phase 1 of a query: the top candidate_budget(params) stored images,
+  /// ranked (score desc, id asc).  The score is the image's LSH collision
+  /// votes on the exact path; with `params.ann.enabled` it is band
+  /// collisions * band_weight + shared words (+ deduplicated LSH votes
+  /// when the index keeps descriptor LSH tables).  Scores are pure
+  /// per-(query, image) functions and the order is total, so the candidate
+  /// set is a pure function of the scores: the global top-N by
+  /// (score, id) is always contained in the union of each shard's local
+  /// top-N, which lets a sharded deployment reproduce the single-index
+  /// shortlist exactly (see index/ann.hpp).
   std::vector<std::pair<ImageId, std::uint32_t>> candidates(
-      const feat::BinaryFeatures& query_features,
-      double recall_target = kDefaultRecallTarget) const;
+      const feat::BinaryFeatures& query_features) const;
 
   /// Phase 2 of a query: exact Jaccard rescoring of an explicit candidate
   /// list (public so a cluster frontend can rescore a globally merged
@@ -156,10 +145,6 @@ class FloatFeatureIndex {
   struct Params {
     int max_candidates = 16;
     feat::FloatMatchParams match;
-    /// Worker threads for the exact-rescore stage, as
-    /// FeatureIndexParams::rescore_threads: 1 = serial (the default),
-    /// 0 = hardware concurrency.  Results are thread-count independent.
-    int rescore_threads = 1;
   };
 
   FloatFeatureIndex() : FloatFeatureIndex(Params{}) {}
@@ -171,7 +156,7 @@ class FloatFeatureIndex {
 
   /// Phase 1 of a query: the candidate_budget(params) nearest stored
   /// images by centroid distance, ranked (distance asc, id asc).  Like
-  /// FeatureIndex::lsh_candidates, the deterministic ranking lets a sharded
+  /// FeatureIndex::candidates, the deterministic ranking lets a sharded
   /// deployment merge per-shard candidate lists into exactly the
   /// single-index candidate set.
   std::vector<std::pair<double, ImageId>> centroid_candidates(
@@ -202,7 +187,6 @@ class FloatFeatureIndex {
   Params params_;
   std::vector<Entry> images_;
   std::size_t wire_bytes_ = 0;
-  std::shared_ptr<util::ThreadPool> pool_;
 };
 
 /// Phase-2 rescore budget of the float path: max_candidates, at least 1.

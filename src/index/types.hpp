@@ -21,8 +21,8 @@ inline constexpr ImageId kInvalidImageId =
 /// core::SchemeConfig all route through this constant.
 inline constexpr int kDefaultTopK = 4;
 
-/// Default recall target of the ANN-pruned query path (QueryOptions);
-/// sizes the exact-rescore shortlist via ann_shortlist_budget().
+/// Recall target of the ANN-pruned query path: sizes the exact-rescore
+/// shortlist via ann_shortlist_budget() (see candidate_budget).
 inline constexpr double kDefaultRecallTarget = 0.95;
 
 /// One ranked hit of a similarity query.
@@ -43,14 +43,6 @@ struct QueryResult {
   std::size_t candidates_checked = 0;
   /// Descriptor-comparison work performed (for the server-cost ablation).
   std::uint64_t ops = 0;
-};
-
-/// Per-query knobs shared by the index and serving layers.
-struct QueryOptions {
-  int top_k = kDefaultTopK;
-  /// ANN shortlist sizing: higher targets rescore more candidates (see
-  /// ann_shortlist_budget).  Ignored by the exact LSH-vote path.
-  double recall_target = kDefaultRecallTarget;
 };
 
 namespace detail {

@@ -11,7 +11,6 @@
 #include "serve/shard.hpp"
 #include "serve/wal.hpp"
 #include "util/byte_io.hpp"
-#include "util/hash.hpp"
 
 namespace bees::replica {
 
@@ -127,38 +126,24 @@ idx::ImageId ReplicationGroup::apply(serve::WalRecord record) {
   }
   if (subscribers == 0) return local;
 
-  // Re-encode as exactly the frame the primary's WAL carries.  With a
-  // store, chunks are pinned here — the primary's own WAL pin is released
-  // whenever its auto-checkpoint resets the log, which can happen before
-  // any follower drains.
+  // Ship exactly the frame the primary's WAL carries.  With a store, the
+  // frame's own chunk pins last until every follower acknowledges it — the
+  // primary's WAL pin is released whenever its auto-checkpoint resets the
+  // log, which can happen before any follower drains.
   auto frame = std::make_shared<ShipFrame>();
   frame->seq = record.seq;
   frame->unacked = subscribers;
-  std::vector<std::uint8_t> body;
-  if (base_options_.segment_store != nullptr && !record.payload.empty()) {
-    const store::Manifest manifest =
-        base_options_.segment_store->put_payload_pinned(record.payload);
-    base_options_.segment_store->flush();
-    frame->pins = manifest.chunks;
-    body = serve::encode_wal_record_chunked(record, manifest);
-  } else {
-    body = serve::encode_wal_record(record);
-  }
-  util::ByteWriter writer;
-  writer.put_u32(static_cast<std::uint32_t>(body.size()));
-  writer.put_u32(util::crc32(body));
-  writer.put_bytes(body);
-  frame->frame = writer.take();
+  frame->frame = serve::encode_wal_frame(record, base_options_.segment_store);
 
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     if (!alive_[i] || static_cast<int>(i) == cur) continue;
     queues_[i].push_back(frame);
     ++ship_records_;
-    ship_bytes_ += frame->frame.size();
+    ship_bytes_ += frame->frame.bytes.size();
     ship_lag_max_ = std::max<std::uint64_t>(ship_lag_max_, queues_[i].size());
     obs::count("replica.ship.records");
     obs::count("replica.ship.bytes",
-               static_cast<double>(frame->frame.size()));
+               static_cast<double>(frame->frame.bytes.size()));
     if (queues_[i].size() >= options_.ship_queue_cap) drain_follower(i);
   }
   return local;
@@ -168,15 +153,11 @@ void ReplicationGroup::drain_follower(std::size_t i) {
   while (!queues_[i].empty()) {
     std::shared_ptr<ShipFrame> frame = std::move(queues_[i].front());
     queues_[i].pop_front();
-    util::ByteReader reader(frame->frame);
-    const std::uint32_t len = reader.get_u32();
-    const std::uint32_t crc = reader.get_u32();
-    const std::vector<std::uint8_t> body = reader.get_bytes(len);
-    if (util::crc32(body) != crc) {
-      throw std::runtime_error("replica: ship frame CRC mismatch");
+    serve::WalRecord record;
+    if (serve::read_wal_frame(frame->frame.bytes, base_options_.segment_store,
+                              record) == 0) {
+      throw std::runtime_error("replica: damaged ship frame");
     }
-    const serve::WalRecord record =
-        serve::decode_wal_record(body, base_options_.segment_store);
     instances_[i]->apply_replicated(record);
     acked_seq_[i] = frame->seq;
     release_frame(frame);
@@ -185,8 +166,8 @@ void ReplicationGroup::drain_follower(std::size_t i) {
 
 void ReplicationGroup::release_frame(const std::shared_ptr<ShipFrame>& frame) {
   if (--frame->unacked > 0) return;
-  if (!frame->pins.empty() && base_options_.segment_store != nullptr) {
-    base_options_.segment_store->unpin(frame->pins);
+  if (!frame->frame.pins.empty() && base_options_.segment_store != nullptr) {
+    base_options_.segment_store->unpin(frame->frame.pins);
   }
 }
 

@@ -2,18 +2,15 @@
 //
 // A ReplicationGroup is one cluster shard slot backed by 1 + F Shard
 // instances: the active primary plus F standby followers.  Every mutation
-// the cluster applies to the primary is re-encoded as exactly the frame
-// the primary's on-disk WAL carries —
-//
-//   u32 body length | u32 CRC-32(body) | body
-//
-// where the body is encode_wal_record (inline) or, with a segment store
-// attached, encode_wal_record_chunked: the payload lives in the
-// content-addressed store and the frame carries only its manifest, so a
-// record whose chunks the store already holds (they were just written by
-// the primary's own WAL append) ships as a few dozen manifest bytes.
-// Shipped chunks are pinned (put_payload_pinned) until every follower has
-// acknowledged the frame, so a checkpoint-triggered compaction on the
+// the cluster applies to the primary ships as exactly the frame the
+// primary's on-disk WAL carries: serve::encode_wal_frame, the log's own
+// frame encoder, builds it and serve::read_wal_frame, the log's own
+// reader, opens it on the follower — this file frames nothing itself.
+// With a segment store attached the frame carries only the payload's
+// chunk manifest, so a record whose chunks the store already holds (they
+// were just written by the primary's own WAL append) ships as a few dozen
+// manifest bytes.  A ship frame's chunks stay pinned until every follower
+// has acknowledged it, so a checkpoint-triggered compaction on the
 // primary can never reclaim a chunk a ship frame still references.
 //
 // Shipping is asynchronous with a bounded per-follower queue: frames
@@ -48,6 +45,7 @@
 #include <vector>
 
 #include "serve/backend.hpp"
+#include "serve/wal.hpp"
 
 namespace bees::replica {
 
@@ -112,13 +110,12 @@ class ReplicationGroup final : public serve::ShardBackend {
   }
 
  private:
-  /// One frame queued to followers; chunk pins are released when the last
-  /// subscribed follower acknowledges.
+  /// One frame queued to followers; its chunk pins are released when the
+  /// last subscribed follower acknowledges.
   struct ShipFrame {
     std::uint64_t seq = 0;
-    std::vector<std::uint8_t> frame;  ///< len|crc|body, as on disk.
-    std::vector<store::ChunkKey> pins;
-    int unacked = 0;  ///< Followers still holding a reference.
+    serve::WalFrame frame;  ///< len|crc|body, as on disk, and its pins.
+    int unacked = 0;        ///< Followers still holding a reference.
   };
 
   serve::ShardOptions instance_options(int i) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <optional>
 #include <stdexcept>
 
 #include "cloud/rpc.hpp"
@@ -119,102 +118,16 @@ std::vector<std::uint8_t> Cluster::handle(
   auto promise = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
   std::future<std::vector<std::uint8_t>> reply = promise->get_future();
   pool_->submit([this, request, promise] {
-    std::vector<std::uint8_t> bytes = dispatch_fenced(request);
+    std::vector<std::uint8_t> bytes = cloud::dispatch(*this, request);
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     promise->set_value(std::move(bytes));
   });
   return reply.get();
 }
 
-std::vector<std::uint8_t> Cluster::dispatch_fenced(
-    const std::vector<std::uint8_t>& request) {
-  try {
-    return cloud::dispatch(*this, request);
-  } catch (const std::exception& e) {
-    // Worker tasks must never leak an exception (it would terminate the
-    // process); everything becomes an error reply.
-    return net::encode_error(e.what());
-  } catch (...) {
-    return net::encode_error("internal server error");
-  }
-}
-
 std::vector<std::vector<std::uint8_t>> Cluster::handle_coalesced(
     const std::vector<std::vector<std::uint8_t>>& requests) {
-  const std::size_t n = requests.size();
-
-  // Plan: decode every query envelope up front so its queries can join one
-  // batched fan-out (a kBinaryQuery rides as a one-entry batch); anything
-  // else — uploads, the chunk plane, malformed envelopes — goes through
-  // cloud::dispatch below, which replays the decode and so produces the
-  // identical reply, error strings included.
-  struct QueryPlan {
-    net::MessageType type;
-    net::BatchQueryRequest queries;
-    std::size_t first_item = 0;  ///< index into `items`
-  };
-  std::vector<std::optional<QueryPlan>> plans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    try {
-      const net::Envelope env = net::open_envelope(requests[i]);
-      if (env.type == net::MessageType::kBinaryQuery) {
-        net::BinaryQueryRequest q = net::decode_binary_query(env.payload);
-        QueryPlan plan{env.type, {}};
-        plan.queries.features.push_back(std::move(q.features));
-        plan.queries.feature_bytes.push_back(
-            cloud::accounted_bytes(q.feature_bytes, requests[i].size()));
-        plan.queries.top_k = q.top_k;
-        plans[i] = std::move(plan);
-      } else if (env.type == net::MessageType::kBatchQuery) {
-        plans[i] = QueryPlan{env.type, net::decode_batch_query(env.payload)};
-      }
-    } catch (...) {
-      // Malformed query envelope: left to cloud::dispatch.
-    }
-  }
-  // Flatten after planning so the item pointers into `plans` stay stable.
-  std::vector<BinaryBatchItem> items;
-  for (std::optional<QueryPlan>& plan : plans) {
-    if (!plan) continue;
-    plan->first_item = items.size();
-    for (std::size_t k = 0; k < plan->queries.features.size(); ++k) {
-      BinaryBatchItem item;
-      item.features = &plan->queries.features[k];
-      item.feature_bytes = plan->queries.feature_bytes[k];
-      item.options.top_k = plan->queries.top_k;
-      items.push_back(item);
-    }
-  }
-
-  std::vector<idx::QueryResult> results;
-  bool batched = true;
-  try {
-    results = query_binary_batch(items);
-  } catch (...) {
-    // Defensive: fall every query back to the per-request path rather than
-    // leaving its reply empty.
-    batched = false;
-  }
-
-  std::vector<std::vector<std::uint8_t>> replies(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!plans[i] || !batched) {
-      replies[i] = dispatch_fenced(requests[i]);
-      continue;
-    }
-    const QueryPlan& plan = *plans[i];
-    cloud::detail::count_dispatch(plan.type, requests[i].size());
-    net::BatchQueryResponse reply;
-    reply.verdicts.reserve(plan.queries.features.size());
-    for (std::size_t k = 0; k < plan.queries.features.size(); ++k) {
-      reply.verdicts.push_back(
-          cloud::verdict_of(*this, results[plan.first_item + k]));
-    }
-    replies[i] = plan.type == net::MessageType::kBinaryQuery
-                     ? net::encode(reply.verdicts.front())
-                     : net::encode(reply);
-  }
-  return replies;
+  return cloud::dispatch(*this, requests);
 }
 
 net::Transport::Handler Cluster::handler() {
@@ -226,30 +139,15 @@ net::Transport::Handler Cluster::handler() {
 // ---------------------------------------------------------------------------
 // Query plane: fan out, merge exactly.
 
-idx::QueryResult Cluster::query_binary(const feat::BinaryFeatures& features,
-                                       double feature_bytes, int top_k) {
-  idx::QueryOptions query_options;
-  query_options.top_k = top_k;
-  return query_binary(features, feature_bytes, query_options);
-}
-
-idx::QueryResult Cluster::query_binary(
-    const feat::BinaryFeatures& features, double feature_bytes,
-    const idx::QueryOptions& query_options) {
-  return std::move(
-      query_binary_batch({{&features, feature_bytes, query_options}})
-          .front());
-}
-
 std::vector<idx::QueryResult> Cluster::query_binary_batch(
-    const std::vector<BinaryBatchItem>& items) {
+    const std::vector<cloud::BinaryBatchItem>& items) {
   const std::size_t nq = items.size();
   std::vector<idx::QueryResult> results(nq);
   if (nq == 0) return results;
   obs::ScopedTimer timer("serve.query.binary.seconds");
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    for (const BinaryBatchItem& item : items) {
+    for (const cloud::BinaryBatchItem& item : items) {
       ++binary_queries_;
       query_feature_bytes_ += item.feature_bytes;
     }
@@ -269,13 +167,12 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
   std::vector<std::vector<std::vector<idx::ImageId>>> shard_locals(n_shards);
   std::vector<std::vector<int>> shard_top_k(n_shards);
   std::vector<std::vector<std::size_t>> shard_query(n_shards);
+  const std::size_t budget = idx::candidate_budget(options_.binary_params);
   for (std::size_t q = 0; q < nq; ++q) {
-    const BinaryBatchItem& item = items[q];
-    const feat::BinaryFeatures& features = *item.features;
+    const feat::BinaryFeatures& features = *items[q].features;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> merged;
     for (const auto& backend : backends_) {
-      const auto candidates = backend->active().binary_candidates(
-          features, item.options.recall_target);
+      const auto candidates = backend->active().binary_candidates(features);
       merged.insert(merged.end(), candidates.begin(), candidates.end());
     }
     std::sort(merged.begin(), merged.end(),
@@ -283,8 +180,6 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
                 if (a.second != b.second) return a.second > b.second;
                 return a.first < b.first;
               });
-    const std::size_t budget = idx::candidate_budget(
-        options_.binary_params, item.options.recall_target);
     if (merged.size() > budget) merged.resize(budget);
 
     std::vector<std::vector<idx::ImageId>> locals(n_shards);
@@ -299,7 +194,7 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
       if (locals[s].empty()) continue;
       shard_features[s].push_back(&features);
       shard_locals[s].push_back(std::move(locals[s]));
-      shard_top_k[s].push_back(item.options.top_k);
+      shard_top_k[s].push_back(items[q].top_k);
       shard_query[s].push_back(q);
     }
   }
@@ -321,7 +216,7 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
     }
   }
   for (std::size_t q = 0; q < nq; ++q) {
-    idx::detail::finalize_top_k(results[q], items[q].options.top_k);
+    idx::detail::finalize_top_k(results[q], items[q].top_k);
     obs::count("serve.query.binary");
     obs::observe("serve.query.binary.candidates",
                  static_cast<double>(results[q].candidates_checked));
@@ -393,37 +288,54 @@ double Cluster::query_global(const feat::ColorHistogram& histogram,
 // ---------------------------------------------------------------------------
 // Mutation plane (single-writer).
 
-idx::ImageId Cluster::apply_mutation(WalOp op, const idx::GeoTag& geo,
-                                     WalRecord record,
-                                     std::vector<Location>* locations,
-                                     std::vector<idx::ImageId>* next_local,
-                                     std::uint32_t gid) {
+std::uint32_t Cluster::apply_mutation(WalOp op, const idx::GeoTag& geo,
+                                      WalRecord record,
+                                      std::uint32_t* next_gid,
+                                      std::vector<Location>* locations,
+                                      std::vector<idx::ImageId>* next_local) {
+  const std::uint32_t gid = (*next_gid)++;
   record.op = op;
   record.global_id = gid;
   const std::size_t s = route(geo, gid);
+  ShardBackend& backend = *backends_[s];
   idx::ImageId predicted = idx::kInvalidImageId;
   if (locations) {
     predicted = (*next_local)[s]++;
     std::lock_guard<std::mutex> lock(maps_mutex_);
     locations->push_back({static_cast<int>(s), predicted});
   }
-  const idx::ImageId local = backends_[s]->apply(std::move(record));
+  const std::uint64_t seq_before = backend.active().last_applied_seq();
+  idx::ImageId local = idx::kInvalidImageId;
+  try {
+    local = backend.apply(std::move(record));
+  } catch (...) {
+    if (backend.active().last_applied_seq() == seq_before) {
+      --*next_gid;
+      if (locations) {
+        --(*next_local)[s];
+        std::lock_guard<std::mutex> lock(maps_mutex_);
+        locations->pop_back();
+      }
+    }
+    throw;
+  }
   if (locations && local != predicted) {
     throw std::logic_error("cluster: shard local id drifted from prediction");
   }
-  return local;
+  return gid;
 }
 
 idx::ImageId Cluster::store_binary(const feat::BinaryFeatures& features,
                                    const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
   std::lock_guard<std::mutex> lock(mutation_mutex_);
-  const std::uint32_t gid = next_binary_gid_++;
   WalRecord record;
   record.info = info;
   record.payload = idx::serialize_binary(features);
-  apply_mutation(WalOp::kStoreBinary, info.geo, std::move(record),
-                 &binary_locations_, &next_binary_local_, gid);
+  const std::uint32_t gid =
+      apply_mutation(WalOp::kStoreBinary, info.geo, std::move(record),
+                     &next_binary_gid_, &binary_locations_,
+                     &next_binary_local_);
   obs::count("serve.store.images");
   return gid;
 }
@@ -432,12 +344,12 @@ idx::ImageId Cluster::store_float(const feat::FloatFeatures& features,
                                   const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
   std::lock_guard<std::mutex> lock(mutation_mutex_);
-  const std::uint32_t gid = next_float_gid_++;
   WalRecord record;
   record.info = info;
   record.payload = idx::serialize_float(features);
-  apply_mutation(WalOp::kStoreFloat, info.geo, std::move(record),
-                 &float_locations_, &next_float_local_, gid);
+  const std::uint32_t gid =
+      apply_mutation(WalOp::kStoreFloat, info.geo, std::move(record),
+                     &next_float_gid_, &float_locations_, &next_float_local_);
   obs::count("serve.store.images");
   return gid;
 }
@@ -449,8 +361,8 @@ void Cluster::store_global(const feat::ColorHistogram& histogram,
   WalRecord record;
   record.info = info;
   record.payload = encode_histogram(histogram);
-  apply_mutation(WalOp::kStoreGlobal, info.geo, std::move(record), nullptr,
-                 nullptr, next_unrouted_++);
+  apply_mutation(WalOp::kStoreGlobal, info.geo, std::move(record),
+                 &next_unrouted_, nullptr, nullptr);
   obs::count("serve.store.images");
 }
 
@@ -459,32 +371,30 @@ void Cluster::store_plain(const cloud::StoreInfo& info) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   WalRecord record;
   record.info = info;
-  apply_mutation(WalOp::kStorePlain, info.geo, std::move(record), nullptr,
-                 nullptr, next_unrouted_++);
+  apply_mutation(WalOp::kStorePlain, info.geo, std::move(record),
+                 &next_unrouted_, nullptr, nullptr);
   obs::count("serve.store.images");
 }
 
 void Cluster::seed_binary(const feat::BinaryFeatures& features,
                           const idx::GeoTag& geo, double thumbnail_bytes) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
-  const std::uint32_t gid = next_binary_gid_++;
   WalRecord record;
   record.info.geo = geo;
   record.info.thumbnail_bytes = thumbnail_bytes;
   record.payload = idx::serialize_binary(features);
-  apply_mutation(WalOp::kSeedBinary, geo, std::move(record),
-                 &binary_locations_, &next_binary_local_, gid);
+  apply_mutation(WalOp::kSeedBinary, geo, std::move(record), &next_binary_gid_,
+                 &binary_locations_, &next_binary_local_);
 }
 
 void Cluster::seed_float(const feat::FloatFeatures& features,
                          const idx::GeoTag& geo) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
-  const std::uint32_t gid = next_float_gid_++;
   WalRecord record;
   record.info.geo = geo;
   record.payload = idx::serialize_float(features);
-  apply_mutation(WalOp::kSeedFloat, geo, std::move(record), &float_locations_,
-                 &next_float_local_, gid);
+  apply_mutation(WalOp::kSeedFloat, geo, std::move(record), &next_float_gid_,
+                 &float_locations_, &next_float_local_);
 }
 
 void Cluster::seed_global(const feat::ColorHistogram& histogram,
@@ -493,8 +403,8 @@ void Cluster::seed_global(const feat::ColorHistogram& histogram,
   WalRecord record;
   record.info.geo = geo;
   record.payload = encode_histogram(histogram);
-  apply_mutation(WalOp::kSeedGlobal, geo, std::move(record), nullptr, nullptr,
-                 next_unrouted_++);
+  apply_mutation(WalOp::kSeedGlobal, geo, std::move(record), &next_unrouted_,
+                 nullptr, nullptr);
 }
 
 // ---------------------------------------------------------------------------

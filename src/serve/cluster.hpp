@@ -4,8 +4,8 @@
 // error reply, never a throw), and each worker answers its request through
 // cloud::dispatch — the serial server's own dispatcher, instantiated over
 // the cluster.  Binary similarity queries take one fan-out,
-// query_binary_batch (a single query is a batch of one), and merge
-// exactly:
+// query_binary_batch (dispatch hands it each run of query messages; a
+// single query is a batch of one), and merge exactly:
 //
 //   phase 1 gathers each shard's candidate ranking (deterministically
 //   tie-broken by global id), merges and truncates to the single-index
@@ -80,14 +80,6 @@ struct ClusterOptions {
   idx::FloatFeatureIndex::Params float_params;
 };
 
-/// One query of a batched binary fan-out (Cluster::query_binary_batch).
-/// `features` is borrowed and must outlive the call.
-struct BinaryBatchItem {
-  const feat::BinaryFeatures* features = nullptr;
-  double feature_bytes = 0.0;
-  idx::QueryOptions options;
-};
-
 class Cluster {
  public:
   explicit Cluster(const ClusterOptions& options = {});
@@ -102,14 +94,14 @@ class Cluster {
   /// answers them (and counted in its `cloud.dispatch.*` metrics).
   std::vector<std::uint8_t> handle(const std::vector<std::uint8_t>& request);
 
-  /// Serves a group of encoded envelopes as one coalesced unit — the entry
-  /// point of the fleet simulator's batcher.  Every similarity query the
-  /// group carries (kBinaryQuery payloads and each entry of a kBatchQuery)
-  /// joins a single query_binary_batch fan-out; any other envelope goes
-  /// through cloud::dispatch on its own.  replies[i] is byte-identical to
-  /// handle(requests[i]) — coalescing is an amortization, never a semantic
-  /// change.  Bypasses the admission gate: the caller does its own
-  /// admission.  Thread-safe.
+  /// Serves a group of encoded envelopes as one unit through the group
+  /// form of cloud::dispatch — the entry point of the fleet simulator's
+  /// batcher.  Each run of consecutive binary query messages shares one
+  /// query_binary_batch fan-out; any other envelope answers the pending
+  /// run first and is then answered alone, so replies[i] is byte-identical
+  /// to handle(requests[i]) issued in order, for any group.  Never throws.
+  /// Bypasses the admission gate: the caller does its own admission.
+  /// Thread-safe.
   std::vector<std::vector<std::uint8_t>> handle_coalesced(
       const std::vector<std::vector<std::uint8_t>>& requests);
 
@@ -119,24 +111,16 @@ class Cluster {
   /// Direct-call plane, mirroring cloud::Server's entry points (same
   /// accounting, same results) for seeding and in-process callers.  Store
   /// and seed ids returned are *global* ids.
-  idx::QueryResult query_binary(const feat::BinaryFeatures& features,
-                                double feature_bytes,
-                                int top_k = idx::kDefaultTopK);
-  /// QueryOptions overload: carries the ANN recall_target knob.  The
-  /// shortlist budget is computed by idx::candidate_budget from the same
-  /// (params, recall_target) pair the shards use, which keeps the merged
-  /// reply byte-identical to a single serial server's.
-  idx::QueryResult query_binary(const feat::BinaryFeatures& features,
-                                double feature_bytes,
-                                const idx::QueryOptions& query_options);
-  /// The binary fan-out behind every query_binary call: results[q] is
-  /// byte-identical to a solo query of items[q] for any shard/thread/
-  /// batch-size combination — per-(query, image) scores are pure pair
-  /// functions and each query merges on its own — while phase 2 takes one
-  /// shard lock and one Shard::rescore_binary_batch call per shard for the
-  /// whole batch.
+  ///
+  /// The binary fan-out: results[q] is byte-identical to
+  /// cloud::Server::query_binary_batch's for any shard/thread/batch-size
+  /// combination — per-(query, image) scores are pure pair functions,
+  /// each query merges on its own, and the shortlist is truncated with
+  /// the same idx::candidate_budget the index uses — while phase 2 takes
+  /// one shard lock and one Shard::rescore_binary_batch call per shard
+  /// for the whole batch.
   std::vector<idx::QueryResult> query_binary_batch(
-      const std::vector<BinaryBatchItem>& items);
+      const std::vector<cloud::BinaryBatchItem>& items);
   idx::QueryResult query_float(const feat::FloatFeatures& features,
                                double feature_bytes,
                                int top_k = idx::kDefaultTopK);
@@ -212,20 +196,19 @@ class Cluster {
   };
 
   std::size_t route(const idx::GeoTag& geo, std::uint32_t gid) const;
-  /// cloud::dispatch against this cluster, fenced so that a worker task
-  /// never throws: internal failures become encoded error replies.
-  std::vector<std::uint8_t> dispatch_fenced(
-      const std::vector<std::uint8_t>& request);
-  /// Routes, WAL-logs and applies one mutation (caller holds
-  /// mutation_mutex_).  For indexed ops the routing-table entry is published
-  /// *before* the shard applies — the local id is predicted from the
-  /// per-shard counter, which the mutation lock keeps exact — so a
-  /// concurrent query can never surface a candidate gid the table lacks.
-  idx::ImageId apply_mutation(WalOp op, const idx::GeoTag& geo,
-                              WalRecord record,
-                              std::vector<Location>* locations,
-                              std::vector<idx::ImageId>* next_local,
-                              std::uint32_t gid);
+  /// Routes, WAL-logs and applies one mutation under the next id of
+  /// `next_gid` (caller holds mutation_mutex_) and returns that id.  For
+  /// indexed ops the routing-table entry is published *before* the shard
+  /// applies — the local id is predicted from the per-shard counter, which
+  /// the mutation lock keeps exact — so a concurrent query can never
+  /// surface a candidate gid the table lacks.  When the shard throws
+  /// without applying (its sequence number did not move), the id, the
+  /// routing entry and the local counter are taken back before the
+  /// exception propagates: a failed mutation leaves no trace.
+  std::uint32_t apply_mutation(WalOp op, const idx::GeoTag& geo,
+                               WalRecord record, std::uint32_t* next_gid,
+                               std::vector<Location>* locations,
+                               std::vector<idx::ImageId>* next_local);
 
   ClusterOptions options_;
   /// The store's compression pool must be distinct from the request pool

@@ -101,16 +101,8 @@ std::string Shard::manifest_path() const {
 
 idx::ImageId Shard::apply(WalRecord record) {
   std::lock_guard lock(mutex_);
-  record.seq = ++seq_;
-  if (wal_) wal_->append(record);  // Write-ahead: log before apply.
-  idx::ImageId local = idx::kInvalidImageId;
-  apply_locked(record, &local);
-  ++mutations_since_checkpoint_;
-  if (options_.checkpoint_every > 0 &&
-      mutations_since_checkpoint_ >= options_.checkpoint_every) {
-    checkpoint_locked();
-  }
-  return local;
+  record.seq = seq_ + 1;
+  return log_and_apply_locked(record);
 }
 
 idx::ImageId Shard::apply_replicated(const WalRecord& record) {
@@ -119,8 +111,14 @@ idx::ImageId Shard::apply_replicated(const WalRecord& record) {
   if (record.seq != seq_ + 1) {
     throw std::logic_error("shard: replicated record skips a sequence number");
   }
+  return log_and_apply_locked(record);
+}
+
+idx::ImageId Shard::log_and_apply_locked(const WalRecord& record) {
+  // Write-ahead: log before apply.  The sequence number is taken only once
+  // the record is logged, so a failed append leaves the shard unchanged.
+  if (wal_) wal_->append(record);
   seq_ = record.seq;
-  if (wal_) wal_->append(record);  // Write-ahead: log before apply.
   idx::ImageId local = idx::kInvalidImageId;
   apply_locked(record, &local);
   ++mutations_since_checkpoint_;
@@ -170,10 +168,9 @@ void Shard::apply_locked(const WalRecord& record, idx::ImageId* local_out) {
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> Shard::binary_candidates(
-    const feat::BinaryFeatures& features, double recall_target) const {
+    const feat::BinaryFeatures& features) const {
   std::shared_lock lock(mutex_);
-  const auto locals =
-      server_.binary_index().candidates(features, recall_target);
+  const auto locals = server_.binary_index().candidates(features);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
   out.reserve(locals.size());
   // local -> global is monotone (locals are appended in global-id order),

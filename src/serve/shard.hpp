@@ -67,8 +67,10 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
   /// Logs (write-ahead) and applies one mutation.  The record's sequence
-  /// number is assigned here.  Returns the local index id for binary/float
-  /// ops, kInvalidImageId otherwise.
+  /// number is assigned here, and taken only once the append succeeds: a
+  /// throwing append leaves the shard (and last_applied_seq()) unchanged.
+  /// Returns the local index id for binary/float ops, kInvalidImageId
+  /// otherwise.
   idx::ImageId apply(WalRecord record);
 
   /// Applies a record shipped from a replication primary, *preserving* the
@@ -82,11 +84,10 @@ class Shard {
 
   /// Query phase 1: this shard's candidates as (global id, score), ranked
   /// (score desc, global id asc).  Scores come from the index's configured
-  /// candidate path — deduplicated LSH votes, or the ANN shortlist sized by
-  /// `recall_target` (see idx::FeatureIndex::candidates).
+  /// candidate path — LSH votes, or the ANN shortlist (see
+  /// idx::FeatureIndex::candidates).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> binary_candidates(
-      const feat::BinaryFeatures& features,
-      double recall_target = idx::kDefaultRecallTarget) const;
+      const feat::BinaryFeatures& features) const;
   /// Query phase 2: exact rescore of each query's `locals[q]` (local ids,
   /// as mapped by the cluster) under one shared lock acquisition, through
   /// FeatureIndex::rescore_batch; returned hits carry global ids.
@@ -133,6 +134,10 @@ class Shard {
   int id() const noexcept { return id_; }
 
  private:
+  /// The shared tail of apply and apply_replicated: appends `record` (its
+  /// seq already chosen), then advances the sequence, applies, and runs
+  /// the automatic checkpoint when one is due.
+  idx::ImageId log_and_apply_locked(const WalRecord& record);
   void apply_locked(const WalRecord& record, idx::ImageId* local_out);
   /// Publishes a snapshot and resets the WAL; with `compact`, then runs
   /// the segment store's compaction trigger.

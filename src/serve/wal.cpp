@@ -40,7 +40,7 @@ std::vector<std::uint8_t> encode_wal_record_chunked(
   return w.take();
 }
 
-WalRecord decode_wal_record(const std::vector<std::uint8_t>& bytes,
+WalRecord decode_wal_record(std::span<const std::uint8_t> bytes,
                             store::SegmentStore* chunk_store,
                             std::vector<store::ChunkKey>* keys_out) {
   util::ByteReader r(bytes);
@@ -79,6 +79,53 @@ WalRecord decode_wal_record(const std::vector<std::uint8_t>& bytes,
   return record;
 }
 
+WalFrame encode_wal_frame(const WalRecord& record,
+                          store::SegmentStore* chunk_store) {
+  WalFrame frame;
+  std::vector<std::uint8_t> body;
+  if (chunk_store && !record.payload.empty()) {
+    // The chunks must be durable before the frame that references them, or
+    // a crash in between leaves a valid frame pointing at nothing (replay
+    // would mistake it for a torn tail and silently drop every record
+    // after it).  The pins are taken atomically with the put — shards
+    // share the store, and another shard's checkpoint-triggered compaction
+    // could otherwise reclaim the still-unpinned chunks between put and
+    // pin.
+    const store::Manifest manifest =
+        chunk_store->put_payload_pinned(record.payload);
+    chunk_store->flush();
+    frame.pins = manifest.chunks;
+    body = encode_wal_record_chunked(record, manifest);
+  } else {
+    body = encode_wal_record(record);
+  }
+  util::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(body.size()));
+  w.put_u32(util::crc32(body));
+  w.put_bytes(body);
+  frame.bytes = w.take();
+  return frame;
+}
+
+std::size_t read_wal_frame(std::span<const std::uint8_t> bytes,
+                           store::SegmentStore* chunk_store,
+                           WalRecord& record,
+                           std::vector<store::ChunkKey>* keys_out) {
+  if (bytes.size() < 8) return 0;
+  util::ByteReader header(bytes.first(8));
+  const std::uint32_t len = header.get_u32();
+  const std::uint32_t crc = header.get_u32();
+  if (len > bytes.size() - 8) return 0;
+  const std::span<const std::uint8_t> body = bytes.subspan(8, len);
+  if (util::crc32(body) != crc) return 0;
+  try {
+    record = decode_wal_record(body, chunk_store, keys_out);
+  } catch (const util::DecodeError&) {
+    return 0;
+  }
+  return 8 + static_cast<std::size_t>(len);
+}
+
 std::vector<std::uint8_t> encode_histogram(const feat::ColorHistogram& h) {
   util::ByteWriter w;
   for (float bin : h.bins) w.put_f32(bin);
@@ -110,31 +157,10 @@ void WriteAheadLog::open(bool truncate) {
 }
 
 void WriteAheadLog::append(const WalRecord& record) {
-  std::vector<std::uint8_t> payload;
-  if (chunk_store_ && !record.payload.empty()) {
-    // Write-ahead extends to the store: the chunks must be durable before
-    // the frame that references them, or a crash in between leaves a valid
-    // frame pointing at nothing (replay would mistake it for a torn tail
-    // and silently drop every record after it on the next append).  The
-    // pins are taken atomically with the put — shards share this store, and
-    // another shard's checkpoint-triggered compaction could otherwise
-    // reclaim the still-unpinned chunks between put and pin.
-    const store::Manifest manifest =
-        chunk_store_->put_payload_pinned(record.payload);
-    chunk_store_->flush();
-    pinned_.insert(pinned_.end(), manifest.chunks.begin(),
-                   manifest.chunks.end());
-    payload = encode_wal_record_chunked(record, manifest);
-  } else {
-    payload = encode_wal_record(record);
-  }
-  util::ByteWriter frame;
-  frame.put_u32(static_cast<std::uint32_t>(payload.size()));
-  frame.put_u32(util::crc32(payload));
-  frame.put_bytes(payload);
-  const auto& bytes = frame.bytes();
-  out_.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
+  const WalFrame frame = encode_wal_frame(record, chunk_store_);
+  pinned_.insert(pinned_.end(), frame.pins.begin(), frame.pins.end());
+  out_.write(reinterpret_cast<const char*>(frame.bytes.data()),
+             static_cast<std::streamsize>(frame.bytes.size()));
   out_.flush();
   if (!out_) {
     throw std::runtime_error("WriteAheadLog: append failed for " + path_);
@@ -161,34 +187,16 @@ WalReplayResult replay_wal(
   std::vector<std::uint8_t> bytes(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 
+  // A truncated, CRC-damaged, or undecodable frame means the tail is torn
+  // or corrupt: stop at the last intact record.
   std::size_t pos = 0;
   while (pos < bytes.size()) {
-    // A frame shorter than its header, a length pointing past EOF, a CRC
-    // mismatch, or an undecodable payload all mean the tail is torn or
-    // corrupt: stop at the last intact record.
-    if (bytes.size() - pos < 8) break;
-    auto le32 = [&](std::size_t at) {
-      return static_cast<std::uint32_t>(bytes[at]) |
-             static_cast<std::uint32_t>(bytes[at + 1]) << 8 |
-             static_cast<std::uint32_t>(bytes[at + 2]) << 16 |
-             static_cast<std::uint32_t>(bytes[at + 3]) << 24;
-    };
-    const std::uint32_t len = le32(pos);
-    const std::uint32_t crc = le32(pos + 4);
-    if (len > bytes.size() - pos - 8) break;
-    std::vector<std::uint8_t> payload(bytes.begin() + pos + 8,
-                                      bytes.begin() + pos + 8 + len);
-    if (util::crc32(payload) != crc) break;
     WalRecord record;
-    std::vector<store::ChunkKey> record_keys;
-    try {
-      record = decode_wal_record(payload, chunk_store, &record_keys);
-    } catch (const util::DecodeError&) {
-      break;
-    }
-    pos += 8 + len;
-    result.chunk_keys.insert(result.chunk_keys.end(), record_keys.begin(),
-                             record_keys.end());
+    const std::size_t size =
+        read_wal_frame(std::span(bytes).subspan(pos), chunk_store, record,
+                       &result.chunk_keys);
+    if (size == 0) break;
+    pos += size;
     if (record.seq <= after_seq) {
       ++result.skipped;
       continue;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,36 @@ std::vector<std::uint8_t> encode_wal_record_chunked(
 /// resolves its payload through it — a missing or corrupt chunk throws,
 /// which replay treats as a torn tail.  When `keys_out` is non-null the
 /// record's chunk keys (empty for inline records) are appended to it.
-WalRecord decode_wal_record(const std::vector<std::uint8_t>& bytes,
+WalRecord decode_wal_record(std::span<const std::uint8_t> bytes,
                             store::SegmentStore* chunk_store = nullptr,
                             std::vector<store::ChunkKey>* keys_out = nullptr);
+
+/// One record framed as the log stores it — `u32 len | u32 crc | body` —
+/// plus the chunk keys its body references (empty for an inline body).
+struct WalFrame {
+  std::vector<std::uint8_t> bytes;
+  std::vector<store::ChunkKey> pins;
+};
+
+/// The one frame encoder, behind WriteAheadLog::append and replication
+/// ship frames.  With a `chunk_store` and a non-empty payload the body is
+/// encode_wal_record_chunked: the payload is put into the store, pinned
+/// atomically with the put (the caller owns the returned pins), and
+/// flushed before the frame exists — write-ahead extends to the store.
+/// Otherwise the body is encode_wal_record.
+WalFrame encode_wal_frame(const WalRecord& record,
+                          store::SegmentStore* chunk_store);
+
+/// The one frame reader: decodes the frame at the front of `bytes` into
+/// `record` and returns the bytes it spans.  Returns 0 — and appends no
+/// keys — when the frame is torn: shorter than its header, a length past
+/// the end, a CRC mismatch, or a body that does not decode (a chunked
+/// body whose chunks `chunk_store` cannot resolve included).  The frame's
+/// chunk keys are appended to `keys_out` when it is non-null.
+std::size_t read_wal_frame(std::span<const std::uint8_t> bytes,
+                           store::SegmentStore* chunk_store,
+                           WalRecord& record,
+                           std::vector<store::ChunkKey>* keys_out = nullptr);
 
 /// WAL payload codec for global-feature ops: kBins little-endian f32s.
 std::vector<std::uint8_t> encode_histogram(const feat::ColorHistogram& h);

@@ -41,7 +41,7 @@ TEST(Server, QueryFindsStoredSimilarImage) {
   const auto query =
       feat::extract_orb(img::render_view(spec, 200, 150, pert, rng));
   s.store_binary(stored, {500.0});
-  const idx::QueryResult r = s.query_binary(query, 123.0);
+  const idx::QueryResult r = s.query_binary_batch({{&query, 123.0}}).front();
   EXPECT_GT(r.max_similarity, 0.02);
   EXPECT_EQ(s.stats().binary_queries, 1u);
   EXPECT_DOUBLE_EQ(s.stats().feature_bytes_received, 123.0);

@@ -48,10 +48,10 @@ TEST(AnnShortlistBudget, GrowsWithRecallTarget) {
 
 TEST(AnnShortlistBudget, CandidateBudgetDispatchesOnAnnFlag) {
   FeatureIndexParams params;
-  EXPECT_EQ(candidate_budget(params, 0.95), 16u);  // exact path: top-k floor
+  EXPECT_EQ(candidate_budget(params), 16u);  // exact path: top-k floor
   params.ann.enabled = true;
-  EXPECT_EQ(candidate_budget(params, 0.95),
-            ann_shortlist_budget(params.max_candidates, 0.95));
+  EXPECT_EQ(candidate_budget(params),
+            ann_shortlist_budget(params.max_candidates, kDefaultRecallTarget));
 }
 
 TEST(AnnFrontEnd, RowsArePureFunctionsOfParams) {
@@ -127,25 +127,6 @@ TEST(FeatureIndexAnn, PrunedQueryAgreesWithExactScan) {
   }
 }
 
-TEST(FeatureIndexAnn, RecallTargetSizesTheShortlist) {
-  FeatureIndexParams params;
-  params.ann = small_ann();
-  params.max_candidates = 2;
-  FeatureIndex index(params);
-  for (std::uint64_t s = 0; s < 30; ++s) index.insert(make_view(60 + s, 0));
-  const auto q = make_view(60, 1);
-  QueryOptions low;
-  low.recall_target = 0.0;
-  QueryOptions high;
-  high.recall_target = 0.9;
-  const QueryResult narrow = index.query(q, low);
-  const QueryResult wide = index.query(q, high);
-  EXPECT_LE(narrow.candidates_checked, candidate_budget(params, 0.0));
-  EXPECT_LE(wide.candidates_checked, candidate_budget(params, 0.9));
-  EXPECT_LE(narrow.candidates_checked, wide.candidates_checked);
-  EXPECT_EQ(index.candidates(q, 0.9).size(), wide.candidates_checked);
-}
-
 TEST(FeatureIndexAnn, WorksWithoutDescriptorLsh) {
   // The million-image configuration: descriptor LSH off, ANN only.
   FeatureIndexParams params;
@@ -181,21 +162,20 @@ TEST(FeatureIndexAnn, ShardedScoresMergeToSingleIndexShortlist) {
     }
   }
   const auto q = make_view(105, 1);
-  const double recall = kDefaultRecallTarget;
-  auto merged = even.candidates(q, recall);
+  auto merged = even.candidates(q);
   for (auto& [local, score] : merged) {
     local = static_cast<ImageId>(local * 2);  // shard-local -> global id
   }
-  for (const auto& [local, score] : odd.candidates(q, recall)) {
+  for (const auto& [local, score] : odd.candidates(q)) {
     merged.emplace_back(static_cast<ImageId>(local * 2 + 1), score);
   }
   std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  const std::size_t budget = candidate_budget(params, recall);
+  const std::size_t budget = candidate_budget(params);
   if (merged.size() > budget) merged.resize(budget);
-  EXPECT_EQ(merged, whole.candidates(q, recall));
+  EXPECT_EQ(merged, whole.candidates(q));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The parallel candidate-rescore contract: FeatureIndex / FloatFeatureIndex
-// queries return identical QueryResults (hits, ops, candidates_checked) for
-// every rescore pool size, because the candidate partition is static and
-// per-candidate slots are merged in candidate order.  Also covers the
+// The parallel candidate-rescore contract: FeatureIndex queries return
+// identical QueryResults (hits, ops, candidates_checked) for every rescore
+// pool size, because the candidate partition is static and per-candidate
+// slots are merged in candidate order.  Also covers the
 // deterministic tie-break (equal similarities rank by ascending ImageId)
 // and the rescore-stage timer metric.
 #include <gtest/gtest.h>
@@ -85,38 +85,6 @@ TEST(ParallelRescore, BinaryQueryIdenticalAcrossThreadCounts) {
   }
   EXPECT_FALSE(results[0].hits.empty());
   EXPECT_GT(results[0].ops, 0u);
-}
-
-TEST(ParallelRescore, FloatQueryIdenticalAcrossThreadCounts) {
-  util::Rng rng(7);
-  const int dim = 16;
-  auto make_float = [&](double offset) {
-    feat::FloatFeatures f;
-    f.dim = dim;
-    for (int k = 0; k < 30; ++k) {
-      for (int d = 0; d < dim; ++d) {
-        f.values.push_back(static_cast<float>(
-            rng.uniform(0.0, 0.1) + (k % 5) * 0.2 + offset));
-      }
-      f.keypoints.emplace_back();
-    }
-    return f;
-  };
-  std::vector<feat::FloatFeatures> stored;
-  for (int i = 0; i < 12; ++i) stored.push_back(make_float(i * 0.01));
-  const feat::FloatFeatures query = make_float(0.005);
-
-  std::vector<QueryResult> results;
-  for (const int threads : {1, 2, 8}) {
-    FloatFeatureIndex::Params params;
-    params.rescore_threads = threads;
-    FloatFeatureIndex index(params);
-    for (const auto& f : stored) index.insert(f);
-    results.push_back(index.query(query));
-  }
-  expect_same_result(results[1], results[0]);
-  expect_same_result(results[2], results[0]);
-  EXPECT_FALSE(results[0].hits.empty());
 }
 
 TEST(ParallelRescore, EqualSimilaritiesRankByAscendingId) {

@@ -296,5 +296,46 @@ TEST_F(ReplicaDirTest, DurableClusterSurvivesKillAndRestart) {
             cloud::dispatch(server, net::encode(q)));
 }
 
+TEST_F(ReplicaDirTest, FailedPrimaryAppendKeepsFailoverWorking) {
+  // A primary append that fails must not consume a sequence number, or the
+  // primary ships seq N+2 after N and the drain that checkpoint and
+  // failover force throws on the gap.  The primary's wal.log is replaced
+  // by a directory so the checkpoint's reopen of the log fails, and the
+  // append after it too; restoring it lets the next checkpoint reopen it.
+  cloud::Server server;
+  serve::ClusterOptions copts;
+  copts.data_dir = dir_;
+  copts.backend_factory = make_replicated_factory(1);
+  serve::Cluster cluster(copts);
+  const auto requests = workload_requests();
+  const std::size_t half = requests.size() / 2;  // an upload comes next
+  for (std::size_t i = 0; i < half; ++i) {
+    ASSERT_EQ(cluster.handle(requests[i]),
+              cloud::dispatch(server, requests[i]))
+        << "step=" << i;
+  }
+
+  const std::string wal = dir_ + "/shard-0/wal.log";
+  std::filesystem::remove(wal);
+  std::filesystem::create_directory(wal);
+  EXPECT_THROW(cluster.checkpoint(), std::runtime_error);
+  const auto failed = net::open_envelope(cluster.handle(requests[half]));
+  EXPECT_EQ(failed.type, net::MessageType::kError);
+  std::filesystem::remove(wal);
+  cluster.checkpoint();
+
+  // The serial server never saw the failed upload: it is resent, and every
+  // reply matches across a failover.
+  for (std::size_t i = half; i < requests.size(); ++i) {
+    if (i == half + 4) {
+      ASSERT_TRUE(cluster.kill_primary(0));
+    }
+    ASSERT_EQ(cluster.handle(requests[i]),
+              cloud::dispatch(server, requests[i]))
+        << "step=" << i;
+  }
+  EXPECT_EQ(cluster.resilience().failovers, 1u);
+}
+
 }  // namespace
 }  // namespace bees::replica

@@ -7,7 +7,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/rpc.hpp"
@@ -124,6 +127,15 @@ void seed_both(cloud::Server& server, Cluster& cluster) {
   }
 }
 
+/// One binary query through query_binary_batch, the entry point both
+/// backends share.
+template <typename Backend>
+idx::QueryResult query_one(Backend& backend,
+                           const feat::BinaryFeatures& features,
+                           double feature_bytes) {
+  return backend.query_binary_batch({{&features, feature_bytes}}).front();
+}
+
 void expect_stats_equal(const cloud::ServerStats& a,
                         const cloud::ServerStats& b) {
   EXPECT_EQ(a.images_stored, b.images_stored);
@@ -162,8 +174,8 @@ TEST_P(ClusterEquivalence, DirectPlaneMatchesSerial) {
 
   for (int i = 0; i < 5; ++i) {
     const auto query = make_binary(100 + static_cast<std::uint64_t>(i));
-    const idx::QueryResult a = server.query_binary(query, 9'000.0);
-    const idx::QueryResult b = cluster.query_binary(query, 9'000.0);
+    const idx::QueryResult a = query_one(server, query, 9'000.0);
+    const idx::QueryResult b = query_one(cluster, query, 9'000.0);
     EXPECT_EQ(b.best_id, a.best_id);
     EXPECT_DOUBLE_EQ(b.max_similarity, a.max_similarity);
     EXPECT_EQ(b.candidates_checked, a.candidates_checked);
@@ -296,8 +308,8 @@ TEST_P(ClusterEquivalence, BinaryDegenerateBudgetMatchesSerial) {
     ASSERT_EQ(both.cluster.handle(encoded),
               cloud::dispatch(both.server, encoded))
         << "shards=" << GetParam() << " q=" << q;
-    const idx::QueryResult a = both.server.query_binary(views[q], 0.0);
-    const idx::QueryResult b = both.cluster.query_binary(views[q], 0.0);
+    const idx::QueryResult a = query_one(both.server, views[q], 0.0);
+    const idx::QueryResult b = query_one(both.cluster, views[q], 0.0);
     EXPECT_EQ(b.candidates_checked, a.candidates_checked) << "q=" << q;
     EXPECT_EQ(b.ops, a.ops) << "q=" << q;
   }
@@ -396,8 +408,8 @@ TEST_P(ClusterEquivalence, AnnPrunedQueriesMatchSerialExactly) {
   }
   for (int i = 0; i < 10; ++i) {
     const auto query = make_binary(400 + static_cast<std::uint64_t>(i));
-    const idx::QueryResult a = server.query_binary(query, 9'000.0);
-    const idx::QueryResult b = cluster.query_binary(query, 9'000.0);
+    const idx::QueryResult a = query_one(server, query, 9'000.0);
+    const idx::QueryResult b = query_one(cluster, query, 9'000.0);
     EXPECT_EQ(b.best_id, a.best_id) << "shards=" << GetParam() << " q=" << i;
     EXPECT_DOUBLE_EQ(b.max_similarity, a.max_similarity);
     EXPECT_EQ(b.candidates_checked, a.candidates_checked);
@@ -407,14 +419,6 @@ TEST_P(ClusterEquivalence, AnnPrunedQueriesMatchSerialExactly) {
       EXPECT_EQ(b.hits[h].id, a.hits[h].id);
       EXPECT_DOUBLE_EQ(b.hits[h].similarity, a.hits[h].similarity);
     }
-    // The recall_target knob rides through the QueryOptions overload; a
-    // tighter target must shrink (or keep) the rescore budget, and stay
-    // shard-invariant too.
-    idx::QueryOptions tight;
-    tight.recall_target = 0.5;
-    const idx::QueryResult c = cluster.query_binary(query, 0.0, tight);
-    EXPECT_LE(c.candidates_checked, b.candidates_checked);
-    EXPECT_EQ(c.best_id, a.best_id);
   }
 }
 
@@ -433,12 +437,12 @@ TEST_P(ClusterEquivalence, BatchedBinaryQueriesMatchSerialQueries) {
   for (int i = 0; i < 6; ++i) {
     queries.push_back(make_binary(100 + static_cast<std::uint64_t>(i % 4)));
   }
-  std::vector<BinaryBatchItem> items;
+  std::vector<cloud::BinaryBatchItem> items;
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    BinaryBatchItem item;
+    cloud::BinaryBatchItem item;
     item.features = &queries[q];
     item.feature_bytes = 9'000.0 + 10.0 * static_cast<double>(q);
-    item.options.top_k = 1 + static_cast<int>(q % 3);
+    item.top_k = 1 + static_cast<int>(q % 3);
     items.push_back(item);
   }
 
@@ -446,8 +450,8 @@ TEST_P(ClusterEquivalence, BatchedBinaryQueriesMatchSerialQueries) {
       batched_cluster.query_binary_batch(items);
   ASSERT_EQ(batched.size(), items.size());
   for (std::size_t q = 0; q < items.size(); ++q) {
-    const idx::QueryResult serial = serial_cluster.query_binary(
-        *items[q].features, items[q].feature_bytes, items[q].options);
+    const idx::QueryResult serial =
+        serial_cluster.query_binary_batch({items[q]}).front();
     EXPECT_EQ(batched[q].best_id, serial.best_id);
     EXPECT_DOUBLE_EQ(batched[q].max_similarity, serial.max_similarity);
     EXPECT_EQ(batched[q].candidates_checked, serial.candidates_checked);
@@ -517,6 +521,114 @@ TEST_P(ClusterEquivalence, CoalescedRepliesMatchPerRequestHandling) {
   expect_stats_equal(coalesced_cluster.stats(), serial_cluster.stats());
 }
 
+TEST_P(ClusterEquivalence, CoalescedMixedGroupMatchesPerRequestHandling) {
+  // The group contract holds for any group, not only read-only ones: the
+  // whole mixed workload — uploads interleaved with queries of every type,
+  // ending in a bulk query — as one coalesced group.  Each query run is
+  // answered before the upload that follows it, so every reply and the
+  // accounting match per-request handling byte for byte.
+  ClusterOptions options;
+  options.shards = GetParam();
+  Cluster serial_cluster(options);
+  Cluster coalesced_cluster(options);
+  {
+    cloud::Server unused;
+    seed_both(unused, serial_cluster);
+  }
+  {
+    cloud::Server unused;
+    seed_both(unused, coalesced_cluster);
+  }
+  const auto requests = workload_requests();
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (const auto& request : requests) {
+    expected.push_back(serial_cluster.handle(request));
+  }
+  const auto replies = coalesced_cluster.handle_coalesced(requests);
+  ASSERT_EQ(replies.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(replies[i], expected[i])
+        << "shards=" << GetParam() << " request " << i;
+  }
+  expect_stats_equal(coalesced_cluster.stats(), serial_cluster.stats());
+}
+
+/// A single-shard backend whose `fail_at`-th apply across the whole
+/// cluster (counted in `applies`, shared by every shard) throws before
+/// applying anything — a WAL append that fails on I/O.
+class FailOnceBackend final : public ShardBackend {
+ public:
+  FailOnceBackend(int shard_id, const ShardOptions& options,
+                  std::shared_ptr<int> applies, int fail_at)
+      : shard_(shard_id, options),
+        applies_(std::move(applies)),
+        fail_at_(fail_at) {}
+
+  Shard& active() override { return shard_; }
+  const Shard& active() const override { return shard_; }
+  idx::ImageId apply(WalRecord record) override {
+    if (++*applies_ == fail_at_) {
+      throw std::runtime_error("injected apply failure");
+    }
+    return shard_.apply(std::move(record));
+  }
+  void checkpoint() override { shard_.checkpoint(); }
+  bool kill_active() override { return false; }
+  BackendResilience resilience() const override { return {}; }
+
+ private:
+  Shard shard_;
+  std::shared_ptr<int> applies_;
+  int fail_at_;
+};
+
+TEST_P(ClusterEquivalence, FailedShardApplyLeavesNoTrace) {
+  // seed_both applies 12 mutations; the second upload after them fails.
+  static constexpr int kFailAt = 14;
+  constexpr std::size_t kFailedUpload = 1;
+  cloud::Server server;
+  ClusterOptions options;
+  options.shards = GetParam();
+  auto applies = std::make_shared<int>(0);
+  options.backend_factory = [applies](int shard_id,
+                                      const ShardOptions& shard_options) {
+    return std::make_unique<FailOnceBackend>(shard_id, shard_options, applies,
+                                             kFailAt);
+  };
+  Cluster cluster(options);
+  seed_both(server, cluster);
+
+  std::vector<std::vector<std::uint8_t>> uploads;
+  std::vector<std::vector<std::uint8_t>> queries;
+  for (int i = 0; i < 6; ++i) {
+    net::ImageUploadRequest up;
+    up.features = make_binary(600 + static_cast<std::uint64_t>(i));
+    up.image_bytes = 700'000.0 + 1'000.0 * i;
+    up.geo = geo_of(i);
+    up.thumbnail_bytes = 12'000.0 + 100.0 * i;
+    uploads.push_back(net::encode(up));
+    queries.push_back(net::encode_binary_query(up.features, idx::kDefaultTopK,
+                                               9'000.0));
+  }
+  // The serial server never sees the failed upload; every other reply —
+  // the ids later uploads are given included — must be the same.
+  for (std::size_t i = 0; i < uploads.size(); ++i) {
+    const auto reply = cluster.handle(uploads[i]);
+    if (i == kFailedUpload) {
+      const net::Envelope env = net::open_envelope(reply);
+      ASSERT_EQ(env.type, net::MessageType::kError);
+      EXPECT_EQ(net::decode_error(env.payload), "injected apply failure");
+      continue;
+    }
+    ASSERT_EQ(reply, cloud::dispatch(server, uploads[i])) << "upload " << i;
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(cluster.handle(queries[i]), cloud::dispatch(server, queries[i]))
+        << "shards=" << GetParam() << " query " << i;
+  }
+  expect_stats_equal(cluster.stats(), server.stats());
+}
+
 TEST(Cluster, MergedBinaryIndexPreservesGlobalIdOrder) {
   ClusterOptions options;
   options.shards = 3;
@@ -559,8 +671,8 @@ TEST(Cluster, PreloadBinaryMatchesSeededServer) {
   }
   for (int i = 0; i < 5; ++i) {
     const auto query = make_binary(100 + static_cast<std::uint64_t>(i));
-    const idx::QueryResult a = server.query_binary(query, 9'000.0);
-    const idx::QueryResult b = cluster.query_binary(query, 9'000.0);
+    const idx::QueryResult a = query_one(server, query, 9'000.0);
+    const idx::QueryResult b = query_one(cluster, query, 9'000.0);
     EXPECT_EQ(b.best_id, a.best_id);
     EXPECT_DOUBLE_EQ(b.max_similarity, a.max_similarity);
   }

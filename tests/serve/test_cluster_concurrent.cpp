@@ -153,7 +153,8 @@ TEST(ClusterConcurrent, MixedTrafficKeepsAccountingConsistent) {
     for (int i = 0; i < kStoresPerWriter; ++i) {
       const auto features = make_binary(
           1'000 + static_cast<std::uint64_t>(w * kStoresPerWriter + i));
-      const idx::QueryResult r = cluster.query_binary(features, 9'000.0);
+      const idx::QueryResult r =
+          cluster.query_binary_batch({{&features, 9'000.0}}).front();
       EXPECT_DOUBLE_EQ(r.max_similarity, 1.0);
     }
   }

@@ -361,6 +361,9 @@ TEST_F(RecoveryTest, AnnIndexRecoversIdenticalReplies) {
         img::SceneSpec{scene, 18, 4}, 200, 150, img::ViewPerturbation{},
         rng)));
   }
+  const auto query_one = [](auto& backend, const feat::BinaryFeatures& q) {
+    return backend.query_binary_batch({{&q, 9'000.0}}).front();
+  };
   const auto expect_same = [](const idx::QueryResult& got,
                               const idx::QueryResult& want) {
     EXPECT_EQ(got.best_id, want.best_id);
@@ -392,16 +395,16 @@ TEST_F(RecoveryTest, AnnIndexRecoversIdenticalReplies) {
         serial.store_binary(features, info);
       }
       for (const auto& q : queries) {
-        before.push_back(cluster.query_binary(q, 9'000.0));
+        before.push_back(query_one(cluster, q));
       }
     }
 
     Cluster recovered(durable);
     for (std::size_t q = 0; q < queries.size(); ++q) {
       SCOPED_TRACE("query " + std::to_string(q));
-      const idx::QueryResult after = recovered.query_binary(queries[q], 9'000.0);
+      const idx::QueryResult after = query_one(recovered, queries[q]);
       expect_same(after, before[q]);
-      expect_same(after, serial.query_binary(queries[q], 9'000.0));
+      expect_same(after, query_one(serial, queries[q]));
     }
   }
 }
