@@ -165,7 +165,7 @@ std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
   // LSH voting: every query descriptor votes for owners of colliding
   // stored descriptors (the tables are empty when descriptor LSH is off).
   if (params_.enable_descriptor_lsh) {
-    for (const auto& d : query_features.descriptors) lsh_.vote(d, scores);
+    lsh_.vote(query_features.descriptors, scores);
   }
   return top_scored(scores, candidate_budget(params_));
 }

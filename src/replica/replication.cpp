@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -210,9 +211,18 @@ bool ReplicationGroup::kill_active() {
 
 void ReplicationGroup::checkpoint() {
   drain_all();
+  // Every live instance is checkpointed even when one throws; the first
+  // error is rethrown after the loop.
+  std::exception_ptr first_error;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (alive_[i]) instances_[i]->checkpoint();
+    if (!alive_[i]) continue;
+    try {
+      instances_[i]->checkpoint();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 serve::BackendResilience ReplicationGroup::resilience() const {

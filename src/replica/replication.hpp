@@ -30,7 +30,8 @@
 //   any instance the term left behind (the killed primary's stale dir, a
 //   follower that crashed mid-ship) from the active's encode_snapshot().
 //
-//   checkpoint() — every instance snapshots its own durable dir.
+//   checkpoint() — every live instance snapshots its own durable dir,
+//   also when another's checkpoint throws (the first error is rethrown).
 //
 // A follower detects redelivery (seq <= its last applied: idempotent
 // no-op) and gaps (seq skips ahead: std::logic_error) — see

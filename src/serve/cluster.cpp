@@ -1,6 +1,7 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <future>
 #include <stdexcept>
 
@@ -445,7 +446,18 @@ cloud::ServerStats Cluster::stats() const {
 
 void Cluster::checkpoint() {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
-  for (const auto& backend : backends_) backend->checkpoint();
+  // Every shard is checkpointed even when one throws, so one failing disk
+  // does not leave the others with their whole WAL; the first error is
+  // rethrown after the loop.
+  std::exception_ptr first_error;
+  for (const auto& backend : backends_) {
+    try {
+      backend->checkpoint();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 bool Cluster::kill_primary(int shard) {

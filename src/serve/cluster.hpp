@@ -152,7 +152,9 @@ class Cluster {
   cloud::ServerStats stats() const;
 
   /// Snapshots every shard now (and truncates their WALs); with a segment
-  /// store attached this also runs its compaction trigger.
+  /// store attached this also runs its compaction trigger.  A shard whose
+  /// checkpoint throws does not stop the others: each is tried, then the
+  /// first error is rethrown.
   void checkpoint();
 
   /// The shared segment store; nullptr when not enabled.

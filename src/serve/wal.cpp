@@ -151,6 +151,9 @@ void WriteAheadLog::open(bool truncate) {
   out_.clear();
   out_.open(path_, truncate ? std::ios::binary | std::ios::trunc
                             : std::ios::binary | std::ios::app);
+  // A failed reopen leaves the log closed: later appends then fail instead
+  // of landing in a file that may no longer be the one at path_, whose
+  // records a restart would not replay.
   if (!out_) {
     throw std::runtime_error("WriteAheadLog: cannot open " + path_);
   }

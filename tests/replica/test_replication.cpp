@@ -337,5 +337,33 @@ TEST_F(ReplicaDirTest, FailedPrimaryAppendKeepsFailoverWorking) {
   EXPECT_EQ(cluster.resilience().failovers, 1u);
 }
 
+TEST_F(ReplicaDirTest, FailedPrimaryCheckpointStillCheckpointsFollowers) {
+  // The primary's wal.log is replaced by a directory, so its checkpoint
+  // throws when it reopens the log.  The follower must still be
+  // checkpointed: its log truncated, its snapshot as far as the primary's.
+  serve::ClusterOptions copts;
+  copts.data_dir = dir_;
+  copts.backend_factory = make_replicated_factory(1);
+  serve::Cluster cluster(copts);
+  for (const auto& request : workload_requests()) cluster.handle(request);
+
+  const std::string wal = dir_ + "/shard-0/wal.log";
+  std::filesystem::remove(wal);
+  std::filesystem::create_directory(wal);
+  EXPECT_THROW(cluster.checkpoint(), std::runtime_error);
+  const std::string follower = dir_ + "/shard-0/replica-1";
+  EXPECT_EQ(std::filesystem::file_size(follower + "/wal.log"), 0u);
+
+  // The primary published its snapshot before its log failed; with the
+  // log gone, each instance reopens at its snapshot's sequence.
+  std::filesystem::remove(wal);
+  serve::ShardOptions probe;
+  probe.dir = dir_ + "/shard-0";
+  const std::uint64_t primary_seq = serve::Shard(0, probe).last_applied_seq();
+  ASSERT_GT(primary_seq, 0u);
+  probe.dir = follower;
+  EXPECT_EQ(serve::Shard(0, probe).last_applied_seq(), primary_seq);
+}
+
 }  // namespace
 }  // namespace bees::replica

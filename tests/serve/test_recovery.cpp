@@ -309,6 +309,35 @@ TEST_F(RecoveryTest, StoresAfterACrashSurviveTheNextRestart) {
   EXPECT_EQ(again.handle(request), reference.handle(request));
 }
 
+TEST_F(RecoveryTest, FailedShardCheckpointStillCheckpointsTheOthers) {
+  // Shard 0's wal.log is replaced by a directory, so its checkpoint throws
+  // when it reopens the log.  The shard after it must still be
+  // checkpointed: its log truncated, its snapshot covering every record.
+  ClusterOptions opts;
+  opts.shards = 2;
+  opts.data_dir = dir_;
+  Cluster cluster(opts);
+  seed(cluster);
+  apply_ops(cluster, 12);
+
+  ShardOptions probe;
+  probe.dir = dir_ + "/shard-1";
+  const std::string wal1 = probe.dir + "/wal.log";
+  const std::uint64_t shard1_seq = Shard(1, probe).last_applied_seq();
+  ASSERT_GT(shard1_seq, 0u);
+  ASSERT_GT(std::filesystem::file_size(wal1), 0u);
+
+  const std::string wal0 = dir_ + "/shard-0/wal.log";
+  std::filesystem::remove(wal0);
+  std::filesystem::create_directory(wal0);
+  EXPECT_THROW(cluster.checkpoint(), std::runtime_error);
+
+  EXPECT_EQ(std::filesystem::file_size(wal1), 0u);
+  // With an empty log, the sequence a reopened shard reaches is the
+  // snapshot's.
+  EXPECT_EQ(Shard(1, probe).last_applied_seq(), shard1_seq);
+}
+
 TEST_F(RecoveryTest, FloatIndexSurvivesSnapshotRecovery) {
   ClusterOptions durable;
   durable.shards = 2;

@@ -404,9 +404,14 @@ int main(int argc, char** argv) {
       scheme->upload_batch(batch.images, server, channel, battery);
 
   if (!opt.save_index_path.empty()) {
-    idx::save_index_snapshot(
-        cluster ? cluster->merged_binary_index() : server.binary_index(),
-        opt.save_index_path);
+    // Two calls, not one over a conditional: the index is move-only, and
+    // the serial server's is saved where it lives.
+    if (cluster) {
+      idx::save_index_snapshot(cluster->merged_binary_index(),
+                               opt.save_index_path);
+    } else {
+      idx::save_index_snapshot(server.binary_index(), opt.save_index_path);
+    }
   }
   // Leave durable state checkpointed so the next run recovers from
   // snapshots instead of replaying the whole WAL.
