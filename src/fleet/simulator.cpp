@@ -59,9 +59,6 @@ void validate(const FleetOptions& o) {
   if (o.relay_chunk_size == 0) {
     throw std::invalid_argument("fleet: relay_chunk_size == 0");
   }
-  if (o.relay_service_s < 0.0) {
-    throw std::invalid_argument("fleet: relay_service_s < 0");
-  }
   if (o.progressive && (o.scans < 1 || o.scans > img::kMaxScans)) {
     throw std::invalid_argument("fleet: scans out of range");
   }
@@ -267,6 +264,8 @@ FleetResult run_fleet(const FleetOptions& o) {
       net::encode_error(relay::kRelayUnavailableMessage);
   const std::vector<std::uint8_t> relay_ack_payload =
       net::encode(net::UploadAck{});
+  // Local-hop service time a relay adds when it answers for the core.
+  constexpr double kRelayServiceS = 0.005;
   constexpr std::uint64_t kNoGroup = ~std::uint64_t{0};
 
   std::vector<ServerArrival> pending;
@@ -468,7 +467,7 @@ FleetResult run_fleet(const FleetOptions& o) {
           Reply rr;
           rr.seq = a.seq;
           rr.shed = true;  // retryable, like a gate shed
-          rr.completion_s = a.arrival_s + o.relay_service_s;
+          rr.completion_s = a.arrival_s + kRelayServiceS;
           rr.payload = relay_reject_payload;
           rr.request = std::move(a.request);
           schedule_delivery(a.device, std::move(rr), rr.completion_s, j);
@@ -484,7 +483,7 @@ FleetResult run_fleet(const FleetOptions& o) {
           Reply rr;
           rr.seq = a.seq;
           rr.shed = false;
-          rr.completion_s = a.arrival_s + o.relay_service_s;
+          rr.completion_s = a.arrival_s + kRelayServiceS;
           rr.payload = relay_ack_payload;
           schedule_delivery(a.device, std::move(rr), rr.completion_s, j);
           continue;

@@ -115,9 +115,6 @@ struct FleetOptions {
   int replicas = 0;  ///< Standby followers per shard (0 = unreplicated).
   int relays = 0;    ///< Edge relays between devices and core (0 = direct).
   std::uint32_t relay_chunk_size = 4096;  ///< CARE chunking interval.
-  /// Local-hop service time a relay adds when it answers for the core
-  /// (ack of a held upload, relay-unavailable rejection).
-  double relay_service_s = 0.005;
   std::vector<EpochWindow> partitions;     ///< Backhaul down; relays hold.
   std::vector<EpochWindow> relay_outages;  ///< Relay down; devices retry.
   std::vector<PrimaryKill> primary_kills;

@@ -43,8 +43,7 @@ std::size_t ann_shortlist_budget(int max_candidates, double recall_target) {
 AnnFrontEnd::AnnFrontEnd(const AnnParams& params)
     : params_(params),
       hasher_([&] {
-        if (params.bands <= 0 || params.rows <= 0 ||
-            params.band_weight == 0) {
+        if (params.bands <= 0 || params.rows <= 0) {
           throw std::invalid_argument("AnnFrontEnd: bad band parameters");
         }
         MinHashParams mh = params.minhash;
@@ -111,13 +110,16 @@ void AnnFrontEnd::collect(const std::vector<feat::Descriptor256>& query,
                           std::vector<std::uint32_t>& scores) const {
   if (query.empty() || image_count() == 0) return;
   if (scores.size() < image_count_) scores.resize(image_count_, 0);
+  // Score weight of one band collision relative to one shared visual word
+  // (a band collision is far stronger evidence of high Jaccard).
+  constexpr std::uint32_t kBandWeight = 8;
   const Row q = make_row(query);
   for (int b = 0; b < params_.bands; ++b) {
     const auto& table = band_tables_[static_cast<std::size_t>(b)];
     const auto it =
         table.find(q.band_signatures[static_cast<std::size_t>(b)]);
     if (it == table.end()) continue;
-    for (const ImageId id : it->second) scores[id] += params_.band_weight;
+    for (const ImageId id : it->second) scores[id] += kBandWeight;
   }
   for (const std::uint32_t word : q.words) {
     const auto it = inverted_.find(word);

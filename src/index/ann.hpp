@@ -40,10 +40,6 @@ struct AnnParams {
   /// MinHash bands probed per query; each band holds `rows` sketch minima.
   int bands = 8;
   int rows = 4;
-  /// Score weight of one band collision relative to one shared visual word
-  /// (a band collision is far stronger evidence of high Jaccard).  At
-  /// least 1: an image scoring 0 is not a candidate.
-  std::uint32_t band_weight = 8;
   /// Vocabulary-tree shape; the tree is trained on `vocabulary_sample`
   /// pseudo-random descriptors derived from `vocabulary.seed`, so it is a
   /// fixed data-independent quantizer (required for shard invariance).
@@ -82,7 +78,7 @@ class AnnFrontEnd {
   /// Computes the row insert() would store, without storing it.
   Row make_row(const std::vector<feat::Descriptor256>& descriptors) const;
 
-  /// Adds band_weight * (band collisions) + (shared distinct words) into
+  /// Adds kBandWeight * (band collisions) + (shared distinct words) into
   /// scores[id] for every image sharing a band signature or a word with
   /// the query; every other image keeps its score.  Touches only
   /// posting-list entries — never the whole corpus.  A shorter `scores`

@@ -77,7 +77,7 @@ class FeatureIndex {
   /// Phase 1 of a query: the top candidate_budget(params) stored images,
   /// ranked (score desc, id asc).  The score is the image's LSH collision
   /// votes on the exact path; with `params.ann.enabled` it is band
-  /// collisions * band_weight + shared words (+ deduplicated LSH votes
+  /// collisions * 8 + shared words (+ deduplicated LSH votes
   /// when the index keeps descriptor LSH tables).  Scores are pure
   /// per-(query, image) functions and the order is total, so the candidate
   /// set is a pure function of the scores: the global top-N by

@@ -24,20 +24,6 @@ constexpr std::uint32_t kSnapshotVersion = 2;
 /// allocation sized from them.
 constexpr std::size_t kMinEntryBytes = 19;
 
-void put_geo(util::ByteWriter& w, const GeoTag& geo) {
-  w.put_u8(geo.valid ? 1 : 0);
-  w.put_f64(geo.lon);
-  w.put_f64(geo.lat);
-}
-
-GeoTag get_geo(util::ByteReader& r) {
-  GeoTag geo;
-  geo.valid = r.get_u8() != 0;
-  geo.lon = r.get_f64();
-  geo.lat = r.get_f64();
-  return geo;
-}
-
 void write_file(const std::vector<std::uint8_t>& bytes,
                 const std::string& path, const char* who) {
   const auto compressed = util::lz_compress(bytes);

@@ -1,7 +1,5 @@
 #include "index/serialize.hpp"
 
-#include "util/byte_io.hpp"
-
 namespace bees::idx {
 
 std::vector<std::uint8_t> serialize_binary(const feat::BinaryFeatures& f) {
@@ -62,6 +60,20 @@ feat::FloatFeatures deserialize_float(const std::vector<std::uint8_t>& bytes) {
   }
   f.stats.keypoint_count = f.size();
   return f;
+}
+
+void put_geo(util::ByteWriter& w, const GeoTag& geo) {
+  w.put_u8(geo.valid ? 1 : 0);
+  w.put_f64(geo.lon);
+  w.put_f64(geo.lat);
+}
+
+GeoTag get_geo(util::ByteReader& r) {
+  GeoTag geo;
+  geo.valid = r.get_u8() != 0;
+  geo.lon = r.get_f64();
+  geo.lat = r.get_f64();
+  return geo;
 }
 
 }  // namespace bees::idx

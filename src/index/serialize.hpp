@@ -1,12 +1,16 @@
 // Wire format for feature sets.  These byte counts are what the simulated
 // channel actually carries when a client uploads features for redundancy
-// detection, and what Table I measures as feature space overhead.
+// detection, and what Table I measures as feature space overhead.  The
+// geotag codec beside them is the one every format shares: wire messages,
+// WAL records, shard snapshots and index snapshots.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "features/keypoint.hpp"
+#include "index/geo.hpp"
+#include "util/byte_io.hpp"
 
 namespace bees::idx {
 
@@ -21,5 +25,10 @@ feat::BinaryFeatures deserialize_binary(
 /// + 4 bytes per component.
 std::vector<std::uint8_t> serialize_float(const feat::FloatFeatures& f);
 feat::FloatFeatures deserialize_float(const std::vector<std::uint8_t>& bytes);
+
+/// Writes a geotag as 17 bytes: u8 valid, f64 lon, f64 lat.
+void put_geo(util::ByteWriter& w, const GeoTag& geo);
+/// Inverse of put_geo; throws util::DecodeError on a short buffer.
+GeoTag get_geo(util::ByteReader& r);
 
 }  // namespace bees::idx

@@ -16,20 +16,6 @@ std::vector<std::uint8_t> seal(MessageType type,
   return w.take();
 }
 
-void put_geo(util::ByteWriter& w, const idx::GeoTag& geo) {
-  w.put_u8(geo.valid ? 1 : 0);
-  w.put_f64(geo.lon);
-  w.put_f64(geo.lat);
-}
-
-idx::GeoTag get_geo(util::ByteReader& r) {
-  idx::GeoTag geo;
-  geo.valid = r.get_u8() != 0;
-  geo.lon = r.get_f64();
-  geo.lat = r.get_f64();
-  return geo;
-}
-
 void put_binary_features(util::ByteWriter& w,
                          const feat::BinaryFeatures& features) {
   const auto bytes = idx::serialize_binary(features);
@@ -94,7 +80,7 @@ std::vector<std::uint8_t> encode_image_upload(
   util::ByteWriter w;
   put_binary_features(w, features);
   w.put_f64(image_bytes);
-  put_geo(w, geo);
+  idx::put_geo(w, geo);
   w.put_f64(thumbnail_bytes);
   return seal(MessageType::kImageUpload, w.take());
 }
@@ -162,7 +148,7 @@ std::vector<std::uint8_t> encode_float_upload(
   util::ByteWriter w;
   put_float_features(w, features);
   w.put_f64(image_bytes);
-  put_geo(w, geo);
+  idx::put_geo(w, geo);
   return seal(MessageType::kFloatUpload, w.take());
 }
 
@@ -173,7 +159,7 @@ std::vector<std::uint8_t> encode(const FloatUploadRequest& m) {
 std::vector<std::uint8_t> encode(const GlobalQueryRequest& m) {
   util::ByteWriter w;
   put_histogram(w, m.histogram);
-  put_geo(w, m.geo);
+  idx::put_geo(w, m.geo);
   w.put_f64(m.feature_bytes);
   w.put_f64(m.geo_radius_deg);
   return seal(MessageType::kGlobalQuery, w.take());
@@ -183,14 +169,14 @@ std::vector<std::uint8_t> encode(const GlobalUploadRequest& m) {
   util::ByteWriter w;
   put_histogram(w, m.histogram);
   w.put_f64(m.image_bytes);
-  put_geo(w, m.geo);
+  idx::put_geo(w, m.geo);
   return seal(MessageType::kGlobalUpload, w.take());
 }
 
 std::vector<std::uint8_t> encode(const PlainUploadRequest& m) {
   util::ByteWriter w;
   w.put_f64(m.image_bytes);
-  put_geo(w, m.geo);
+  idx::put_geo(w, m.geo);
   return seal(MessageType::kPlainUpload, w.take());
 }
 
@@ -282,7 +268,7 @@ ImageUploadRequest decode_image_upload(
   ImageUploadRequest m;
   m.features = get_binary_features(r);
   m.image_bytes = r.get_f64();
-  m.geo = get_geo(r);
+  m.geo = idx::get_geo(r);
   m.thumbnail_bytes = r.get_f64();
   return m;
 }
@@ -352,7 +338,7 @@ FloatUploadRequest decode_float_upload(
   FloatUploadRequest m;
   m.features = get_float_features(r);
   m.image_bytes = r.get_f64();
-  m.geo = get_geo(r);
+  m.geo = idx::get_geo(r);
   return m;
 }
 
@@ -361,7 +347,7 @@ GlobalQueryRequest decode_global_query(
   util::ByteReader r(payload);
   GlobalQueryRequest m;
   m.histogram = get_histogram(r);
-  m.geo = get_geo(r);
+  m.geo = idx::get_geo(r);
   m.feature_bytes = r.get_f64();
   m.geo_radius_deg = r.get_f64();
   return m;
@@ -373,7 +359,7 @@ GlobalUploadRequest decode_global_upload(
   GlobalUploadRequest m;
   m.histogram = get_histogram(r);
   m.image_bytes = r.get_f64();
-  m.geo = get_geo(r);
+  m.geo = idx::get_geo(r);
   return m;
 }
 
@@ -382,7 +368,7 @@ PlainUploadRequest decode_plain_upload(
   util::ByteReader r(payload);
   PlainUploadRequest m;
   m.image_bytes = r.get_f64();
-  m.geo = get_geo(r);
+  m.geo = idx::get_geo(r);
   return m;
 }
 

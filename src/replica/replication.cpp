@@ -24,15 +24,12 @@ constexpr std::uint32_t kTermVersion = 1;
 
 ReplicationGroup::ReplicationGroup(int shard_id,
                                    const serve::ShardOptions& shard_options,
-                                   const ReplicationOptions& options)
-    : shard_id_(shard_id), base_options_(shard_options), options_(options) {
-  if (options_.followers < 0) {
+                                   int followers)
+    : shard_id_(shard_id), base_options_(shard_options) {
+  if (followers < 0) {
     throw std::invalid_argument("replica: follower count must be >= 0");
   }
-  if (options_.ship_queue_cap == 0) {
-    throw std::invalid_argument("replica: ship queue cap must be >= 1");
-  }
-  const std::size_t n = static_cast<std::size_t>(options_.followers) + 1;
+  const std::size_t n = static_cast<std::size_t>(followers) + 1;
 
   // Recover the term first: it names which instance's timeline is
   // authoritative, and therefore which instance the stale ones are caught
@@ -145,7 +142,7 @@ idx::ImageId ReplicationGroup::apply(serve::WalRecord record) {
     obs::count("replica.ship.records");
     obs::count("replica.ship.bytes",
                static_cast<double>(frame->frame.bytes.size()));
-    if (queues_[i].size() >= options_.ship_queue_cap) drain_follower(i);
+    if (queues_[i].size() >= kShipQueueCap) drain_follower(i);
   }
   return local;
 }
@@ -239,14 +236,10 @@ serve::BackendResilience ReplicationGroup::resilience() const {
   return r;
 }
 
-serve::BackendFactory make_replicated_factory(int followers,
-                                              std::size_t ship_queue_cap) {
-  ReplicationOptions options;
-  options.followers = followers;
-  options.ship_queue_cap = ship_queue_cap;
-  return [options](int shard_id, const serve::ShardOptions& shard_options) {
+serve::BackendFactory make_replicated_factory(int followers) {
+  return [followers](int shard_id, const serve::ShardOptions& shard_options) {
     return std::make_unique<ReplicationGroup>(shard_id, shard_options,
-                                              options);
+                                              followers);
   };
 }
 

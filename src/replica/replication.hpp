@@ -6,15 +6,17 @@
 // primary's on-disk WAL carries: serve::encode_wal_frame, the log's own
 // frame encoder, builds it and serve::read_wal_frame, the log's own
 // reader, opens it on the follower — this file frames nothing itself.
-// With a segment store attached the frame carries only the payload's
-// chunk manifest, so a record whose chunks the store already holds (they
-// were just written by the primary's own WAL append) ships as a few dozen
-// manifest bytes.  A ship frame's chunks stay pinned until every follower
-// has acknowledged it, so a checkpoint-triggered compaction on the
-// primary can never reclaim a chunk a ship frame still references.
+// With a segment store attached — always for a durable group, whose
+// instances write through it — the frame carries only the payload's chunk
+// manifest, so a record whose chunks the store already holds (they were
+// just written by the primary's own WAL append) ships as a few dozen
+// manifest bytes; an in-memory group without a store ships inline bodies.
+// A ship frame's chunks stay pinned until every follower has acknowledged
+// it, so a checkpoint-triggered compaction on the primary can never
+// reclaim a chunk a ship frame still references.
 //
 // Shipping is asynchronous with a bounded per-follower queue: frames
-// accumulate until the queue reaches `ship_queue_cap`, then the follower
+// accumulate until the queue reaches kShipQueueCap, then the follower
 // drains (applies every queued frame, acknowledging by sequence number).
 // Queries never read followers, so follower lag is invisible to replies.
 // The two events that demand parity force a drain first:
@@ -50,24 +52,21 @@
 
 namespace bees::replica {
 
-struct ReplicationOptions {
-  /// Standby followers behind the primary (>= 0; 0 degenerates to an
-  /// unreplicated slot whose kill_active is refused).
-  int followers = 1;
-  /// Frames queued to one follower before it is synchronously drained.
-  std::size_t ship_queue_cap = 64;
-};
+/// Frames queued to one follower before it is synchronously drained.
+inline constexpr std::size_t kShipQueueCap = 64;
 
 class ReplicationGroup final : public serve::ShardBackend {
  public:
   /// `shard_options` describes the primary; follower j lives under
   /// `<dir>/replica-<j>` (in-memory when dir is empty) and shares the
-  /// segment store, checkpoint cadence, and index params.  With a durable
-  /// dir, construction recovers every instance from its own snapshot + WAL
+  /// segment store, checkpoint cadence, and index params.  `followers`
+  /// standbys stand behind the primary (>= 0; 0 degenerates to an
+  /// unreplicated slot whose kill_active is refused).  With a durable dir,
+  /// construction recovers every instance from its own snapshot + WAL
   /// tail, restores the term (which instance is active, how many failovers
   /// happened), and catches stale instances up by snapshot install.
   ReplicationGroup(int shard_id, const serve::ShardOptions& shard_options,
-                   const ReplicationOptions& options);
+                   int followers);
 
   // Queries read active() without the cluster's mutation lock, so the
   // active index is published atomically: kill_active() fully drains the
@@ -127,7 +126,6 @@ class ReplicationGroup final : public serve::ShardBackend {
 
   const int shard_id_;
   serve::ShardOptions base_options_;
-  ReplicationOptions options_;
   std::vector<std::unique_ptr<serve::Shard>> instances_;
   std::vector<bool> alive_;
   std::vector<std::uint64_t> acked_seq_;
@@ -144,7 +142,6 @@ class ReplicationGroup final : public serve::ShardBackend {
 
 /// A BackendFactory giving every cluster shard slot `followers` standbys:
 /// plug into serve::ClusterOptions::backend_factory.
-serve::BackendFactory make_replicated_factory(
-    int followers, std::size_t ship_queue_cap = 64);
+serve::BackendFactory make_replicated_factory(int followers);
 
 }  // namespace bees::replica

@@ -31,16 +31,13 @@ std::uint64_t mix64(std::uint64_t x) {
 Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   const int n = std::max(1, options_.shards);
   options_.shards = n;
+  if (options_.segment_store.dir.empty() && !options_.data_dir.empty()) {
+    options_.segment_store.dir = options_.data_dir + "/segments";
+  }
   if (!options_.segment_store.dir.empty()) {
-    store::SegmentStoreOptions store_options = options_.segment_store;
-    if (store_options.pool == nullptr) {
-      store_pool_ = std::make_unique<util::ThreadPool>(
-          static_cast<std::size_t>(std::max(1, options_.threads)));
-      store_options.pool = store_pool_.get();
-    }
     // Constructed before any shard so recovery can resolve chunked WAL
     // records and snapshot manifests against the rebuilt directory.
-    store_ = std::make_unique<store::SegmentStore>(store_options);
+    store_ = std::make_unique<store::SegmentStore>(options_.segment_store);
   }
   const BackendFactory factory =
       options_.backend_factory ? options_.backend_factory
@@ -53,7 +50,6 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
     }
     shard_options.segment_store = store_.get();
     shard_options.checkpoint_every = options_.checkpoint_every;
-    shard_options.wal_reset_on_checkpoint = options_.wal_reset_on_checkpoint;
     shard_options.binary_params = options_.binary_params;
     shard_options.float_params = options_.float_params;
     backends_.push_back(factory(i, shard_options));

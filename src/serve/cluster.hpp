@@ -21,6 +21,11 @@
 // write path is single-writer by design — BEES serves a read-dominated
 // query workload — which keeps global id assignment, WAL append order, and
 // the routing tables trivially consistent.
+//
+// A durable cluster (data_dir set) writes every shard's WAL bodies and
+// snapshots through one shared segment store: `<data_dir>/segments` unless
+// segment_store.dir names another.  The same store answers the wire
+// chunk-upload plane.
 #pragma once
 
 #include <atomic>
@@ -55,18 +60,17 @@ struct ClusterOptions {
   /// arrivals are shed with an encoded error reply.
   std::size_t queue_depth = 256;
   /// Durability root (one subdirectory per shard); empty = in-memory only.
-  /// When set, construction recovers from the latest snapshots + WAL tails.
+  /// When set, construction recovers from the latest snapshots + WAL tails,
+  /// which live in the segment store below.
   std::string data_dir;
   /// Per-shard mutations between automatic checkpoints; 0 = WAL only.
   std::size_t checkpoint_every = 0;
-  /// Crash-window test hook, forwarded to each shard (see ShardOptions).
-  bool wal_reset_on_checkpoint = true;
   /// Content-addressed segment store shared by every shard (WAL bodies +
   /// snapshots) and by the wire chunk-upload plane (kChunkManifest /
-  /// kChunkData / kChunkCommit requests).  Enabled when
-  /// `segment_store.dir` is non-empty.  Unless the caller supplies one,
-  /// the store compresses chunks on the cluster's worker pool.  Chunk
-  /// requests answered without a store decode to the
+  /// kChunkData / kChunkCommit requests).  Enabled when `segment_store.dir`
+  /// is non-empty, and for every durable cluster: with `data_dir` set and
+  /// `segment_store.dir` empty, the store lives at `<data_dir>/segments`.
+  /// Chunk requests answered without a store decode to the
   /// kChunkStoreDisabledMessage error, and uploaders fall back to whole
   /// images.
   store::SegmentStoreOptions segment_store;
@@ -151,13 +155,14 @@ class Cluster {
   /// restart from zero (queries are not journaled).
   cloud::ServerStats stats() const;
 
-  /// Snapshots every shard now (and truncates their WALs); with a segment
-  /// store attached this also runs its compaction trigger.  A shard whose
+  /// Snapshots every shard now (and truncates their WALs), running the
+  /// segment store's compaction trigger; no-op in memory.  A shard whose
   /// checkpoint throws does not stop the others: each is tried, then the
   /// first error is rethrown.
   void checkpoint();
 
-  /// The shared segment store; nullptr when not enabled.
+  /// The shared segment store; nullptr for an in-memory cluster without
+  /// segment_store.dir.
   store::SegmentStore* segment_store() noexcept { return store_.get(); }
 
   /// Requests shed by the admission gate since construction.
@@ -213,10 +218,7 @@ class Cluster {
                                std::vector<idx::ImageId>* next_local);
 
   ClusterOptions options_;
-  /// The store's compression pool must be distinct from the request pool
-  /// (parallel_for from inside a worker task would self-deadlock) and must
-  /// outlive the store; both precede shards_, which hold store pointers.
-  std::unique_ptr<util::ThreadPool> store_pool_;
+  /// Precedes backends_, whose shards hold pointers to it.
   std::unique_ptr<store::SegmentStore> store_;
   std::vector<std::unique_ptr<ShardBackend>> backends_;
   std::unique_ptr<util::ThreadPool> pool_;

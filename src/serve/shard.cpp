@@ -9,7 +9,6 @@
 #include "index/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "util/byte_io.hpp"
-#include "util/compress.hpp"
 
 namespace bees::serve {
 namespace {
@@ -18,9 +17,18 @@ namespace {
 // snapshot handed to load_index_snapshot (or vice versa) fails loudly.
 constexpr std::uint32_t kShardMagic = 0x56525342;
 constexpr std::uint32_t kShardVersion = 1;
-// "BSMN" little-endian: the snapshot.manifest file (store-backed snapshots)
-// — a chunk manifest standing in for the snapshot bytes held by the store.
+// "BSMN" little-endian: the snapshot.manifest file — a chunk manifest
+// standing in for the snapshot bytes held by the store.
 constexpr std::uint32_t kManifestFileMagic = 0x4E4D5342;
+
+/// A durable shard writes through a segment store; there is no other
+/// on-disk format to fall back on.
+void require_store(const ShardOptions& options) {
+  if (!options.dir.empty() && options.segment_store == nullptr) {
+    throw std::invalid_argument("shard: durable dir " + options.dir +
+                                " needs a segment store");
+  }
+}
 
 void write_file(const std::string& path,
                 const std::vector<std::uint8_t>& bytes) {
@@ -38,26 +46,13 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-void put_geo(util::ByteWriter& w, const idx::GeoTag& geo) {
-  w.put_u8(geo.valid ? 1 : 0);
-  w.put_f64(geo.lon);
-  w.put_f64(geo.lat);
-}
-
-idx::GeoTag get_geo(util::ByteReader& r) {
-  idx::GeoTag geo;
-  geo.valid = r.get_u8() != 0;
-  geo.lon = r.get_f64();
-  geo.lat = r.get_f64();
-  return geo;
-}
-
 }  // namespace
 
 Shard::Shard(int id, const ShardOptions& options)
     : id_(id),
       options_(options),
       server_(options.binary_params, options.float_params) {
+  require_store(options_);
   if (options_.dir.empty()) return;
   std::filesystem::create_directories(options_.dir);
   recover();
@@ -71,6 +66,7 @@ Shard::Shard(int id, const ShardOptions& options,
     : id_(id),
       options_(options),
       server_(options.binary_params, options.float_params) {
+  require_store(options_);
   if (!options_.dir.empty()) {
     // The stale history under dir is superseded wholesale by the installed
     // snapshot; keeping its WAL would replay records the snapshot already
@@ -90,10 +86,6 @@ Shard::Shard(int id, const ShardOptions& options,
 }
 
 std::string Shard::wal_path() const { return options_.dir + "/wal.log"; }
-
-std::string Shard::snapshot_path() const {
-  return options_.dir + "/snapshot.bin";
-}
 
 std::string Shard::manifest_path() const {
   return options_.dir + "/snapshot.manifest";
@@ -273,47 +265,36 @@ void Shard::checkpoint() {
 
 void Shard::checkpoint_locked(bool compact) {
   if (options_.dir.empty()) return;
-  const std::vector<std::uint8_t> bytes = encode_snapshot_locked();
-  if (store::SegmentStore* st = options_.segment_store) {
-    // Store-backed: snapshot bytes live as chunks (compressed by the store,
-    // unchanged regions deduped against prior checkpoints and other
-    // shards); the file published here is just the manifest.  The new
-    // generation is pinned atomically with the put and before the manifest
-    // is published — shards share this store, and a concurrent compaction
-    // (another shard's checkpoint) could otherwise reclaim the unpinned
-    // chunks and leave a published manifest referencing nothing.  The old
-    // generation is unpinned only after publish, so chunks shared between
-    // the two never transit a dead state.
-    const store::Manifest manifest = st->put_payload_pinned(bytes);
-    st->flush();
-    util::ByteWriter w;
-    w.put_u32(kManifestFileMagic);
-    w.put_u32(kShardVersion);
-    store::put_manifest(w, manifest);
-    const std::string tmp = manifest_path() + ".tmp";
-    try {
-      write_file(tmp, w.bytes());
-      std::filesystem::rename(tmp, manifest_path());
-    } catch (...) {
-      st->unpin(manifest.chunks);  // publish failed: old snapshot stands
-      throw;
-    }
-    st->unpin(snapshot_pins_);
-    snapshot_pins_ = manifest.chunks;
-    // The manifest supersedes any inline snapshot left by a pre-store run.
-    std::filesystem::remove(snapshot_path());
-  } else {
-    // Atomic publish: a crash mid-write leaves the old snapshot intact.
-    const std::string tmp = snapshot_path() + ".tmp";
-    write_file(tmp, util::lz_compress(bytes));
-    std::filesystem::rename(tmp, snapshot_path());
-    std::filesystem::remove(manifest_path());
+  store::SegmentStore& st = *options_.segment_store;
+  // Snapshot bytes live as chunks (compressed by the store, unchanged
+  // regions deduped against prior checkpoints and other shards); the file
+  // published here is just the manifest.  The new generation is pinned
+  // atomically with the put and before the manifest is published — shards
+  // share this store, and a concurrent compaction (another shard's
+  // checkpoint) could otherwise reclaim the unpinned chunks and leave a
+  // published manifest referencing nothing.  The old generation is
+  // unpinned only after publish, so chunks shared between the two never
+  // transit a dead state.
+  const store::Manifest manifest =
+      st.put_payload_pinned(encode_snapshot_locked());
+  st.flush();
+  util::ByteWriter w;
+  w.put_u32(kManifestFileMagic);
+  w.put_u32(kShardVersion);
+  store::put_manifest(w, manifest);
+  const std::string tmp = manifest_path() + ".tmp";
+  try {
+    write_file(tmp, w.bytes());
+    std::filesystem::rename(tmp, manifest_path());
+  } catch (...) {
+    st.unpin(manifest.chunks);  // publish failed: old snapshot stands
+    throw;
   }
-  if (wal_ && options_.wal_reset_on_checkpoint) wal_->reset();
+  st.unpin(snapshot_pins_);
+  snapshot_pins_ = manifest.chunks;
+  if (wal_) wal_->reset();
   mutations_since_checkpoint_ = 0;
-  if (compact && options_.segment_store) {
-    options_.segment_store->maybe_compact();
-  }
+  if (compact) st.maybe_compact();
   obs::count("serve.checkpoint");
 }
 
@@ -352,14 +333,22 @@ std::vector<std::uint8_t> Shard::encode_snapshot_locked() {
   w.put_varint(globals.size());
   for (const auto& [histogram, geo] : globals) {
     for (float bin : histogram.bins) w.put_f32(bin);
-    put_geo(w, geo);
+    idx::put_geo(w, geo);
   }
   return w.take();
 }
 
 void Shard::recover() {
+  const std::string legacy = options_.dir + "/snapshot.bin";
+  if (std::filesystem::exists(legacy)) {
+    // The inline snapshot of a store-less durable shard.  Recovering
+    // without it would silently serve an empty or partial index.
+    throw std::runtime_error("shard: " + legacy +
+                             " is a store-less snapshot, which this build "
+                             "does not read");
+  }
   store::SegmentStore* st = options_.segment_store;
-  if (st && std::filesystem::exists(manifest_path())) {
+  if (std::filesystem::exists(manifest_path())) {
     const auto file = read_file(manifest_path());
     util::ByteReader r(file);
     if (r.get_u32() != kManifestFileMagic) {
@@ -377,14 +366,6 @@ void Shard::recover() {
     restore_snapshot(st->get_payload(manifest));
     st->pin(manifest.chunks);
     snapshot_pins_ = manifest.chunks;
-  } else if (std::filesystem::exists(manifest_path())) {
-    // A store-backed run left a manifest but this shard has no store to
-    // resolve it with: refusing is the only honest option (snapshot.bin
-    // was deleted when the manifest was published).
-    throw std::runtime_error(
-        "shard: snapshot.manifest present but no segment store attached");
-  } else if (std::filesystem::exists(snapshot_path())) {
-    restore_snapshot(util::lz_decompress(read_file(snapshot_path())));
   }
 
   // Replay the WAL tail the snapshot does not cover; seq_ advances to the
@@ -401,7 +382,7 @@ void Shard::recover() {
     // instead of hiding behind garbage.
     std::filesystem::resize_file(wal_path(), replayed.valid_bytes);
   }
-  if (st && !replayed.chunk_keys.empty()) {
+  if (!replayed.chunk_keys.empty()) {
     // Restart cleared every pin; re-establish the surviving WAL records'
     // claims.  The log itself takes these over once constructed, so its
     // next reset() releases them.
@@ -481,7 +462,7 @@ void Shard::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   for (std::size_t i = 0; i < n_globals; ++i) {
     feat::ColorHistogram histogram;
     for (float& bin : histogram.bins) bin = r.get_f32();
-    server_.seed_global(histogram, get_geo(r));
+    server_.seed_global(histogram, idx::get_geo(r));
   }
   if (!r.done()) throw util::DecodeError("shard snapshot: trailing bytes");
   server_.restore_accounting(stats, keys);

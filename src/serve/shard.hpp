@@ -1,10 +1,11 @@
 // One shard of the serving cluster: a cloud::Server behind its own
 // reader/writer lock (queries share it, mutations hold it alone), made
-// durable by a write-ahead log plus periodic snapshot checkpoints.
-// The shard speaks in *global* image ids (assigned by the cluster frontend)
-// and keeps the local<->global mapping itself; within a shard, local
-// insertion order follows global id order, which is what lets per-shard
-// top-k lists merge into exactly the single-server ranking.
+// durable by a write-ahead log plus periodic snapshot checkpoints, both
+// written through a content-addressed segment store.  The shard speaks in
+// *global* image ids (assigned by the cluster frontend) and keeps the
+// local<->global mapping itself; within a shard, local insertion order
+// follows global id order, which is what lets per-shard top-k lists merge
+// into exactly the single-server ranking.
 #pragma once
 
 #include <cstdint>
@@ -20,23 +21,18 @@
 namespace bees::serve {
 
 struct ShardOptions {
-  /// Durability root for this shard (wal.log + snapshot.bin live here);
-  /// empty = in-memory only, no WAL, no checkpoints.
+  /// Durability root for this shard (wal.log + snapshot.manifest live
+  /// here); empty = in-memory only, no WAL, no checkpoints.
   std::string dir;
-  /// Optional content-addressed segment store (not owned; typically shared
-  /// across shards by the cluster).  When set, WAL record bodies are
-  /// chunked into it and snapshots are written as a chunk manifest
-  /// (snapshot.manifest) instead of an inline snapshot.bin — unchanged
-  /// index regions dedup across checkpoints and across shards.  A legacy
-  /// snapshot.bin is still readable; the next checkpoint replaces it.
+  /// Content-addressed segment store (not owned; typically shared across
+  /// shards by the cluster).  Required when `dir` is set: WAL record bodies
+  /// are chunked into it and snapshots are written as a chunk manifest
+  /// (snapshot.manifest), so unchanged index regions dedup across
+  /// checkpoints and across shards.
   store::SegmentStore* segment_store = nullptr;
   /// Mutations between automatic snapshot checkpoints; 0 = never (WAL only,
   /// or explicit checkpoint() calls).
   std::size_t checkpoint_every = 0;
-  /// Crash-window test hook: when false, a checkpoint does NOT truncate the
-  /// WAL, simulating a crash between snapshot rename and log reset.  The
-  /// snapshot's sequence number must then keep replay from double-applying.
-  bool wal_reset_on_checkpoint = true;
   idx::FeatureIndexParams binary_params;
   idx::FloatFeatureIndex::Params float_params;
 };
@@ -52,14 +48,18 @@ class Shard {
  public:
   /// Opens the shard; when `options.dir` is set, recovers state from the
   /// latest snapshot plus the WAL tail (a torn tail is truncated to the
-  /// last intact record, never replayed).
+  /// last intact record, never replayed).  Throws std::invalid_argument
+  /// when `options.dir` is set without a segment store, and refuses a dir
+  /// holding a snapshot.bin (the inline snapshot format of store-less
+  /// durable shards, no longer read) rather than recover it as empty.
   Shard(int id, const ShardOptions& options);
 
   /// Snapshot install (replica catch-up): the shard's initial state is
   /// `snapshot` (encode_snapshot output of a peer) instead of whatever its
   /// dir holds.  A durable dir is wiped and re-seeded with a checkpoint of
   /// the installed state, so the next restart recovers the caught-up shard
-  /// rather than the stale one.
+  /// rather than the stale one.  Like the recovering constructor, throws
+  /// std::invalid_argument for a durable dir without a segment store.
   Shard(int id, const ShardOptions& options,
         const std::vector<std::uint8_t>& snapshot);
 
@@ -126,9 +126,9 @@ class Shard {
   /// stale follower up before streaming the WAL tail.
   std::vector<std::uint8_t> encode_snapshot();
 
-  /// Writes a snapshot now (atomic tmp+rename) and — unless the crash-window
-  /// hook is off — truncates the WAL it makes redundant.  No-op without a
-  /// durability dir.
+  /// Writes a snapshot now (chunks into the store, then an atomic tmp+rename
+  /// publish of its manifest) and truncates the WAL it makes redundant.
+  /// No-op without a durability dir.
   void checkpoint();
 
   int id() const noexcept { return id_; }
@@ -146,7 +146,6 @@ class Shard {
   std::vector<std::uint8_t> encode_snapshot_locked();
   void restore_snapshot(const std::vector<std::uint8_t>& bytes);
   std::string wal_path() const;
-  std::string snapshot_path() const;
   std::string manifest_path() const;
 
   const int id_;
@@ -161,8 +160,8 @@ class Shard {
   std::uint64_t seq_ = 0;
   std::size_t mutations_since_checkpoint_ = 0;
   std::unique_ptr<WriteAheadLog> wal_;
-  /// Chunks the current snapshot manifest pins (store-backed mode only);
-  /// rotated — new pinned, old unpinned — on every checkpoint.
+  /// Chunks the current snapshot manifest pins; rotated — new pinned, old
+  /// unpinned — on every checkpoint.
   std::vector<store::ChunkKey> snapshot_pins_;
   /// Pins recover() re-established for surviving WAL records, handed to
   /// the log (adopt_pins) once it exists so reset() releases them.

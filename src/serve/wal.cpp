@@ -1,5 +1,6 @@
 #include "serve/wal.hpp"
 
+#include "index/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "util/byte_io.hpp"
 #include "util/hash.hpp"
@@ -15,9 +16,7 @@ void put_record_head(util::ByteWriter& w, const WalRecord& record,
   w.put_u8(op_byte);
   w.put_varint(record.global_id);
   w.put_f64(record.info.image_bytes);
-  w.put_u8(record.info.geo.valid ? 1 : 0);
-  w.put_f64(record.info.geo.lon);
-  w.put_f64(record.info.geo.lat);
+  idx::put_geo(w, record.info.geo);
   w.put_f64(record.info.thumbnail_bytes);
 }
 
@@ -56,9 +55,7 @@ WalRecord decode_wal_record(std::span<const std::uint8_t> bytes,
   record.op = static_cast<WalOp>(op);
   record.global_id = static_cast<std::uint32_t>(r.get_varint());
   record.info.image_bytes = r.get_f64();
-  record.info.geo.valid = r.get_u8() != 0;
-  record.info.geo.lon = r.get_f64();
-  record.info.geo.lat = r.get_f64();
+  record.info.geo = idx::get_geo(r);
   record.info.thumbnail_bytes = r.get_f64();
   if (chunked) {
     const store::Manifest manifest = store::get_manifest(r);

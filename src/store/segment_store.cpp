@@ -244,8 +244,8 @@ ChunkKey SegmentStore::put(std::span<const std::uint8_t> raw) {
 std::size_t SegmentStore::put_manifest_payload(
     const Manifest& manifest, std::span<const std::uint8_t> payload,
     bool pin_chunks) {
-  // Find missing chunks under the lock, compress them outside it (in
-  // parallel when a pool is attached), then append in manifest order.
+  // Find missing chunks under the lock, compress them outside it, then
+  // append in manifest order.
   std::vector<std::size_t> missing;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -258,14 +258,10 @@ std::size_t SegmentStore::put_manifest_payload(
       }
     }
   }
-  std::vector<Prepared> prepared(missing.size());
-  const auto compress_one = [&](std::size_t j) {
-    prepared[j] = prepare(chunk_bytes(payload, manifest, missing[j]));
-  };
-  if (options_.pool != nullptr && missing.size() > 1) {
-    options_.pool->parallel_for(missing.size(), compress_one);
-  } else {
-    for (std::size_t j = 0; j < missing.size(); ++j) compress_one(j);
+  std::vector<Prepared> prepared;
+  prepared.reserve(missing.size());
+  for (const std::size_t i : missing) {
+    prepared.push_back(prepare(chunk_bytes(payload, manifest, i)));
   }
   std::size_t written = 0;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -381,11 +377,11 @@ std::vector<std::uint8_t> SegmentStore::get_payload(const Manifest& manifest) {
 
 void SegmentStore::cache_insert_locked(const ChunkKey& key,
                                        std::vector<std::uint8_t> raw) {
-  if (raw.size() > options_.cache_capacity_bytes) return;
+  if (raw.size() > kChunkCacheBytes) return;
   cache_bytes_ += raw.size();
   lru_.emplace_front(key, std::move(raw));
   cache_index_[key] = lru_.begin();
-  while (cache_bytes_ > options_.cache_capacity_bytes && !lru_.empty()) {
+  while (cache_bytes_ > kChunkCacheBytes && !lru_.empty()) {
     cache_bytes_ -= lru_.back().second.size();
     cache_index_.erase(lru_.back().first);
     lru_.pop_back();

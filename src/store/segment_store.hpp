@@ -1,15 +1,16 @@
 // Content-addressed chunked segment store (the AFF4 shape, see DESIGN §12):
-// chunks are compressed independently — in parallel across a thread pool
-// when one is attached — and packed into append-only segment files; a
-// directory maps ChunkKey -> (segment, offset); reads go through an LRU raw
-// -chunk cache; compaction rewrites live chunks out of dead-heavy segments
-// and deletes them, bounding disk growth.
+// chunks are compressed independently, on the calling thread and outside
+// the store lock, and packed into append-only segment files; a directory
+// maps ChunkKey -> (segment, offset); reads go through an LRU raw-chunk
+// cache of kChunkCacheBytes; compaction rewrites live chunks out of
+// dead-heavy segments and deletes them, bounding disk growth.
 //
 // One store instance backs both write paths of the system: wire-level
 // chunk uploads (cloud/serve chunk endpoints) and the serving layer's WAL
-// record bodies + snapshots.  Everything is keyed by content, so identical
-// payloads — retried uploads, duplicate images across devices, unchanged
-// snapshot regions — occupy one copy.
+// record bodies + snapshots (every durable shard writes through one).
+// Everything is keyed by content, so identical payloads — retried uploads,
+// duplicate images across devices, unchanged snapshot regions — occupy one
+// copy.
 //
 // Liveness is reference-counted by the owners: pin() marks a chunk live
 // (snapshot manifests, un-reset WAL records, committed uploads), unpin()
@@ -18,8 +19,8 @@
 // owners re-pin whatever their recovered manifests reference.
 //
 // Thread-safe: all public methods may be called concurrently.  Determinism:
-// the same put sequence produces byte-identical segment files regardless of
-// the compression pool's thread count (chunks are appended in call order).
+// the same put sequence produces byte-identical segment files (chunks are
+// appended in call order).
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,11 @@
 #include <vector>
 
 #include "store/chunk.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bees::store {
+
+/// Capacity of the LRU raw-chunk read cache (bytes of raw chunk data).
+inline constexpr std::uint64_t kChunkCacheBytes = 8u << 20;
 
 struct SegmentStoreOptions {
   /// Segment directory; empty = memory-backed segments (tests, pure-wire
@@ -46,16 +49,12 @@ struct SegmentStoreOptions {
   std::uint32_t chunk_size = 64 * 1024;
   /// A segment rolls over once its stored bytes pass this.
   std::uint64_t segment_target_bytes = 4u << 20;
-  /// LRU raw-chunk read cache capacity (bytes of raw chunk data).
-  std::uint64_t cache_capacity_bytes = 8u << 20;
   /// Soft disk ceiling: maybe_compact() compacts (repeatedly, hardest-dead
   /// segment first) while total segment bytes exceed this.  0 = unbounded.
   std::uint64_t disk_ceiling_bytes = 0;
   /// maybe_compact() also rewrites any sealed segment whose dead-byte
   /// fraction exceeds this ratio.
   double compact_dead_ratio = 0.5;
-  /// Optional pool for parallel chunk compression in put_many.
-  util::ThreadPool* pool = nullptr;
 };
 
 class SegmentStore {
@@ -78,10 +77,10 @@ class SegmentStore {
   ChunkKey put(std::span<const std::uint8_t> raw);
 
   /// Stores every chunk of `payload` under `manifest` (built by the caller
-  /// via build_manifest, typically).  Chunks are compressed in parallel on
-  /// the attached pool, then appended in manifest order — the resulting
-  /// segment bytes are identical to serial puts.  Returns the number of
-  /// chunks newly written (the rest were dedup hits).
+  /// via build_manifest, typically).  Missing chunks are compressed outside
+  /// the store lock, then appended in manifest order — the resulting
+  /// segment bytes are identical to put() per chunk.  Returns the number
+  /// of chunks newly written (the rest were dedup hits).
   ///
   /// With `pin_chunks`, every manifest entry is pinned in the same critical
   /// section that guarantees its presence, so a concurrent compaction can

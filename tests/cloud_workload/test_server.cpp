@@ -25,8 +25,8 @@ TEST(Server, StartsEmpty) {
 
 TEST(Server, StoreBinaryCountsBytesAndImages) {
   Server s;
-  s.store_binary(orb_of(1), {1000.0});
-  s.store_binary(orb_of(2), {2000.0});
+  s.store_binary(orb_of(1), {.image_bytes = 1000.0, .geo = {}});
+  s.store_binary(orb_of(2), {.image_bytes = 2000.0, .geo = {}});
   EXPECT_EQ(s.stats().images_stored, 2u);
   EXPECT_DOUBLE_EQ(s.stats().image_bytes_received, 3000.0);
 }
@@ -40,7 +40,7 @@ TEST(Server, QueryFindsStoredSimilarImage) {
       feat::extract_orb(img::render_view(spec, 200, 150, pert, rng));
   const auto query =
       feat::extract_orb(img::render_view(spec, 200, 150, pert, rng));
-  s.store_binary(stored, {500.0});
+  s.store_binary(stored, {.image_bytes = 500.0, .geo = {}});
   const idx::QueryResult r = s.query_binary_batch({{&query, 123.0}}).front();
   EXPECT_GT(r.max_similarity, 0.02);
   EXPECT_EQ(s.stats().binary_queries, 1u);
@@ -77,7 +77,7 @@ TEST(Server, FloatPathWorks) {
       feat::extract_sift(img::render_view(spec, 200, 150, pert, rng));
   const auto sift_b =
       feat::extract_sift(img::render_view(spec, 200, 150, pert, rng));
-  s.store_float(sift_a, {600.0});
+  s.store_float(sift_a, {.image_bytes = 600.0, .geo = {}});
   const idx::QueryResult r = s.query_float(sift_b, 50.0);
   EXPECT_GT(r.max_similarity, 0.01);
   EXPECT_EQ(s.stats().float_queries, 1u);

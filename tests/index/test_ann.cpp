@@ -87,7 +87,7 @@ TEST(AnnFrontEnd, CollectSurfacesTheMatchingScene) {
     ann.insert(static_cast<ImageId>(s), make_view(20 + s, 0).descriptors);
   }
   // Querying with the stored view itself must score image 3 strictly
-  // highest: every band collides (band_weight * bands) and every word is
+  // highest: every band collides (8 votes per band) and every word is
   // shared.  (The front end only shortlists — rank-1 on *perturbed* views
   // is the rescore stage's job, covered by PrunedQueryAgreesWithExactScan.)
   std::vector<std::uint32_t> scores;

@@ -74,10 +74,9 @@ TEST_F(ReplicaStoreTest, ShipFramesSurviveCheckpointAndCompactionMidShip) {
   shard_opts.segment_store = &store;
   shard_opts.checkpoint_every = 1;  // checkpoint (and unpin WAL) every apply
 
-  ReplicationOptions ropts;
-  ropts.followers = 1;
-  ropts.ship_queue_cap = 64;  // keep every frame queued until we drain
-  ReplicationGroup group(0, shard_opts, ropts);
+  // Fewer applies than kShipQueueCap keep every frame queued until the
+  // drain below.
+  ReplicationGroup group(0, shard_opts, /*followers=*/1);
 
   // Each apply checkpoints the primary immediately, releasing its WAL pins
   // while the ship frame is still queued; compacting between applies tries

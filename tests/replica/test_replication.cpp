@@ -24,6 +24,7 @@
 #include "serve/cluster.hpp"
 #include "serve/shard.hpp"
 #include "serve/wal.hpp"
+#include "store/segment_store.hpp"
 #include "util/rng.hpp"
 
 namespace bees::replica {
@@ -56,6 +57,29 @@ serve::WalRecord binary_record(int i) {
   return r;
 }
 
+/// The sequence the instance under `instance_dir` of `data_dir` recovers
+/// to, read from a copy of the whole dir: a probe must not open a second
+/// segment store on segments a live cluster still appends to.
+std::uint64_t recovered_seq(const std::string& data_dir,
+                            const std::string& instance_dir) {
+  const std::string copy = data_dir + "-probe";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(data_dir, copy,
+                        std::filesystem::copy_options::recursive);
+  std::uint64_t seq = 0;
+  {
+    store::SegmentStoreOptions store_options;
+    store_options.dir = copy + "/segments";
+    store::SegmentStore store(store_options);
+    serve::ShardOptions probe;
+    probe.dir = copy + "/" + instance_dir;
+    probe.segment_store = &store;
+    seq = serve::Shard(0, probe).last_applied_seq();
+  }
+  std::filesystem::remove_all(copy);
+  return seq;
+}
+
 class ReplicaDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -73,9 +97,7 @@ class ReplicaDirTest : public ::testing::Test {
 };
 
 TEST(Replication, DrainReachesApplyParity) {
-  ReplicationOptions ropts;
-  ropts.followers = 2;
-  ReplicationGroup group(0, serve::ShardOptions{}, ropts);
+  ReplicationGroup group(0, serve::ShardOptions{}, /*followers=*/2);
   for (int i = 0; i < 5; ++i) group.apply(binary_record(i));
   ASSERT_EQ(group.active().last_applied_seq(), 5u);
 
@@ -90,18 +112,22 @@ TEST(Replication, DrainReachesApplyParity) {
 }
 
 TEST(Replication, QueueCapBoundsLagAndForcesDrain) {
-  ReplicationOptions ropts;
-  ropts.followers = 1;
-  ropts.ship_queue_cap = 4;
-  ReplicationGroup group(0, serve::ShardOptions{}, ropts);
-  for (int i = 0; i < 10; ++i) group.apply(binary_record(i));
-  // Queue drains whenever it reaches the cap: after 10 applies the
-  // follower has acknowledged the two full windows, and peak lag is
-  // exactly the cap.
-  EXPECT_EQ(group.acked_seq(1), 8u);
-  EXPECT_EQ(group.resilience().ship_lag_max, 4u);
+  ReplicationGroup group(0, serve::ShardOptions{}, /*followers=*/1);
+  // Two full windows and two frames more; the payload is shared, since
+  // only the queue is under test.
+  constexpr std::size_t kApplies = 2 * kShipQueueCap + 2;
+  const serve::WalRecord record = binary_record(0);
+  for (std::size_t i = 0; i < kApplies; ++i) {
+    serve::WalRecord next = record;
+    next.global_id = static_cast<std::uint32_t>(i);
+    group.apply(std::move(next));
+  }
+  // The queue drains whenever it reaches the cap: the follower has
+  // acknowledged the two full windows, and peak lag is exactly the cap.
+  EXPECT_EQ(group.acked_seq(1), 2 * kShipQueueCap);
+  EXPECT_EQ(group.resilience().ship_lag_max, kShipQueueCap);
   group.drain_all();
-  EXPECT_EQ(group.acked_seq(1), 10u);
+  EXPECT_EQ(group.acked_seq(1), kApplies);
 }
 
 TEST(Replication, ApplyReplicatedRedeliveryAndGap) {
@@ -123,17 +149,13 @@ TEST(Replication, ApplyReplicatedRedeliveryAndGap) {
 }
 
 TEST(Replication, KillRefusedWithoutStandby) {
-  ReplicationOptions ropts;
-  ropts.followers = 0;
-  ReplicationGroup group(0, serve::ShardOptions{}, ropts);
+  ReplicationGroup group(0, serve::ShardOptions{}, /*followers=*/0);
   group.apply(binary_record(0));
   EXPECT_FALSE(group.kill_active());
   EXPECT_EQ(group.resilience().failovers, 0u);
 
   // A 1-follower group survives exactly one kill.
-  ReplicationOptions one;
-  one.followers = 1;
-  ReplicationGroup pair(0, serve::ShardOptions{}, one);
+  ReplicationGroup pair(0, serve::ShardOptions{}, /*followers=*/1);
   EXPECT_TRUE(pair.kill_active());
   EXPECT_FALSE(pair.kill_active());
   EXPECT_EQ(pair.resilience().failovers, 1u);
@@ -228,13 +250,17 @@ INSTANTIATE_TEST_SUITE_P(ShardsAndKillPoints, FailoverEquivalence,
                                             ::testing::Values(0, 7, 16, 31)));
 
 TEST_F(ReplicaDirTest, RestartAfterFailoverRecoversPromotedTimeline) {
+  // The store sits beside the group's dir, not in it: the snapshot install
+  // of the stale primary replaces that dir wholesale.
+  store::SegmentStoreOptions store_options;
+  store_options.dir = dir_ + "/segments";
   serve::ShardOptions sopts;
-  sopts.dir = dir_;
-  ReplicationOptions ropts;
-  ropts.followers = 1;
+  sopts.dir = dir_ + "/group";
 
   {
-    ReplicationGroup group(0, sopts, ropts);
+    store::SegmentStore store(store_options);
+    sopts.segment_store = &store;
+    ReplicationGroup group(0, sopts, /*followers=*/1);
     for (int i = 0; i < 4; ++i) group.apply(binary_record(i));
     ASSERT_TRUE(group.kill_active());
     EXPECT_EQ(group.active_index(), 1);
@@ -244,7 +270,9 @@ TEST_F(ReplicaDirTest, RestartAfterFailoverRecoversPromotedTimeline) {
     ASSERT_EQ(group.active().last_applied_seq(), 7u);
   }
 
-  ReplicationGroup restarted(0, sopts, ropts);
+  store::SegmentStore store(store_options);
+  sopts.segment_store = &store;
+  ReplicationGroup restarted(0, sopts, /*followers=*/1);
   // The term file names the promoted instance; the stale dir was
   // snapshot-installed up to the promoted timeline.
   EXPECT_EQ(restarted.active_index(), 1);
@@ -357,12 +385,9 @@ TEST_F(ReplicaDirTest, FailedPrimaryCheckpointStillCheckpointsFollowers) {
   // The primary published its snapshot before its log failed; with the
   // log gone, each instance reopens at its snapshot's sequence.
   std::filesystem::remove(wal);
-  serve::ShardOptions probe;
-  probe.dir = dir_ + "/shard-0";
-  const std::uint64_t primary_seq = serve::Shard(0, probe).last_applied_seq();
+  const std::uint64_t primary_seq = recovered_seq(dir_, "shard-0");
   ASSERT_GT(primary_seq, 0u);
-  probe.dir = follower;
-  EXPECT_EQ(serve::Shard(0, probe).last_applied_seq(), primary_seq);
+  EXPECT_EQ(recovered_seq(dir_, "shard-0/replica-1"), primary_seq);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Durability: a cluster rebuilt from its data directory must serve the
 // same answers as one that never went down — whether it recovers from the
 // WAL alone, a snapshot plus a WAL tail, or a WAL torn mid-record by a
-// crash.
+// crash.  A durable cluster writes through a segment store of its own
+// unless given one, and a shard dir in the retired store-less format is
+// refused by name.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,11 +19,14 @@
 #include "features/orb.hpp"
 #include "features/sift.hpp"
 #include "imaging/synth.hpp"
+#include "index/serialize.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics.hpp"
 #include "serve/cluster.hpp"
 #include "serve/shard.hpp"
+#include "store/segment_store.hpp"
 #include "util/byte_io.hpp"
+#include "util/compress.hpp"
 #include "util/rng.hpp"
 
 namespace bees::serve {
@@ -108,6 +115,29 @@ void expect_store_stats_equal(const cloud::ServerStats& a,
   EXPECT_EQ(a.unique_locations, b.unique_locations);
 }
 
+/// The sequence shard `shard_dir` of `data_dir` recovers to, read from a
+/// copy of the whole dir: a probe must not open a second segment store on
+/// segments a live cluster still appends to.
+std::uint64_t recovered_seq(const std::string& data_dir,
+                            const std::string& shard_dir) {
+  const std::string copy = data_dir + "-probe";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(data_dir, copy,
+                        std::filesystem::copy_options::recursive);
+  std::uint64_t seq = 0;
+  {
+    store::SegmentStoreOptions store_options;
+    store_options.dir = copy + "/segments";
+    store::SegmentStore store(store_options);
+    ShardOptions probe;
+    probe.dir = copy + "/" + shard_dir;
+    probe.segment_store = &store;
+    seq = Shard(0, probe).last_applied_seq();
+  }
+  std::filesystem::remove_all(copy);
+  return seq;
+}
+
 /// The recovered instance must answer every probe with the reference's
 /// exact bytes.
 void expect_serves_like(Cluster& recovered, Cluster& reference, int ops) {
@@ -193,19 +223,32 @@ TEST_F(RecoveryTest, SnapshotPlusWalTailRecovers) {
 }
 
 TEST_F(RecoveryTest, CheckpointWithKeptWalDoesNotDoubleApply) {
-  // wal_reset_on_checkpoint=false leaves snapshot-covered records in the
-  // WAL — the crash window between "snapshot published" and "WAL
-  // truncated".  Replay must skip them by sequence number.
+  // The crash window between "snapshot published" and "WAL truncated":
+  // each shard's log is copied aside before the checkpoint and put back
+  // once the cluster is gone, so the WAL still holds records the snapshot
+  // covers.  Replay must skip them by sequence number.
   constexpr int kOps = 9;
   ClusterOptions durable;
   durable.shards = 2;
   durable.data_dir = dir_;
-  durable.wal_reset_on_checkpoint = false;
+  std::vector<std::string> wals;
+  for (int s = 0; s < durable.shards; ++s) {
+    wals.push_back(dir_ + "/shard-" + std::to_string(s) + "/wal.log");
+  }
   {
     Cluster cluster(durable);
     seed(cluster);
     apply_ops(cluster, kOps);
+    for (const std::string& wal : wals) {
+      std::filesystem::copy_file(wal, wal + ".kept");
+    }
     cluster.checkpoint();
+  }
+  std::vector<std::uintmax_t> kept_sizes;
+  for (const std::string& wal : wals) {
+    std::filesystem::rename(wal + ".kept", wal);
+    kept_sizes.push_back(std::filesystem::file_size(wal));
+    ASSERT_GT(kept_sizes.back(), 0u) << wal;
   }
 
   Cluster recovered(durable);
@@ -217,6 +260,11 @@ TEST_F(RecoveryTest, CheckpointWithKeptWalDoesNotDoubleApply) {
 
   expect_store_stats_equal(recovered.stats(), reference.stats());
   expect_serves_like(recovered, reference, kOps);
+  // Recovery truncates a log at the first frame it cannot decode, so a
+  // log that kept its full length had every record skipped, none dropped.
+  for (std::size_t s = 0; s < wals.size(); ++s) {
+    EXPECT_EQ(std::filesystem::file_size(wals[s]), kept_sizes[s]) << wals[s];
+  }
 }
 
 TEST_F(RecoveryTest, AutomaticCheckpointsRecover) {
@@ -320,10 +368,8 @@ TEST_F(RecoveryTest, FailedShardCheckpointStillCheckpointsTheOthers) {
   seed(cluster);
   apply_ops(cluster, 12);
 
-  ShardOptions probe;
-  probe.dir = dir_ + "/shard-1";
-  const std::string wal1 = probe.dir + "/wal.log";
-  const std::uint64_t shard1_seq = Shard(1, probe).last_applied_seq();
+  const std::string wal1 = dir_ + "/shard-1/wal.log";
+  const std::uint64_t shard1_seq = recovered_seq(dir_, "shard-1");
   ASSERT_GT(shard1_seq, 0u);
   ASSERT_GT(std::filesystem::file_size(wal1), 0u);
 
@@ -335,7 +381,105 @@ TEST_F(RecoveryTest, FailedShardCheckpointStillCheckpointsTheOthers) {
   EXPECT_EQ(std::filesystem::file_size(wal1), 0u);
   // With an empty log, the sequence a reopened shard reaches is the
   // snapshot's.
-  EXPECT_EQ(Shard(1, probe).last_applied_seq(), shard1_seq);
+  EXPECT_EQ(recovered_seq(dir_, "shard-1"), shard1_seq);
+}
+
+TEST_F(RecoveryTest, DurableClusterKeepsItsStoreUnderTheDataDir) {
+  // No segment_store.dir: the cluster opens its store at
+  // <data_dir>/segments, and a checkpoint publishes each shard's snapshot
+  // as a manifest over that store's chunks.
+  constexpr int kBeforeCheckpoint = 8;
+  constexpr int kAfter = 3;
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ClusterOptions durable;
+    durable.shards = shards;
+    durable.data_dir = dir_ + "/shards" + std::to_string(shards);
+    const auto store_tail = [](Cluster& cluster) {
+      for (int i = kBeforeCheckpoint; i < kBeforeCheckpoint + kAfter; ++i) {
+        cluster.store_binary(make_binary(50 + static_cast<std::uint64_t>(i)),
+                             {700'000.0 + i, geo_of(i), 12'000.0 + i});
+      }
+    };
+    {
+      Cluster cluster(durable);
+      ASSERT_NE(cluster.segment_store(), nullptr);
+      seed(cluster);
+      apply_ops(cluster, kBeforeCheckpoint);
+      cluster.checkpoint();
+      store_tail(cluster);  // chunked WAL records past the snapshot
+    }
+    const std::string segments = durable.data_dir + "/segments";
+    ASSERT_TRUE(std::filesystem::is_directory(segments));
+    EXPECT_FALSE(std::filesystem::is_empty(segments));
+    for (int s = 0; s < shards; ++s) {
+      const std::string shard =
+          durable.data_dir + "/shard-" + std::to_string(s);
+      EXPECT_TRUE(std::filesystem::exists(shard + "/snapshot.manifest"))
+          << shard;
+      EXPECT_FALSE(std::filesystem::exists(shard + "/snapshot.bin")) << shard;
+    }
+
+    Cluster recovered(durable);
+    ClusterOptions in_memory;
+    in_memory.shards = shards;
+    Cluster reference(in_memory);
+    seed(reference);
+    apply_ops(reference, kBeforeCheckpoint);
+    store_tail(reference);
+
+    expect_store_stats_equal(recovered.stats(), reference.stats());
+    expect_serves_like(recovered, reference, kBeforeCheckpoint + kAfter);
+    EXPECT_EQ(recovered.stats().binary_queries,
+              reference.stats().binary_queries);
+  }
+}
+
+TEST_F(RecoveryTest, StorelessSnapshotIsRefusedByName) {
+  // A shard dir as a store-less durable shard left it: an LZ-compressed
+  // inline snapshot.bin.  Recovering around it would serve a shard that
+  // silently lost its index, so the reopen must fail and name the file.
+  Shard donor(0, ShardOptions{});
+  WalRecord record;
+  record.op = WalOp::kSeedBinary;
+  record.info.geo = geo_of(0);
+  record.payload = idx::serialize_binary(make_binary(10));
+  donor.apply(record);
+  const std::vector<std::uint8_t> bytes =
+      util::lz_compress(donor.encode_snapshot());
+  const std::string legacy = dir_ + "/shard-0/snapshot.bin";
+  std::filesystem::create_directories(dir_ + "/shard-0");
+  {
+    std::ofstream out(legacy, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  ClusterOptions durable;
+  durable.data_dir = dir_;
+  try {
+    Cluster reopened(durable);
+    FAIL() << "a shard dir holding snapshot.bin recovered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(legacy), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::exists(legacy));
+}
+
+TEST_F(RecoveryTest, DurableShardNeedsAStore) {
+  // Both constructors refuse a durable dir without a segment store before
+  // touching it; the snapshot-install one would otherwise wipe the dir.
+  ShardOptions options;
+  options.dir = dir_ + "/shard";
+  std::filesystem::create_directories(options.dir);
+  const std::string marker = options.dir + "/wal.log";
+  { std::ofstream(marker) << "kept"; }
+  EXPECT_THROW(Shard(0, options), std::invalid_argument);
+  const std::vector<std::uint8_t> empty =
+      Shard(0, ShardOptions{}).encode_snapshot();
+  EXPECT_THROW(Shard(0, options, empty), std::invalid_argument);
+  EXPECT_TRUE(std::filesystem::exists(marker));
 }
 
 TEST_F(RecoveryTest, FloatIndexSurvivesSnapshotRecovery) {

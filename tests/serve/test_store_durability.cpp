@@ -1,5 +1,5 @@
-// Store-backed durability: with a shared segment store attached, WAL
-// record bodies and snapshots live as content-addressed chunks — recovery
+// Store-backed durability: WAL record bodies and snapshots live as
+// content-addressed chunks in the shared segment store — recovery
 // must still serve byte-identical answers across shard counts, checkpoint
 // and compaction cycles, and torn segment tails, and chunked WAL frames
 // must never decode without a store to resolve them.
@@ -164,8 +164,8 @@ TEST_F(StoreDurabilityTest, SnapshotManifestCheckpointRecovers) {
                            {700'000.0 + i, geo_of(i), 12'000.0 + i});
     }
   }
-  // A store-backed checkpoint publishes snapshot.manifest and retires the
-  // legacy inline snapshot.bin.
+  // A checkpoint publishes snapshot.manifest; there is no inline
+  // snapshot.bin format any more.
   EXPECT_TRUE(std::filesystem::exists(dir_ + "/shard-0/snapshot.manifest"));
   EXPECT_FALSE(std::filesystem::exists(dir_ + "/shard-0/snapshot.bin"));
 

@@ -37,14 +37,16 @@
 //   --server-threads cluster worker threads                    (default 1)
 //   --queue-depth    admission bound before requests are shed  (default 256)
 //   --data-dir       durability root: recover on start, write per-shard
-//                    WALs during the run, checkpoint on exit
+//                    WALs during the run, checkpoint on exit; WAL bodies
+//                    and snapshots live in a segment store, PATH/segments
+//                    unless --store-dir names another
 //   --save-index PATH  save the binary index as a snapshot on exit
 //   --load-index PATH  pre-seed the binary index from a snapshot
 //
 // Chunk-store options (enable the content-addressed segment store and the
 // chunk-manifest upload plane, for either server mode):
 //   --store-dir PATH   segment-store directory; uploads become chunked
-//                      (dedup + partial-resend), and with a cluster the
+//                      (dedup + partial-resend), and with --data-dir the
 //                      shard WALs/snapshots route through the same store
 //   --chunk-size B     chunk size in bytes                    (default 8192)
 //   --progressive      encode upload payloads as progressive (v2) streams
@@ -60,7 +62,8 @@
 // without a chunk store has nothing to apply to), --progressive requires
 // --store-dir (scans ride the chunk-manifest plane), and --scans requires
 // --progressive; incoherent combinations are rejected with a one-line
-// error.
+// error.  A run that fails (an unwritable --save-index path, a data dir
+// that does not recover) prints `bees_sim: <reason>` and exits 1.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -167,7 +170,11 @@ bool parse(int argc, char** argv, Options& opt) {
     const std::string arg = argv[i];
     auto next = [&](double& out) {
       if (i + 1 >= argc) return false;
-      out = std::stod(argv[++i]);
+      try {
+        out = std::stod(argv[++i]);
+      } catch (const std::exception&) {
+        return false;  // not a number: a usage error, like a missing value
+      }
       return true;
     };
     double v = 0;
@@ -241,9 +248,7 @@ bool parse(int argc, char** argv, Options& opt) {
          (opt.scans == 0 || (opt.scans >= 1 && opt.scans <= 6));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options opt;
   if (!parse(argc, argv, opt)) return usage(argv[0]);
   if (!opt.load_index_path.empty() && opt.data_dir.empty()) {
@@ -487,4 +492,15 @@ int main(int argc, char** argv) {
   table.add_row({"aborted", r.aborted ? "yes" : "no"});
   table.print(std::cout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bees_sim: " << e.what() << '\n';
+    return 1;
+  }
 }
