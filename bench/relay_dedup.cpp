@@ -12,8 +12,8 @@
 // least 30% versus raw ingress.
 //
 // Phase 2 — recovered-replica equivalence.  A durable replicated cluster
-// (1 follower per shard, chunked WAL shipping through a shared segment
-// store) and a plain in-memory cluster ingest the same stores; every
+// (1 follower per shard, WAL frames shipped inline, snapshots in a shared
+// segment store) and a plain in-memory cluster ingest the same stores; every
 // primary is then killed.  Bar: each promoted follower answers every probe
 // query byte-identically to the never-damaged reference, and every kill
 // promoted at full apply parity (zero ship lag left behind).

@@ -118,30 +118,21 @@ idx::ImageId ReplicationGroup::apply(serve::WalRecord record) {
   const idx::ImageId local = primary.apply(record);
   record.seq = primary.last_applied_seq();
 
-  int subscribers = 0;
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    if (alive_[i] && static_cast<int>(i) != cur) ++subscribers;
-  }
-  if (subscribers == 0) return local;
-
-  // Ship exactly the frame the primary's WAL carries.  With a store, the
-  // frame's own chunk pins last until every follower acknowledges it — the
-  // primary's WAL pin is released whenever its auto-checkpoint resets the
-  // log, which can happen before any follower drains.
-  auto frame = std::make_shared<ShipFrame>();
-  frame->seq = record.seq;
-  frame->unacked = subscribers;
-  frame->frame = serve::encode_wal_frame(record, base_options_.segment_store);
-
+  // Ship exactly the frame the primary's WAL carries, encoded once for
+  // every follower.
+  ShipFrame frame;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     if (!alive_[i] || static_cast<int>(i) == cur) continue;
+    if (!frame) {
+      frame = std::make_shared<const std::vector<std::uint8_t>>(
+          serve::encode_wal_frame(record));
+    }
     queues_[i].push_back(frame);
     ++ship_records_;
-    ship_bytes_ += frame->frame.bytes.size();
+    ship_bytes_ += frame->size();
     ship_lag_max_ = std::max<std::uint64_t>(ship_lag_max_, queues_[i].size());
     obs::count("replica.ship.records");
-    obs::count("replica.ship.bytes",
-               static_cast<double>(frame->frame.bytes.size()));
+    obs::count("replica.ship.bytes", static_cast<double>(frame->size()));
     if (queues_[i].size() >= kShipQueueCap) drain_follower(i);
   }
   return local;
@@ -149,23 +140,14 @@ idx::ImageId ReplicationGroup::apply(serve::WalRecord record) {
 
 void ReplicationGroup::drain_follower(std::size_t i) {
   while (!queues_[i].empty()) {
-    std::shared_ptr<ShipFrame> frame = std::move(queues_[i].front());
+    const ShipFrame frame = std::move(queues_[i].front());
     queues_[i].pop_front();
     serve::WalRecord record;
-    if (serve::read_wal_frame(frame->frame.bytes, base_options_.segment_store,
-                              record) == 0) {
+    if (serve::read_wal_frame(*frame, record) == 0) {
       throw std::runtime_error("replica: damaged ship frame");
     }
     instances_[i]->apply_replicated(record);
-    acked_seq_[i] = frame->seq;
-    release_frame(frame);
-  }
-}
-
-void ReplicationGroup::release_frame(const std::shared_ptr<ShipFrame>& frame) {
-  if (--frame->unacked > 0) return;
-  if (!frame->frame.pins.empty() && base_options_.segment_store != nullptr) {
-    base_options_.segment_store->unpin(frame->frame.pins);
+    acked_seq_[i] = record.seq;
   }
 }
 

@@ -6,14 +6,10 @@
 // primary's on-disk WAL carries: serve::encode_wal_frame, the log's own
 // frame encoder, builds it and serve::read_wal_frame, the log's own
 // reader, opens it on the follower — this file frames nothing itself.
-// With a segment store attached — always for a durable group, whose
-// instances write through it — the frame carries only the payload's chunk
-// manifest, so a record whose chunks the store already holds (they were
-// just written by the primary's own WAL append) ships as a few dozen
-// manifest bytes; an in-memory group without a store ships inline bodies.
-// A ship frame's chunks stay pinned until every follower has acknowledged
-// it, so a checkpoint-triggered compaction on the primary can never
-// reclaim a chunk a ship frame still references.
+// The body is inline, so a frame is self-contained: it references nothing
+// in the segment store, and the primary's checkpoints and compactions
+// cannot invalidate a frame still queued to a follower.  One frame is
+// encoded per mutation and shared by every follower's queue.
 //
 // Shipping is asynchronous with a bounded per-follower queue: frames
 // accumulate until the queue reaches kShipQueueCap, then the follower
@@ -31,6 +27,9 @@
 //   file so a restart recovers the promoted timeline, and snapshot-install
 //   any instance the term left behind (the killed primary's stale dir, a
 //   follower that crashed mid-ship) from the active's encode_snapshot().
+//   An install replaces only that instance's wal.log and snapshot.manifest:
+//   instance 0's dir is the group dir, which also holds the term file and
+//   every follower's dir.
 //
 //   checkpoint() — every live instance snapshots its own durable dir,
 //   also when another's checkpoint throws (the first error is rethrown).
@@ -110,19 +109,14 @@ class ReplicationGroup final : public serve::ShardBackend {
   }
 
  private:
-  /// One frame queued to followers; its chunk pins are released when the
-  /// last subscribed follower acknowledges.
-  struct ShipFrame {
-    std::uint64_t seq = 0;
-    serve::WalFrame frame;  ///< len|crc|body, as on disk, and its pins.
-    int unacked = 0;        ///< Followers still holding a reference.
-  };
+  /// One mutation's frame (len|crc|body, as on disk), shared by every
+  /// follower it was queued to.
+  using ShipFrame = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   serve::ShardOptions instance_options(int i) const;
   std::string term_path() const;
   void persist_term() const;
   void drain_follower(std::size_t i);
-  void release_frame(const std::shared_ptr<ShipFrame>& frame);
 
   const int shard_id_;
   serve::ShardOptions base_options_;
@@ -131,7 +125,7 @@ class ReplicationGroup final : public serve::ShardBackend {
   std::vector<std::uint64_t> acked_seq_;
   /// Per-follower ship queues (index parallel to instances_; the active's
   /// queue is always empty).
-  std::vector<std::deque<std::shared_ptr<ShipFrame>>> queues_;
+  std::vector<std::deque<ShipFrame>> queues_;
   std::atomic<int> active_{0};
   std::uint64_t failovers_ = 0;
   std::uint64_t ship_records_ = 0;

@@ -35,8 +35,8 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
     options_.segment_store.dir = options_.data_dir + "/segments";
   }
   if (!options_.segment_store.dir.empty()) {
-    // Constructed before any shard so recovery can resolve chunked WAL
-    // records and snapshot manifests against the rebuilt directory.
+    // Constructed before any shard so recovery can resolve snapshot
+    // manifests against the rebuilt directory.
     store_ = std::make_unique<store::SegmentStore>(options_.segment_store);
   }
   const BackendFactory factory =

@@ -22,10 +22,10 @@
 // query workload — which keeps global id assignment, WAL append order, and
 // the routing tables trivially consistent.
 //
-// A durable cluster (data_dir set) writes every shard's WAL bodies and
-// snapshots through one shared segment store: `<data_dir>/segments` unless
-// segment_store.dir names another.  The same store answers the wire
-// chunk-upload plane.
+// A durable cluster (data_dir set) logs every shard's mutations inline in
+// that shard's wal.log and writes its snapshots through one shared segment
+// store: `<data_dir>/segments` unless segment_store.dir names another.
+// The same store answers the wire chunk-upload plane.
 #pragma once
 
 #include <atomic>
@@ -60,13 +60,13 @@ struct ClusterOptions {
   /// arrivals are shed with an encoded error reply.
   std::size_t queue_depth = 256;
   /// Durability root (one subdirectory per shard); empty = in-memory only.
-  /// When set, construction recovers from the latest snapshots + WAL tails,
-  /// which live in the segment store below.
+  /// When set, construction recovers from the latest snapshots (whose
+  /// chunks live in the segment store below) + WAL tails.
   std::string data_dir;
   /// Per-shard mutations between automatic checkpoints; 0 = WAL only.
   std::size_t checkpoint_every = 0;
-  /// Content-addressed segment store shared by every shard (WAL bodies +
-  /// snapshots) and by the wire chunk-upload plane (kChunkManifest /
+  /// Content-addressed segment store shared by every shard's snapshots
+  /// and by the wire chunk-upload plane (kChunkManifest /
   /// kChunkData / kChunkCommit requests).  Enabled when `segment_store.dir`
   /// is non-empty, and for every durable cluster: with `data_dir` set and
   /// `segment_store.dir` empty, the store lives at `<data_dir>/segments`.

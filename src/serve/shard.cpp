@@ -56,9 +56,7 @@ Shard::Shard(int id, const ShardOptions& options)
   if (options_.dir.empty()) return;
   std::filesystem::create_directories(options_.dir);
   recover();
-  wal_ = std::make_unique<WriteAheadLog>(wal_path(), options_.segment_store);
-  wal_->adopt_pins(std::move(wal_recovered_pins_));
-  wal_recovered_pins_.clear();
+  wal_ = std::make_unique<WriteAheadLog>(wal_path());
 }
 
 Shard::Shard(int id, const ShardOptions& options,
@@ -67,20 +65,21 @@ Shard::Shard(int id, const ShardOptions& options,
       options_(options),
       server_(options.binary_params, options.float_params) {
   require_store(options_);
-  if (!options_.dir.empty()) {
-    // The stale history under dir is superseded wholesale by the installed
-    // snapshot; keeping its WAL would replay records the snapshot already
-    // covers (harmless) or, worse, records past a divergence point.
-    std::filesystem::remove_all(options_.dir);
-    std::filesystem::create_directories(options_.dir);
-  }
   restore_snapshot(snapshot);
   if (!options_.dir.empty()) {
-    wal_ = std::make_unique<WriteAheadLog>(wal_path(), options_.segment_store);
+    // The installed snapshot supersedes the stale history under dir.  Only
+    // what the shard owns is replaced — a replication group keeps its term
+    // file and follower dirs inside instance 0's dir.  The stale log is
+    // truncated before the new manifest is published: a crash in between
+    // leaves the old snapshot with no tail (still stale, so caught up
+    // again), never the installed snapshot followed by stale records.
+    std::filesystem::create_directories(options_.dir);
+    wal_ = std::make_unique<WriteAheadLog>(wal_path());
+    wal_->reset();
     // Durably seed the installed state, but leave the shared store
     // uncompacted: at a reopen this runs while the cluster is still opening
     // its shards, and the ones it opens later have not re-pinned their
-    // snapshot and WAL chunks yet.
+    // snapshot chunks yet.
     checkpoint_locked(/*compact=*/false);
   }
 }
@@ -370,24 +369,15 @@ void Shard::recover() {
 
   // Replay the WAL tail the snapshot does not cover; seq_ advances to the
   // last applied record so new mutations continue the sequence.
-  const WalReplayResult replayed = replay_wal(
-      wal_path(), seq_,
-      [this](const WalRecord& record) {
+  const WalReplayResult replayed =
+      replay_wal(wal_path(), seq_, [this](const WalRecord& record) {
         apply_locked(record, nullptr);
         seq_ = record.seq;
-      },
-      st);
+      });
   if (replayed.dropped > 0) {
     // Truncate the torn tail so future appends extend the valid prefix
     // instead of hiding behind garbage.
     std::filesystem::resize_file(wal_path(), replayed.valid_bytes);
-  }
-  if (!replayed.chunk_keys.empty()) {
-    // Restart cleared every pin; re-establish the surviving WAL records'
-    // claims.  The log itself takes these over once constructed, so its
-    // next reset() releases them.
-    st->pin(replayed.chunk_keys);
-    wal_recovered_pins_ = replayed.chunk_keys;
   }
   obs::count("serve.recovery.replayed",
              static_cast<double>(replayed.applied));

@@ -1,11 +1,11 @@
 // One shard of the serving cluster: a cloud::Server behind its own
 // reader/writer lock (queries share it, mutations hold it alone), made
-// durable by a write-ahead log plus periodic snapshot checkpoints, both
-// written through a content-addressed segment store.  The shard speaks in
-// *global* image ids (assigned by the cluster frontend) and keeps the
-// local<->global mapping itself; within a shard, local insertion order
-// follows global id order, which is what lets per-shard top-k lists merge
-// into exactly the single-server ranking.
+// durable by a write-ahead log of inline records plus periodic snapshot
+// checkpoints written through a content-addressed segment store.  The
+// shard speaks in *global* image ids (assigned by the cluster frontend)
+// and keeps the local<->global mapping itself; within a shard, local
+// insertion order follows global id order, which is what lets per-shard
+// top-k lists merge into exactly the single-server ranking.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 
 #include "cloud/server.hpp"
 #include "serve/wal.hpp"
+#include "store/segment_store.hpp"
 
 namespace bees::serve {
 
@@ -25,10 +26,10 @@ struct ShardOptions {
   /// here); empty = in-memory only, no WAL, no checkpoints.
   std::string dir;
   /// Content-addressed segment store (not owned; typically shared across
-  /// shards by the cluster).  Required when `dir` is set: WAL record bodies
-  /// are chunked into it and snapshots are written as a chunk manifest
-  /// (snapshot.manifest), so unchanged index regions dedup across
-  /// checkpoints and across shards.
+  /// shards by the cluster).  Required when `dir` is set: snapshots are
+  /// written into it as a chunk manifest (snapshot.manifest), so unchanged
+  /// index regions dedup across checkpoints and across shards.  WAL
+  /// records never touch it.
   store::SegmentStore* segment_store = nullptr;
   /// Mutations between automatic snapshot checkpoints; 0 = never (WAL only,
   /// or explicit checkpoint() calls).
@@ -56,10 +57,12 @@ class Shard {
 
   /// Snapshot install (replica catch-up): the shard's initial state is
   /// `snapshot` (encode_snapshot output of a peer) instead of whatever its
-  /// dir holds.  A durable dir is wiped and re-seeded with a checkpoint of
-  /// the installed state, so the next restart recovers the caught-up shard
-  /// rather than the stale one.  Like the recovering constructor, throws
-  /// std::invalid_argument for a durable dir without a segment store.
+  /// dir holds.  In a durable dir the shard truncates its own wal.log and
+  /// publishes a checkpoint of the installed state as its
+  /// snapshot.manifest, so the next restart recovers the caught-up shard
+  /// rather than the stale one; nothing else under the dir is touched.
+  /// Like the recovering constructor, throws std::invalid_argument for a
+  /// durable dir without a segment store.
   Shard(int id, const ShardOptions& options,
         const std::vector<std::uint8_t>& snapshot);
 
@@ -163,9 +166,6 @@ class Shard {
   /// Chunks the current snapshot manifest pins; rotated — new pinned, old
   /// unpinned — on every checkpoint.
   std::vector<store::ChunkKey> snapshot_pins_;
-  /// Pins recover() re-established for surviving WAL records, handed to
-  /// the log (adopt_pins) once it exists so reset() releases them.
-  std::vector<store::ChunkKey> wal_recovered_pins_;
 };
 
 }  // namespace bees::serve

@@ -1,14 +1,14 @@
 // Content-addressed chunk keys and payload manifests.
 //
-// A payload (an encoded image, a WAL record body, a snapshot blob) is split
-// into fixed-size chunks; each chunk is addressed by the triple
-// (content_hash64, crc32, raw size).  A Manifest records the chunking
-// interval, the total length, a whole-payload content hash, and the ordered
-// chunk keys — enough to reassemble the payload from any store holding the
-// chunks, and to tell a receiver exactly which chunks it is missing.
+// A payload (an encoded image, a snapshot blob) is split into fixed-size
+// chunks; each chunk is addressed by the triple (content_hash64, crc32, raw
+// size).  A Manifest records the chunking interval, the total length, a
+// whole-payload content hash, and the ordered chunk keys — enough to
+// reassemble the payload from any store holding the chunks, and to tell a
+// receiver exactly which chunks it is missing.
 //
-// Manifests are persisted (WAL frames, snapshot manifests) and sent on the
-// wire (kChunkManifest / kChunkCommit), so the encoding below and the hash
+// Manifests are persisted (snapshot manifests) and sent on the wire
+// (kChunkManifest / kChunkCommit), so the encoding below and the hash
 // functions it embeds are frozen formats — see util/hash.hpp for the
 // stability guarantee and DESIGN.md §12 for the layout.
 #pragma once

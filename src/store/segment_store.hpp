@@ -5,18 +5,20 @@
 // cache of kChunkCacheBytes; compaction rewrites live chunks out of
 // dead-heavy segments and deletes them, bounding disk growth.
 //
-// One store instance backs both write paths of the system: wire-level
-// chunk uploads (cloud/serve chunk endpoints) and the serving layer's WAL
-// record bodies + snapshots (every durable shard writes through one).
-// Everything is keyed by content, so identical payloads — retried uploads,
-// duplicate images across devices, unchanged snapshot regions — occupy one
-// copy.
+// One store instance serves two clients: wire-level chunk uploads
+// (cloud/serve chunk endpoints) and the serving layer's snapshot
+// checkpoints (every durable shard publishes its snapshot.manifest over
+// it; WAL records stay inline in each shard's log).  Everything is keyed
+// by content, so identical payloads — retried uploads, duplicate images
+// across devices, unchanged snapshot regions, a replication group's
+// primary and follower snapshots — occupy one copy, and a replicated
+// reopen reads the shared snapshot chunks through the cache.
 //
 // Liveness is reference-counted by the owners: pin() marks a chunk live
-// (snapshot manifests, un-reset WAL records, committed uploads), unpin()
-// releases it; compaction drops only unpinned chunks.  After a restart the
-// directory is rebuilt by scanning segments (torn tails are truncated) and
-// owners re-pin whatever their recovered manifests reference.
+// (snapshot manifests, committed uploads), unpin() releases it;
+// compaction drops only unpinned chunks.  After a restart the directory is
+// rebuilt by scanning segments (torn tails are truncated) and owners
+// re-pin whatever their recovered manifests reference.
 //
 // Thread-safe: all public methods may be called concurrently.  Determinism:
 // the same put sequence produces byte-identical segment files (chunks are

@@ -1,12 +1,13 @@
 // Stable hashes over byte spans: CRC-32 and a 64-bit content hash.
 //
 // STABILITY GUARANTEE: both functions here are *persisted formats*, not
-// implementation details.  Chunk keys in segment-store files, WAL manifest
-// frames, and wire-level chunk manifests all embed their outputs, so a store
-// written today must hash identically forever.  Neither function may change
-// output for any input, ever; if a better hash is needed it must be added
-// under a new name (and a new segment-format version).  Golden-value tests
-// in tests/util/test_hash.cpp lock the exact outputs.
+// implementation details.  Chunk keys in segment-store files, snapshot
+// manifests, and wire-level chunk manifests all embed their outputs, and
+// every WAL frame carries a crc32, so a store written today must hash
+// identically forever.  Neither function may change output for any input,
+// ever; if a better hash is needed it must be added under a new name (and
+// a new segment-format version).  Golden-value tests in
+// tests/util/test_hash.cpp lock the exact outputs.
 //
 //   crc32          — CRC-32, IEEE 802.3 reflected polynomial 0xEDB88320,
 //                    init/xorout 0xFFFFFFFF (the zlib/PNG variant).

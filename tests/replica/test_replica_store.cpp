@@ -1,9 +1,9 @@
-// Segment-store interactions of replication: ship frames pin their chunks
-// independently of the primary's WAL pins, so aggressive checkpoint +
-// compaction cycles on the primary must never reclaim a chunk a follower
-// still needs mid-ship — and a failover after those cycles still promotes
-// a byte-equivalent follower.  The concurrent case (queries racing a
-// failover) is the ThreadSanitizer workload.
+// Segment-store interactions of replication: a follower with frames still
+// queued survives checkpoint + compaction cycles on the primary, a
+// failover after those cycles still promotes a byte-equivalent follower,
+// and a store-backed replicated cluster reopens with every store.  The
+// concurrent case (queries racing a failover) is the ThreadSanitizer
+// workload.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,30 +65,31 @@ class ReplicaStoreTest : public ::testing::Test {
 TEST_F(ReplicaStoreTest, ShipFramesSurviveCheckpointAndCompactionMidShip) {
   store::SegmentStoreOptions sopts;
   sopts.dir = dir_ + "/segstore";
-  sopts.chunk_size = 512;          // every payload spans several chunks
-  sopts.compact_dead_ratio = 0.0;  // rewrite any segment with dead bytes
+  sopts.chunk_size = 512;                 // every snapshot spans chunks
+  sopts.segment_target_bytes = 8 * 1024;  // segments seal as they fill
+  sopts.compact_dead_ratio = 0.0;         // rewrite any segment with dead bytes
   store::SegmentStore store(sopts);
 
   serve::ShardOptions shard_opts;
   shard_opts.dir = dir_ + "/shard";
   shard_opts.segment_store = &store;
-  shard_opts.checkpoint_every = 1;  // checkpoint (and unpin WAL) every apply
+  shard_opts.checkpoint_every = 1;  // checkpoint the primary every apply
 
   // Fewer applies than kShipQueueCap keep every frame queued until the
   // drain below.
   ReplicationGroup group(0, shard_opts, /*followers=*/1);
 
-  // Each apply checkpoints the primary immediately, releasing its WAL pins
-  // while the ship frame is still queued; compacting between applies tries
-  // hard to reclaim those chunks.
+  // Each apply checkpoints the primary immediately — truncating its WAL and
+  // killing its previous snapshot generation — while the follower's frames
+  // stay queued; compacting between applies reclaims every dead chunk.  A
+  // queued frame carries its record inline, so none of this may reach it.
   for (int i = 0; i < 8; ++i) {
     group.apply(binary_record(i));
     store.maybe_compact();
   }
   ASSERT_EQ(group.acked_seq(1), 0u) << "frames must still be queued";
+  EXPECT_GT(store.stats().compactions, 0u);
 
-  // The catch-up drain resolves every queued manifest through the store:
-  // if a ship-frame chunk had been compacted away this throws.
   group.drain_all();
   EXPECT_EQ(group.acked_seq(1), 8u);
   EXPECT_EQ(group.instance(1).encode_snapshot(),
@@ -132,7 +133,7 @@ TEST_F(ReplicaStoreTest, StoreBackedFailoverMatchesInMemoryReference) {
 // Standbys lag the primary by up to a ship queue of frames, so reopening a
 // store-backed replicated cluster snapshot-installs them.  That install
 // must not compact the shared store: shards the cluster opens after it
-// have not re-pinned their snapshot and WAL chunks yet.
+// have not re-pinned their snapshot chunks yet.
 void expect_reopen_recovers_every_store(const std::string& dir,
                                         std::size_t checkpoint_every) {
   constexpr int kImages = 40;

@@ -250,8 +250,6 @@ INSTANTIATE_TEST_SUITE_P(ShardsAndKillPoints, FailoverEquivalence,
                                             ::testing::Values(0, 7, 16, 31)));
 
 TEST_F(ReplicaDirTest, RestartAfterFailoverRecoversPromotedTimeline) {
-  // The store sits beside the group's dir, not in it: the snapshot install
-  // of the stale primary replaces that dir wholesale.
   store::SegmentStoreOptions store_options;
   store_options.dir = dir_ + "/segments";
   serve::ShardOptions sopts;
@@ -287,6 +285,49 @@ TEST_F(ReplicaDirTest, RestartAfterFailoverRecoversPromotedTimeline) {
   ASSERT_TRUE(restarted.kill_active());
   EXPECT_EQ(restarted.active_index(), 0);
   EXPECT_EQ(restarted.active().encode_snapshot(), before);
+}
+
+TEST_F(ReplicaDirTest, CatchUpKeepsTheGroupDir) {
+  // Instance 0 lives at the group dir itself, beside the term file and the
+  // followers' dirs.  Catching it up after a failover must replace only
+  // what that shard owns, across every later reopen.
+  store::SegmentStoreOptions store_options;
+  store_options.dir = dir_ + "/segments";
+  serve::ShardOptions sopts;
+  sopts.dir = dir_ + "/group";
+  const std::string term = sopts.dir + "/replica.term";
+  const std::string follower = sopts.dir + "/replica-1";
+
+  {
+    store::SegmentStore store(store_options);
+    sopts.segment_store = &store;
+    ReplicationGroup group(0, sopts, /*followers=*/1);
+    for (int i = 0; i < 4; ++i) group.apply(binary_record(i));
+    ASSERT_TRUE(group.kill_active());
+    for (int i = 4; i < 7; ++i) group.apply(binary_record(i));
+  }
+  {
+    // The stale primary is caught up to seq 7 here.
+    store::SegmentStore store(store_options);
+    sopts.segment_store = &store;
+    ReplicationGroup group(0, sopts, /*followers=*/1);
+    EXPECT_EQ(group.resilience().catch_ups, 1u);
+    EXPECT_TRUE(std::filesystem::exists(term));
+    EXPECT_TRUE(std::filesystem::exists(follower + "/wal.log"));
+    for (int i = 7; i < 9; ++i) group.apply(binary_record(i));
+    EXPECT_NO_THROW(group.checkpoint());
+  }
+
+  store::SegmentStore store(store_options);
+  sopts.segment_store = &store;
+  ReplicationGroup group(0, sopts, /*followers=*/1);
+  EXPECT_TRUE(std::filesystem::exists(term));
+  EXPECT_TRUE(std::filesystem::exists(follower + "/snapshot.manifest"));
+  EXPECT_EQ(group.active_index(), 1);
+  EXPECT_EQ(group.resilience().failovers, 1u);
+  EXPECT_EQ(group.active().last_applied_seq(), 9u);
+  EXPECT_EQ(group.active().stats().images_stored, 9u);
+  EXPECT_EQ(group.acked_seq(0), 9u);
 }
 
 TEST_F(ReplicaDirTest, DurableClusterSurvivesKillAndRestart) {

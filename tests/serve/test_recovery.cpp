@@ -407,7 +407,7 @@ TEST_F(RecoveryTest, DurableClusterKeepsItsStoreUnderTheDataDir) {
       seed(cluster);
       apply_ops(cluster, kBeforeCheckpoint);
       cluster.checkpoint();
-      store_tail(cluster);  // chunked WAL records past the snapshot
+      store_tail(cluster);  // WAL records past the snapshot
     }
     const std::string segments = durable.data_dir + "/segments";
     ASSERT_TRUE(std::filesystem::is_directory(segments));

@@ -1,12 +1,14 @@
-// Store-backed durability: WAL record bodies and snapshots live as
-// content-addressed chunks in the shared segment store — recovery
-// must still serve byte-identical answers across shard counts, checkpoint
-// and compaction cycles, and torn segment tails, and chunked WAL frames
-// must never decode without a store to resolve them.
+// Store-backed durability: snapshots live as content-addressed chunks in
+// the shared segment store and WAL records inline in each shard's log —
+// recovery must still serve byte-identical answers across shard counts and
+// checkpoint and compaction cycles, a torn segment tail under a snapshot
+// must fail recovery loudly, and a chunked WAL frame an earlier build
+// wrote must be refused, never dropped as a torn tail.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,9 +18,13 @@
 #include "features/orb.hpp"
 #include "features/sift.hpp"
 #include "imaging/synth.hpp"
+#include "index/serialize.hpp"
 #include "net/protocol.hpp"
 #include "serve/cluster.hpp"
 #include "serve/wal.hpp"
+#include "store/chunk.hpp"
+#include "util/byte_io.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace bees::serve {
@@ -63,7 +69,7 @@ class StoreDurabilityTest : public ::testing::Test {
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   /// Cluster options with the shared segment store rooted under the test
-  /// scratch dir; chunk_size is small so every WAL body spans chunks.
+  /// scratch dir; chunk_size is small so every snapshot spans many chunks.
   ClusterOptions durable(int shards) const {
     ClusterOptions options;
     options.shards = shards;
@@ -130,7 +136,7 @@ void expect_serves_like(Cluster& recovered, Cluster& reference, int ops) {
   EXPECT_EQ(recovered.handle(request), reference.handle(request));
 }
 
-TEST_F(StoreDurabilityTest, WalChunkRecoveryMatchesReferenceAcrossShardCounts) {
+TEST_F(StoreDurabilityTest, WalRecoveryMatchesReferenceAcrossShardCounts) {
   constexpr int kOps = 12;
   for (int shards = 1; shards <= 3; ++shards) {
     std::filesystem::remove_all(dir_);
@@ -138,7 +144,7 @@ TEST_F(StoreDurabilityTest, WalChunkRecoveryMatchesReferenceAcrossShardCounts) {
     {
       Cluster cluster(options);
       apply_ops(cluster, kOps);
-    }  // no checkpoint: every record body lives as chunks referenced by WALs
+    }  // no checkpoint: every record lives only in the shards' WALs
 
     Cluster recovered(options);
     ClusterOptions in_memory;
@@ -188,19 +194,22 @@ TEST_F(StoreDurabilityTest, CompactionCyclePreservesRecovery) {
   // compaction trigger actually rewrites segments, and recovery must still
   // match the in-memory reference afterwards.
   constexpr int kOps = 10;
+  constexpr int kBetween = 4;  // one op of each kind
   ClusterOptions options = durable(2);
   options.segment_store.segment_target_bytes = 8 * 1024;
   options.segment_store.compact_dead_ratio = 0.0;
   {
     Cluster cluster(options);
     apply_ops(cluster, kOps);
-    cluster.checkpoint();  // WAL chunks die, snapshot chunks are born
-    apply_ops(cluster, 0);
-    cluster.checkpoint();  // second cycle rewrites the now-dead segments
+    cluster.checkpoint();  // the first snapshot generation is born
+    apply_ops(cluster, kBetween);
+    cluster.checkpoint();  // it dies: its now-dead segments are rewritten
     ASSERT_NE(cluster.segment_store(), nullptr);
     EXPECT_GT(cluster.segment_store()->stats().compactions, 0u);
     // An identical snapshot re-chunks to the same keys: pure dedup.
-    EXPECT_GT(cluster.segment_store()->stats().dedup_hits, 0u);
+    const std::uint64_t hits = cluster.segment_store()->stats().dedup_hits;
+    cluster.checkpoint();
+    EXPECT_GT(cluster.segment_store()->stats().dedup_hits, hits);
   }
 
   Cluster recovered(options);
@@ -208,6 +217,7 @@ TEST_F(StoreDurabilityTest, CompactionCyclePreservesRecovery) {
   in_memory.shards = 2;
   Cluster reference(in_memory);
   apply_ops(reference, kOps);
+  apply_ops(reference, kBetween);
 
   expect_store_stats_equal(recovered.stats(), reference.stats());
   expect_serves_like(recovered, reference, kOps);
@@ -242,15 +252,15 @@ TEST_F(StoreDurabilityTest, RecoveredClusterSurvivesCheckpointAndRestart) {
   expect_serves_like(again, reference, kOps);
 }
 
-TEST_F(StoreDurabilityTest, TornSegmentTailDropsOnlyTheLastRecord) {
-  // Tear the tail of the newest segment file: the final WAL record's last
-  // chunk is lost, so that record is unresolvable and must be dropped like
-  // a torn WAL frame — everything before it recovers intact.
-  constexpr int kOps = 6;  // last op is a store_float (has a chunked body)
+TEST_F(StoreDurabilityTest, TornSegmentTailUnderASnapshotFailsRecovery) {
+  // Tear the tail of the newest segment file, which holds the last chunk of
+  // the only snapshot: its manifest no longer resolves, and recovery must
+  // fail loudly rather than serve a shard that lost its index.
   const ClusterOptions options = durable(1);
   {
     Cluster cluster(options);
-    apply_ops(cluster, kOps);
+    apply_ops(cluster, 6);
+    cluster.checkpoint();
   }
   std::filesystem::path newest;
   for (const auto& entry :
@@ -261,36 +271,50 @@ TEST_F(StoreDurabilityTest, TornSegmentTailDropsOnlyTheLastRecord) {
   std::filesystem::resize_file(newest,
                                std::filesystem::file_size(newest) - 5);
 
-  Cluster recovered(options);
-  ClusterOptions in_memory;
-  in_memory.shards = 1;
-  Cluster reference(in_memory);
-  apply_ops(reference, kOps - 1);
-
-  expect_store_stats_equal(recovered.stats(), reference.stats());
-  expect_serves_like(recovered, reference, kOps - 1);
-
-  // The WAL accepts appends again and the next restart also succeeds.
-  recovered.store_binary(make_binary(999), {701'000.0, geo_of(0), 13'000.0});
+  EXPECT_THROW(Cluster recovered(options), util::DecodeError);
 }
 
-TEST_F(StoreDurabilityTest, ChunkedWalRecordNeedsAStoreToDecode) {
-  store::SegmentStore chunk_store({});
-  WalRecord record;
-  record.seq = 7;
-  record.op = WalOp::kStoreBinary;
-  record.info = {700'000.0, geo_of(0), 12'000.0};
-  record.payload = std::vector<std::uint8_t>(3000, 0x5C);
-  const store::Manifest manifest = chunk_store.put_payload(record.payload);
-  const auto frame = encode_wal_record_chunked(record, manifest);
+TEST_F(StoreDurabilityTest, ChunkedWalFrameOfAnEarlierBuildIsRefused) {
+  // Earlier builds wrote a durable shard's record bodies as segment-store
+  // manifests, flagged by the op byte's high bit.  Such a frame was written
+  // whole (its CRC holds), so dropping it as a torn tail would silently
+  // truncate every record after it: recovery must refuse the log by name
+  // and leave it as it is.
+  const ClusterOptions options = durable(1);
+  {
+    Cluster cluster(options);
+    apply_ops(cluster, 3);
+  }
+  const std::vector<std::uint8_t> payload(3000, 0x5C);
+  util::ByteWriter body;
+  body.put_u64(4);  // the record after the 3 logged ones
+  body.put_u8(0x80 | static_cast<std::uint8_t>(WalOp::kStoreBinary));
+  body.put_varint(3);
+  body.put_f64(700'000.0);
+  idx::put_geo(body, geo_of(0));
+  body.put_f64(12'000.0);
+  store::put_manifest(body, store::build_manifest(payload, 1024));
+  util::ByteWriter frame;
+  frame.put_u32(static_cast<std::uint32_t>(body.size()));
+  frame.put_u32(util::crc32(body.bytes()));
+  frame.put_bytes(body.bytes());
 
-  // With the store the frame round-trips and reports its chunk keys...
-  std::vector<store::ChunkKey> keys;
-  const WalRecord decoded = decode_wal_record(frame, &chunk_store, &keys);
-  EXPECT_EQ(decoded.payload, record.payload);
-  EXPECT_EQ(keys, manifest.chunks);
-  // ...without one it must fail loudly, never silently yield an empty body.
-  EXPECT_THROW(decode_wal_record(frame), util::DecodeError);
+  const std::string wal = dir_ + "/shard-0/wal.log";
+  {
+    std::ofstream out(wal, std::ios::binary | std::ios::app);
+    out.write(reinterpret_cast<const char*>(frame.bytes().data()),
+              static_cast<std::streamsize>(frame.size()));
+  }
+  const auto length = std::filesystem::file_size(wal);
+
+  try {
+    Cluster recovered(options);
+    ADD_FAILURE() << "a chunked WAL frame was recovered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(wal), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(std::filesystem::file_size(wal), length);
 }
 
 }  // namespace

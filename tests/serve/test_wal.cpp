@@ -187,6 +187,28 @@ TEST(WalReplay, GarbageTailStopsClean) {
   EXPECT_EQ(result.dropped_bytes, 10u);
 }
 
+TEST(WalReplay, ZeroFilledTailStopsClean) {
+  // A crash can leave a log extended by zeroed blocks.  A zero header
+  // claims an empty body whose CRC (0) matches, so only the body's decode
+  // tells it from a record: the tail is torn, not refused.
+  const std::string path = temp_path("bees_wal_zeros.log");
+  write_log(path, 3);
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    const std::vector<char> zeros(64, 0);
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+
+  std::size_t applied = 0;
+  const WalReplayResult result =
+      replay_wal(path, 0, [&](const WalRecord&) { ++applied; });
+  std::remove(path.c_str());
+
+  EXPECT_EQ(applied, 3u);
+  EXPECT_EQ(result.dropped, 1u);
+  EXPECT_EQ(result.dropped_bytes, 64u);
+}
+
 TEST(WalReplay, DroppedRecordsAreCounted) {
   const std::string path = temp_path("bees_wal_metric.log");
   write_log(path, 2);

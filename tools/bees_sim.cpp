@@ -37,9 +37,9 @@
 //   --server-threads cluster worker threads                    (default 1)
 //   --queue-depth    admission bound before requests are shed  (default 256)
 //   --data-dir       durability root: recover on start, write per-shard
-//                    WALs during the run, checkpoint on exit; WAL bodies
-//                    and snapshots live in a segment store, PATH/segments
-//                    unless --store-dir names another
+//                    WALs during the run, checkpoint on exit; snapshots
+//                    live in a segment store, PATH/segments unless
+//                    --store-dir names another
 //   --save-index PATH  save the binary index as a snapshot on exit
 //   --load-index PATH  pre-seed the binary index from a snapshot
 //
@@ -47,7 +47,7 @@
 // chunk-manifest upload plane, for either server mode):
 //   --store-dir PATH   segment-store directory; uploads become chunked
 //                      (dedup + partial-resend), and with --data-dir the
-//                      shard WALs/snapshots route through the same store
+//                      shard snapshots route through the same store
 //   --chunk-size B     chunk size in bytes                    (default 8192)
 //   --progressive      encode upload payloads as progressive (v2) streams
 //                      and ship each scan as its own chunk-manifest unit;
