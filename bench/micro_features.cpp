@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -271,33 +270,33 @@ void BM_DetectFast(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectFast);
 
-/// Best-of-reps wall time of one match_binary_kernel call on (a, b) under
-/// whatever ISA is currently active.  The minimum is the standard
-/// microbench estimator on a shared machine: every perturbation (container
-/// neighbors, frequency ramps) only ever adds time, so the smallest rep is
-/// the closest to the kernel's true cost and the speedup ratio stays
-/// stable run to run.
-double time_match_ns(const std::vector<feat::Descriptor256>& a,
-                     const std::vector<feat::Descriptor256>& b,
-                     feat::MatchWorkspace& ws) {
+constexpr int kMatchReps = 7;
+constexpr int kMatchCallsPerRep = 8;
+
+/// Wall time of one match_binary_kernel call on (a, b) under whatever ISA
+/// is currently active, over kMatchReps reps of kMatchCallsPerRep calls.
+/// The minimum is the estimator the bar reads: on a shared machine every
+/// perturbation (container neighbors, frequency ramps) only ever adds
+/// time, so the smallest rep is the closest to the kernel's true cost and
+/// the speedup ratio stays stable run to run.  The median and max are
+/// recorded beside it to show the spread.
+bench::RepSpread time_match_ns(const std::vector<feat::Descriptor256>& a,
+                               const std::vector<feat::Descriptor256>& b,
+                               feat::MatchWorkspace& ws) {
   using Clock = std::chrono::steady_clock;
-  constexpr int kReps = 7;
-  constexpr int kCallsPerRep = 8;
   benchmark::DoNotOptimize(feat::match_binary_kernel(a, b, {}, nullptr, ws));
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kReps; ++r) {
+  std::vector<double> reps(kMatchReps);
+  for (double& rep : reps) {
     const auto start = Clock::now();
-    for (int c = 0; c < kCallsPerRep; ++c) {
+    for (int c = 0; c < kMatchCallsPerRep; ++c) {
       benchmark::DoNotOptimize(
           feat::match_binary_kernel(a, b, {}, nullptr, ws));
     }
-    const double rep =
-        std::chrono::duration<double, std::nano>(Clock::now() - start)
-            .count() /
-        kCallsPerRep;
-    best = std::min(best, rep);
+    rep = std::chrono::duration<double, std::nano>(Clock::now() - start)
+              .count() /
+          kMatchCallsPerRep;
   }
-  return best;
+  return bench::spread_of(reps);
 }
 
 /// The vector ISAs this build and CPU can run, best first.
@@ -336,9 +335,9 @@ int simd_dispatch_smoke() {
     std::uint64_t scalar_ops = 0;
     const std::vector<feat::Match> scalar_matches =
         feat::match_binary_kernel(a, b, {}, &scalar_ops, ws);
-    const double scalar_ns = time_match_ns(a, b, ws);
+    const bench::RepSpread scalar = time_match_ns(a, b, ws);
 
-    std::vector<double> isa_ns(isas.size(), 0.0);
+    std::vector<bench::RepSpread> isa_ns(isas.size());
     for (std::size_t k = 0; k < isas.size(); ++k) {
       const char* name = feat::simd_isa_name(isas[k]);
       feat::force_simd_isa(isas[k]);
@@ -363,7 +362,8 @@ int simd_dispatch_smoke() {
         return 1;
       }
       isa_ns[k] = time_match_ns(a, b, ws);
-      const double speedup = isa_ns[k] > 0.0 ? scalar_ns / isa_ns[k] : 0.0;
+      const double speedup =
+          isa_ns[k].min > 0.0 ? scalar.min / isa_ns[k].min : 0.0;
       // The bar applies to each kernel's best size: the scalar loop's
       // pruning legitimately closes part of the gap as the candidate count
       // grows, so the claim enforced is "the vector path is >= 2x where it
@@ -372,16 +372,22 @@ int simd_dispatch_smoke() {
       std::fprintf(stderr,
                    "simd smoke: %zux%zu exact; scalar %.0f ns, %s %.0f ns, "
                    "speedup %.2fx\n",
-                   n, n, scalar_ns, name, isa_ns[k], speedup);
+                   n, n, scalar.min, name, isa_ns[k].min, speedup);
       json.add("simd/match/" + std::string(name) + "/" + std::to_string(n),
-               {{"scalar_ns", scalar_ns},
-                {"vector_ns", isa_ns[k]},
+               {{"reps", scalar.reps},
+                {"calls_per_rep", kMatchCallsPerRep},
+                {"scalar_ns_min", scalar.min},
+                {"scalar_ns_median", scalar.median},
+                {"scalar_ns_max", scalar.max},
+                {"vector_ns_min", isa_ns[k].min},
+                {"vector_ns_median", isa_ns[k].median},
+                {"vector_ns_max", isa_ns[k].max},
                 {"real_time_speedup", speedup}});
     }
     if (isas.size() >= 2 && isas[0] == feat::SimdIsa::kAvx512 &&
         isas[1] == feat::SimdIsa::kAvx2) {
       std::fprintf(stderr, "simd smoke: %zux%zu avx512 over avx2 %.2fx\n",
-                   n, n, isa_ns[1] / isa_ns[0]);
+                   n, n, isa_ns[1].min / isa_ns[0].min);
     }
   }
   feat::clear_forced_simd_isa();

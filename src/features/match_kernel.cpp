@@ -31,12 +31,11 @@ inline int reduce_bytes(std::uint64_t counts) noexcept {
 struct MatchKernelImpl {
   /// The scalar SWAR scan loop, templated on the cross-check flag so the
   /// single-pass column bookkeeping compiles out of the forward-only path
-  /// entirely.  Requires a and b non-empty.  Returns lanes pruned.
+  /// entirely.  Requires a and b non-empty.
   template <bool Cross>
-  static std::uint64_t scan(const std::vector<Descriptor256>& a,
-                            const std::vector<Descriptor256>& b,
-                            const BinaryMatchParams& params,
-                            MatchWorkspace& ws) {
+  static void scan(const std::vector<Descriptor256>& a,
+                   const std::vector<Descriptor256>& b,
+                   const BinaryMatchParams& params, MatchWorkspace& ws) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     const std::size_t na = a.size();
     const std::size_t nb = b.size();
@@ -44,7 +43,6 @@ struct MatchKernelImpl {
     int* col_second = ws.col_second_.data();
     std::size_t* col_best_i = ws.col_best_i_.data();
 
-    std::uint64_t lanes_pruned = 0;
     for (std::size_t i = 0; i < na; ++i) {
       const std::uint64_t q0 = a[i].bits[0];
       const std::uint64_t q1 = a[i].bits[1];
@@ -61,17 +59,11 @@ struct MatchKernelImpl {
         // every comparison the naive matcher acts on is still computed in
         // full, so winners and ties never change.
         const int d0 = reduce_bytes(byte_counts(q0 ^ b[j].bits[0]));
-        if (d0 >= second && (!Cross || d0 >= col_second[j])) {
-          lanes_pruned += 3;
-          continue;
-        }
+        if (d0 >= second && (!Cross || d0 >= col_second[j])) continue;
         const int d012 =
             d0 + reduce_bytes(byte_counts(q1 ^ b[j].bits[1]) +
                               byte_counts(q2 ^ b[j].bits[2]));
-        if (d012 >= second && (!Cross || d012 >= col_second[j])) {
-          lanes_pruned += 1;
-          continue;
-        }
+        if (d012 >= second && (!Cross || d012 >= col_second[j])) continue;
         const int d = d012 + reduce_bytes(byte_counts(q3 ^ b[j].bits[3]));
         if (d < best) {
           second = best;
@@ -95,32 +87,25 @@ struct MatchKernelImpl {
         ws.fwd_dist_[i] = best;
       }
     }
-    return lanes_pruned;
   }
 
   /// The vector scan loop: a lane kernel fills the row's per-lane sums for
-  /// every candidate branch-free, then a scalar decision scan replays the
-  /// checkpoint logic on the buffered sums — same winners, same tie order,
-  /// same counters as scan<Cross>.
+  /// every candidate branch-free, then a scalar decision scan walks the
+  /// buffered sums — same winners, same tie order as scan<Cross>.
   ///
-  /// The replay exploits an invariant of the checkpoints: a pair the
-  /// scalar loop prunes (partial >= second, and >= col_second when
-  /// cross-checking) can never update best/second or the column stats,
-  /// because the full distance only grows from the partial that already
-  /// reached the bound.  So the replay computes the full distance
-  /// unconditionally (the sums are all buffered anyway), applies the
-  /// updates behind the same `d < bound` guards — no-ops exactly where the
-  /// scalar loop skipped — and tracks the prune counters as branchless
-  /// flag arithmetic.  That removes the data-dependent prune branches the
-  /// predictor cannot learn, which would otherwise eat the vector win.
-  /// The modeled prune counters describe the semantic early exits, not the
-  /// vector work actually done (which feat.match.simd_lanes reports).
+  /// A pair the scalar loop prunes (partial >= second, and >= col_second
+  /// when cross-checking) can never update best/second or the column
+  /// stats, because the full distance only grows from the partial that
+  /// already reached the bound.  So the decision scan takes every full
+  /// distance (the sums are all buffered anyway) behind the same
+  /// `d < bound` guards — no-ops exactly where the scalar loop skipped —
+  /// with none of the data-dependent prune branches the predictor cannot
+  /// learn, which would otherwise eat the vector win.
   template <bool Cross>
-  static std::uint64_t scan_simd(const std::vector<Descriptor256>& a,
-                                 const std::vector<Descriptor256>& b,
-                                 const BinaryMatchParams& params,
-                                 MatchWorkspace& ws,
-                                 detail::LaneRowFn lane_rows) {
+  static void scan_simd(const std::vector<Descriptor256>& a,
+                        const std::vector<Descriptor256>& b,
+                        const BinaryMatchParams& params, MatchWorkspace& ws,
+                        detail::LaneRowFn lane_rows) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     const std::size_t na = a.size();
     const std::size_t nb = b.size();
@@ -135,7 +120,6 @@ struct MatchKernelImpl {
     int* col_second = ws.col_second_.data();
     std::size_t* col_best_i = ws.col_best_i_.data();
 
-    std::uint64_t lanes_pruned = 0;
     for (std::size_t i = 0; i < na; ++i) {
       int best = kIntMax;
       int second = kIntMax;
@@ -146,18 +130,7 @@ struct MatchKernelImpl {
       for (std::size_t jt = 0; jt < tn; ++jt) {
         const std::size_t j = t0 + jt;
         const std::uint64_t* s = sums + detail::kLaneBlock * jt;
-        const int d0 = static_cast<int>(s[0]);
-        const int d012 = d0 + static_cast<int>(s[1] + s[2]);
-        const int d = d012 + static_cast<int>(s[3]);
-        // Exact replay of the scalar prune decisions, as branchless flag
-        // arithmetic (bitwise &, so no unpredictable short-circuit jumps).
-        const unsigned p0 =
-            static_cast<unsigned>(d0 >= second) &
-            (Cross ? static_cast<unsigned>(d0 >= col_second[j]) : 1u);
-        const unsigned p012 =
-            (p0 ^ 1u) & static_cast<unsigned>(d012 >= second) &
-            (Cross ? static_cast<unsigned>(d012 >= col_second[j]) : 1u);
-        lanes_pruned += 3u * p0 + p012;
+        const int d = static_cast<int>(s[0] + s[1] + s[2] + s[3]);
         // Updates guarded exactly as in the fused loop; where the scalar
         // loop pruned, these guards are provably false.
         if (d < second) {
@@ -187,13 +160,12 @@ struct MatchKernelImpl {
         ws.fwd_dist_[i] = best;
       }
     }
-    return lanes_pruned;
   }
 
   /// Fills workspace.fwd_/fwd_dist_ with the gated forward matches of every
   /// a-descriptor and (when `cross_check`) workspace.col_* with the reverse
   /// best/second/winner per b-descriptor; charges the modeled comparison
-  /// count and the lane counters.  Requires a and b non-empty.
+  /// count.  Requires a and b non-empty.
   static void run(const std::vector<Descriptor256>& a,
                   const std::vector<Descriptor256>& b,
                   const BinaryMatchParams& params, std::uint64_t* ops,
@@ -211,36 +183,36 @@ struct MatchKernelImpl {
       ws.col_best_i_.assign(nb, kNone);
     }
 
-    std::uint64_t lanes_pruned;
     const detail::ScanFn vector_scan = detail::active_scan();
     const detail::LaneRowFn lane_rows = detail::active_lane_rows();
     if (vector_scan != nullptr) {
-      lanes_pruned = vector_scan(
-          a.data(), na, b.data(), nb, params,
-          {ws.fwd_.data(), ws.fwd_dist_.data(), ws.col_best_.data(),
-           ws.col_second_.data(), ws.col_best_i_.data()});
+      ws.scan_blocks_.resize(detail::scan_block_words(nb));
+      vector_scan(a.data(), na, b.data(), nb, params,
+                  {ws.fwd_.data(), ws.fwd_dist_.data(), ws.col_best_.data(),
+                   ws.col_second_.data(), ws.col_best_i_.data(),
+                   ws.scan_blocks_.data()});
     } else if (lane_rows != nullptr) {
-      lanes_pruned = cross ? scan_simd<true>(a, b, params, ws, lane_rows)
-                           : scan_simd<false>(a, b, params, ws, lane_rows);
+      if (cross) {
+        scan_simd<true>(a, b, params, ws, lane_rows);
+      } else {
+        scan_simd<false>(a, b, params, ws, lane_rows);
+      }
+    } else if (cross) {
+      scan<true>(a, b, params, ws);
     } else {
-      lanes_pruned = cross ? scan<true>(a, b, params, ws)
-                           : scan<false>(a, b, params, ws);
+      scan<false>(a, b, params, ws);
     }
     if (vector_scan != nullptr || lane_rows != nullptr) {
       // Vector lane words actually computed (4 lanes x candidates per
-      // query row): the real-work counterpart of the modeled
-      // examined/pruned split below.
+      // query row).
       obs::count("feat.match.simd_lanes", static_cast<double>(4 * nb * na));
     }
 
     // Modeled comparisons, exactly as the naive matcher counts them: one
     // per (a, b) descriptor pair per direction.  The energy model consumes
-    // this; lane savings from pruning are reported separately below.
+    // this.
     const auto pairs = static_cast<std::uint64_t>(na) * nb;
     if (ops) *ops += cross ? 2 * pairs : pairs;
-    obs::count("feat.match.lanes_examined",
-               static_cast<double>(4 * pairs - lanes_pruned));
-    obs::count("feat.match.lanes_pruned", static_cast<double>(lanes_pruned));
   }
 
   /// Applies the distance/ratio gates to column j's reverse stats and

@@ -3,9 +3,10 @@
 // naive reference matcher (match_binary_naive) — same matches, same
 // distances, same modeled `ops` — but cheaper:
 //
-//  * In-place candidates: the kernel reads the candidate descriptors
-//    straight from the caller's std::vector<Descriptor256>, so a match
-//    costs no copy of either set.
+//  * Candidates in place, except a per-call block copy on AVX-512: the
+//    scalar, AVX2 and NEON paths read the candidate descriptors straight
+//    from the caller's std::vector<Descriptor256>; the AVX-512 scan copies
+//    them once per call into transposed blocks of 16 in the workspace.
 //  * Cross-check in one pass: the naive matcher computes the full Hamming
 //    matrix twice (forward a->b, then reverse b->a).  The kernel streams
 //    each row once and maintains best/second-best for both the row (a_i
@@ -13,25 +14,23 @@
 //    halving the descriptor-comparison work for the default mutual-check
 //    path.  Tie handling is identical in both directions: the first
 //    strictly-smaller index wins.
-//  * Running-bound early exit: after the first 64-bit lane, a pair whose
-//    partial distance already reaches the row's *and* the column's
-//    second-best bound cannot update either side (the full distance only
-//    grows), so lanes 1-3 are skipped.  The pruning is exact — it can
-//    never change a winner — and the lane work actually saved is reported
-//    via the obs counters `feat.match.lanes_examined` /
-//    `feat.match.lanes_pruned` (the energy model's `ops` keeps counting
-//    modeled comparisons exactly like the naive matcher).
+//  * Running-bound early exit (scalar loop): after the first 64-bit lane,
+//    a pair whose partial distance already reaches the row's *and* the
+//    column's second-best bound cannot update either side (the full
+//    distance only grows), so lanes 1-3 are skipped.  The pruning is exact
+//    — it can never change a winner — and the energy model's `ops` keeps
+//    counting modeled comparisons exactly like the naive matcher.
 //  * Runtime ISA dispatch (features/simd.hpp): on CPUs with AVX-512 F and
 //    VPOPCNTDQ the whole scan runs vectorized, decisions included, 16
-//    candidates per step, with each candidate's row bound taken from an
-//    exclusive prefix of the running (best, second) pair.  On CPUs with
-//    only AVX2 (or ARM builds with NEON) the per-row lane sums are
-//    computed branch-free by a vector kernel into a workspace buffer, and
-//    a scalar decision scan replays the exact checkpoint logic on the
-//    buffered sums.  Either way the modeled counters, matches, and
-//    distances stay bit-identical to the scalar SWAR fused loop, which
-//    remains the always-built fallback (BEES_FORCE_SCALAR pins it for
-//    differential tests).
+//    candidates per step, with each row's best and second-best kept per
+//    lane and reduced at the end of the row.  On CPUs with only AVX2 (or
+//    ARM builds with NEON) the per-row lane sums are computed branch-free
+//    by a vector kernel into a workspace buffer, and a scalar decision
+//    scan walks the buffered sums.  The vector paths take every pair in
+//    full, which changes nothing the early exit skips, so matches,
+//    distances and `ops` stay bit-identical to the scalar SWAR fused
+//    loop, which remains the always-built fallback (BEES_FORCE_SCALAR pins
+//    it for differential tests).
 //
 // A MatchWorkspace owns every scratch buffer the kernel needs, so rescore /
 // graph loops that match one query against many candidates reuse
@@ -67,6 +66,9 @@ class MatchWorkspace {
   // per-lane Hamming sums of the current query tile, filled by the AVX2 or
   // NEON lane kernel and consumed by the scalar decision scan.
   std::vector<std::uint64_t> row_sums_;
+  // Scan-kernel block copy of the call's candidates (AVX-512 only):
+  // detail::scan_block_words(|b|) words, rewritten by every call.
+  std::vector<std::uint32_t> scan_blocks_;
 };
 
 /// Drop-in replacement for match_binary_naive: identical matches,

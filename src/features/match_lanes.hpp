@@ -3,7 +3,7 @@
 //
 //  * Lane kernels (match_kernel_avx2.cpp / match_kernel_neon.cpp) compute,
 //    for ONE query descriptor against a run of candidates, the four
-//    per-lane Hamming sums the early-exit checkpoints consume:
+//    per-lane Hamming sums:
 //
 //      sums[4j + l] = popcount(q.bits[l] ^ b[j].bits[l])      l = 0..3
 //
@@ -12,19 +12,20 @@
 //    what makes the AVX2 path one instruction per step: load the
 //    candidate, XOR with the query, byte-popcount, and one _mm256_sad_epu8
 //    — whose four 64-bit group sums ARE the four lane sums — then store.
-//    The kernel's scalar decision scan replays the exact checkpoint logic
-//    on the buffered sums (d0 = sums[4j], d12 = sums[4j+1]+sums[4j+2],
-//    d3 = sums[4j+3]), so matches, distances, `ops`, and the pruning
-//    counters are bit-identical to the fused scalar loop.  Neither the
-//    candidates nor the sums buffer need more than the natural alignment
-//    of std::uint64_t: lane kernels use unaligned vector loads and stores
-//    and handle any n with no tail case (one candidate per step).
+//    The kernel's scalar decision scan adds them up and updates the row and
+//    column state in candidate order, so matches, distances and `ops` are
+//    bit-identical to the fused scalar loop.  Neither the candidates nor
+//    the sums buffer need more than the natural alignment of
+//    std::uint64_t: lane kernels use unaligned vector loads and stores and
+//    handle any n with no tail case (one candidate per step).
 //
 //  * Scan kernels (match_kernel_avx512.cpp) run the whole scan, decisions
-//    included, 16 candidates per step, and fill the forward and reverse
-//    match slots directly (ScanSlots).  They replay the scalar loop's
-//    prune decisions from an exclusive prefix of each row's running
-//    (best, second) pair, so they too are bit-identical (DESIGN.md §13).
+//    included, kScanStep candidates per step, and fill the forward and
+//    reverse match slots directly (ScanSlots).  Once per call they copy
+//    the candidates into dword-transposed blocks in ScanSlots::blocks, a
+//    scratch buffer the caller sizes; they keep each row's state per lane
+//    and reduce it at the end of the row, so they too are bit-identical
+//    (DESIGN.md §13).
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,15 @@ namespace bees::feat::detail {
 inline constexpr std::size_t kLaneBlock = 4;
 static_assert(sizeof(Descriptor256) == kLaneBlock * sizeof(std::uint64_t),
               "a descriptor is exactly its four contiguous lanes");
+
+/// Candidates per step of a scan kernel.
+inline constexpr std::size_t kScanStep = 16;
+
+/// 32-bit words of a scan kernel's block copy of `nb` candidates: eight
+/// per candidate, rounded up to whole steps.
+inline constexpr std::size_t scan_block_words(std::size_t nb) noexcept {
+  return (nb + kScanStep - 1) / kScanStep * kScanStep * 2 * kLaneBlock;
+}
 
 /// The distance and ratio gates one side's nearest neighbour must pass:
 /// `best` within max_distance and, unless it had no rival, strictly under
@@ -60,27 +70,27 @@ using LaneRowFn = void (*)(const Descriptor256& q, const Descriptor256* b,
 /// initialised by the caller (fwd and col_best_i to npos, col_best and
 /// col_second to INT_MAX).  fwd/fwd_dist hold one slot per descriptor of
 /// `a`; the col_* slots, one per descriptor of `b`, are touched only when
-/// cross-checking.
+/// cross-checking.  `blocks` is scratch the scan overwrites.
 struct ScanSlots {
   std::size_t* fwd;         ///< Gated nearest index in b; left npos if none.
   int* fwd_dist;            ///< Hamming distance of that match.
   int* col_best;            ///< Per b: best distance over the rows seen.
   int* col_second;          ///< Per b: second-best distance.
   std::size_t* col_best_i;  ///< Per b: first row reaching col_best.
+  std::uint32_t* blocks;    ///< scan_block_words(nb) words of block copy.
 };
 
 /// A whole scan of `a` (na >= 1) against `b` (nb >= 1): fills `slots`
-/// exactly as the scalar loop does and returns the lanes it pruned.
-using ScanFn = std::uint64_t (*)(const Descriptor256* a, std::size_t na,
-                                 const Descriptor256* b, std::size_t nb,
-                                 const BinaryMatchParams& params,
-                                 const ScanSlots& slots);
+/// exactly as the scalar loop does.
+using ScanFn = void (*)(const Descriptor256* a, std::size_t na,
+                        const Descriptor256* b, std::size_t nb,
+                        const BinaryMatchParams& params,
+                        const ScanSlots& slots);
 
 #if defined(BEES_HAVE_AVX512)
-std::uint64_t scan_avx512(const Descriptor256* a, std::size_t na,
-                          const Descriptor256* b, std::size_t nb,
-                          const BinaryMatchParams& params,
-                          const ScanSlots& slots);
+void scan_avx512(const Descriptor256* a, std::size_t na,
+                 const Descriptor256* b, std::size_t nb,
+                 const BinaryMatchParams& params, const ScanSlots& slots);
 #endif
 #if defined(BEES_HAVE_AVX2)
 void lane_rows_avx2(const Descriptor256& q, const Descriptor256* b,

@@ -66,17 +66,19 @@ ReplicationGroup::ReplicationGroup(int shard_id,
 
   // Snapshot-install every instance whose recovered sequence diverges from
   // the active's: the killed primary's stale dir after a failover, or a
-  // follower that crashed mid-ship.  (The replaced instance's recovery may
-  // have pinned snapshot chunks it no longer references — a benign
-  // over-pin; pins only defer reclaim, never correctness.)
+  // follower that crashed mid-ship.  The stale instance's recovery pinned
+  // its snapshot's chunks; they are released once the installed shard has
+  // published its own manifest in that dir.
   const int cur = active_.load(std::memory_order_relaxed);
   const std::uint64_t target = acked_seq_[static_cast<std::size_t>(cur)];
   for (std::size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == cur || acked_seq_[i] == target) continue;
     const std::vector<std::uint8_t> snapshot =
         instances_[static_cast<std::size_t>(cur)]->encode_snapshot();
+    const std::unique_ptr<serve::Shard> stale = std::move(instances_[i]);
     instances_[i] = std::make_unique<serve::Shard>(
         shard_id_, instance_options(static_cast<int>(i)), snapshot);
+    stale->release_snapshot_pins();
     acked_seq_[i] = instances_[i]->last_applied_seq();
     ++catch_ups_;
     obs::count("replica.catch_up");

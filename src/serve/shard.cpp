@@ -262,6 +262,14 @@ void Shard::checkpoint() {
   checkpoint_locked();
 }
 
+void Shard::release_snapshot_pins() {
+  std::lock_guard lock(mutex_);
+  if (options_.segment_store != nullptr) {
+    options_.segment_store->unpin(snapshot_pins_);
+  }
+  snapshot_pins_.clear();
+}
+
 void Shard::checkpoint_locked(bool compact) {
   if (options_.dir.empty()) return;
   store::SegmentStore& st = *options_.segment_store;

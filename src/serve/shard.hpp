@@ -134,6 +134,13 @@ class Shard {
   /// No-op without a durability dir.
   void checkpoint();
 
+  /// Unpins the chunks of the snapshot this shard recovered or last
+  /// published, for a stale shard whose dir a snapshot-install shard has
+  /// since taken over: once that shard's manifest is published, nothing
+  /// references the superseded snapshot.  The destructor does not unpin,
+  /// because a shard's dir keeps naming its chunks after it closes.
+  void release_snapshot_pins();
+
   int id() const noexcept { return id_; }
 
  private:

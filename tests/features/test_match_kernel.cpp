@@ -3,10 +3,11 @@
 // over randomized descriptor sets, including the degenerate shapes (empty,
 // singleton, duplicates) and both cross-check settings.  Also the ISA
 // differential sweep (scalar / AVX-512 / AVX2 / NEON must agree bit for
-// bit, down to the lanes_{examined,pruned} counters) and the lane kernels'
-// storage contract: candidates and sums at any 8-byte-aligned address.  Labeled
-// `sanitize` and `tsan` so the sanitizer presets cover the kernel's buffer
-// reuse and the dispatch atomics.
+// bit, at sizes on and around the AVX-512 kernel's 16-candidate blocks),
+// targeted rows for that kernel's end-of-row lane reduction, and the lane
+// kernels' storage contract: candidates and sums at any 8-byte-aligned
+// address.  Labeled `sanitize` and `tsan` so the sanitizer presets cover
+// the kernel's buffer reuse and the dispatch atomics.
 #include "features/match_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <optional>
 
 #include "features/match_lanes.hpp"
 #include "features/simd.hpp"
@@ -156,13 +158,10 @@ struct IsaGuard {
   ~IsaGuard() { clear_forced_simd_isa(); }
 };
 
-/// Full per-ISA observation of one kernel call: matches, ops, and the
-/// modeled lane counters read back from the metrics registry.
+/// Full per-ISA observation of one kernel call: matches and ops.
 struct IsaRun {
   std::vector<Match> matches;
   std::uint64_t ops = 0;
-  double lanes_examined = 0.0;
-  double lanes_pruned = 0.0;
 };
 
 IsaRun run_under_isa(SimdIsa isa, const std::vector<Descriptor256>& a,
@@ -170,31 +169,37 @@ IsaRun run_under_isa(SimdIsa isa, const std::vector<Descriptor256>& a,
                      const BinaryMatchParams& params, MatchWorkspace& ws) {
   force_simd_isa(isa);
   IsaRun run;
-  obs::MetricsRegistry::global().reset();
-  obs::set_enabled(true);
   run.matches = match_binary_kernel(a, b, params, &run.ops, ws);
-  obs::set_enabled(false);
-  const auto snap = obs::MetricsRegistry::global().snapshot();
-  obs::MetricsRegistry::global().reset();
-  if (snap.counters.count("feat.match.lanes_examined")) {
-    run.lanes_examined = snap.counters.at("feat.match.lanes_examined");
-  }
-  if (snap.counters.count("feat.match.lanes_pruned")) {
-    run.lanes_pruned = snap.counters.at("feat.match.lanes_pruned");
-  }
   return run;
+}
+
+/// kScalar always runs the fused SWAR loop; forcing an ISA this build or
+/// CPU lacks falls back to scalar, so a sweep over these is safe everywhere
+/// and differential wherever a vector unit exists.
+constexpr SimdIsa kVectorIsas[] = {SimdIsa::kAvx512, SimdIsa::kAvx2,
+                                   SimdIsa::kNeon};
+
+void expect_same_run(const IsaRun& vec, const IsaRun& scalar, SimdIsa isa,
+                     std::size_t na, std::size_t nb) {
+  ASSERT_EQ(vec.matches.size(), scalar.matches.size())
+      << simd_isa_name(isa) << " na=" << na << " nb=" << nb;
+  for (std::size_t m = 0; m < scalar.matches.size(); ++m) {
+    EXPECT_EQ(vec.matches[m].index_a, scalar.matches[m].index_a);
+    EXPECT_EQ(vec.matches[m].index_b, scalar.matches[m].index_b);
+    EXPECT_EQ(vec.matches[m].distance, scalar.matches[m].distance);
+  }
+  EXPECT_EQ(vec.ops, scalar.ops)
+      << simd_isa_name(isa) << " na=" << na << " nb=" << nb;
 }
 
 TEST(MatchKernelSimd, EveryIsaAgreesWithScalarBitForBit) {
   IsaGuard guard;
   util::Rng rng(20250809);
   MatchWorkspace ws;
-  // kScalar always runs the fused SWAR loop; forcing an ISA this build or
-  // CPU lacks falls back to scalar, so the sweep is safe everywhere and
-  // differential wherever a vector unit exists.
-  const SimdIsa isas[] = {SimdIsa::kAvx512, SimdIsa::kAvx2, SimdIsa::kNeon};
-  // 15 and 16 sit on the AVX-512 kernel's 16-candidate step edge.
-  const std::size_t sizes[] = {0, 1, 3, 15, 16, 17, 64, 131, 150};
+  // 15-17, 31-33 and 48 sit on the edges of the AVX-512 kernel's
+  // 16-candidate blocks.
+  const std::size_t sizes[] = {0,  1,  3,  15, 16, 17,  31,
+                               32, 33, 48, 64, 131, 150};
   for (int round = 0; round < 3; ++round) {
     for (const std::size_t na : sizes) {
       for (const std::size_t nb : sizes) {
@@ -206,26 +211,96 @@ TEST(MatchKernelSimd, EveryIsaAgreesWithScalarBitForBit) {
         params.ratio = (round == 0) ? 0.8 : 1.0;
         const IsaRun scalar =
             run_under_isa(SimdIsa::kScalar, a, b, params, ws);
-        for (const SimdIsa isa : isas) {
-          const IsaRun vec = run_under_isa(isa, a, b, params, ws);
-          ASSERT_EQ(vec.matches.size(), scalar.matches.size())
-              << simd_isa_name(isa) << " na=" << na << " nb=" << nb;
-          for (std::size_t m = 0; m < scalar.matches.size(); ++m) {
-            EXPECT_EQ(vec.matches[m].index_a, scalar.matches[m].index_a);
-            EXPECT_EQ(vec.matches[m].index_b, scalar.matches[m].index_b);
-            EXPECT_EQ(vec.matches[m].distance, scalar.matches[m].distance);
-          }
-          EXPECT_EQ(vec.ops, scalar.ops);
-          // The modeled pruning counters replay identically too: the
-          // vector path buffers lane sums but charges the same lanes.
-          EXPECT_EQ(vec.lanes_examined, scalar.lanes_examined)
-              << simd_isa_name(isa) << " na=" << na << " nb=" << nb;
-          EXPECT_EQ(vec.lanes_pruned, scalar.lanes_pruned)
-              << simd_isa_name(isa) << " na=" << na << " nb=" << nb;
+        for (const SimdIsa isa : kVectorIsas) {
+          expect_same_run(run_under_isa(isa, a, b, params, ws), scalar, isa,
+                          na, nb);
         }
       }
     }
   }
+}
+
+/// `q` with `count` consecutive bits flipped from bit `first` (mod 256):
+/// exactly `count` away from q.
+Descriptor256 at_distance(const Descriptor256& q, int first, int count) {
+  Descriptor256 d = q;
+  for (int k = 0; k < count; ++k) {
+    const int bit = (first + k) % 256;
+    d.bits[static_cast<std::size_t>(bit >> 6)] ^= std::uint64_t{1}
+                                                  << (bit & 63);
+  }
+  return d;
+}
+
+/// One query row against `b` under every ISA and both cross-check
+/// settings: each run must equal the naive matcher and hold exactly
+/// `expected` (the index of b matched, or none).
+void expect_row(const Descriptor256& q, const std::vector<Descriptor256>& b,
+                double ratio, std::optional<std::size_t> expected) {
+  IsaGuard guard;
+  MatchWorkspace ws;
+  const std::vector<Descriptor256> a = {q};
+  for (const bool cross : {true, false}) {
+    BinaryMatchParams params;
+    params.cross_check = cross;
+    params.max_distance = 256;
+    params.ratio = ratio;
+    std::uint64_t naive_ops = 0;
+    const IsaRun naive{match_binary_naive(a, b, params, &naive_ops),
+                       naive_ops};
+    ASSERT_EQ(naive.matches.size(), expected ? 1u : 0u)
+        << "ratio " << ratio << " cross " << cross;
+    if (expected) {
+      EXPECT_EQ(naive.matches[0].index_b, *expected);
+    }
+    for (const SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx512,
+                              SimdIsa::kAvx2, SimdIsa::kNeon}) {
+      expect_same_run(run_under_isa(isa, a, b, params, ws), naive, isa, 1,
+                      b.size());
+    }
+  }
+}
+
+TEST(MatchKernelSimd, TiedMinimumAcrossLanesKeepsFirstIndex) {
+  // The row minimum sits at j and j + 1 (two lanes) and, in one variant,
+  // again at j + 16 (j's own lane one block later); every other candidate
+  // is far.  The first index must win, and second must equal best: a ratio
+  // of 1 rejects the row, a ratio just above 1 accepts it at j.
+  util::Rng rng(601);
+  const Descriptor256 q = random_descriptor(rng);
+  for (const std::size_t j : {std::size_t{0}, std::size_t{5},
+                              std::size_t{15}}) {
+    for (const bool same_lane : {true, false}) {
+      std::vector<Descriptor256> b;
+      for (std::size_t c = 0; c < 40; ++c) {
+        const int first = static_cast<int>(7 * c);
+        const bool tied =
+            c == j || c == j + 1 || (same_lane && c == j + 16);
+        b.push_back(at_distance(q, first, tied ? 20 : 120));
+      }
+      SCOPED_TRACE(testing::Message()
+                   << "j=" << j << " same_lane=" << same_lane);
+      expect_row(q, b, 1.0, std::nullopt);
+      expect_row(q, b, 1.01, j);
+    }
+  }
+}
+
+TEST(MatchKernelSimd, RowSecondFromTheBestLanesOwnSecond) {
+  // The two smallest distances sit in one lane (j = 3 and j = 19); every
+  // other candidate is far, so second must be 19's distance (20), not the
+  // next lane best (120).  10 < 0.6 * 20 accepts the row at 3; 10 is not
+  // under 0.4 * 20, so that ratio rejects it.
+  util::Rng rng(602);
+  const Descriptor256 q = random_descriptor(rng);
+  std::vector<Descriptor256> b;
+  for (std::size_t c = 0; c < 40; ++c) {
+    const int first = static_cast<int>(7 * c);
+    const int dist = c == 3 ? 10 : c == 19 ? 20 : 120;
+    b.push_back(at_distance(q, first, dist));
+  }
+  expect_row(q, b, 0.6, 3);
+  expect_row(q, b, 0.4, std::nullopt);
 }
 
 TEST(MatchKernelSimd, ForcingUnavailableIsaFallsBackToScalar) {
@@ -284,29 +359,6 @@ TEST(MatchKernelSimd, LaneRowsReadMisalignedStorage) {
   }
 }
 
-TEST(MatchKernelObs, LaneCountersChargeTheRegistry) {
-  util::Rng rng(123);
-  std::vector<Descriptor256> a = random_set(12, rng);
-  std::vector<Descriptor256> b = random_set(18, rng, a);
-  MatchWorkspace ws;
-
-  obs::MetricsRegistry::global().reset();
-  obs::set_enabled(true);
-  match_binary_kernel(a, b, {/*cross_check defaults on*/}, nullptr, ws);
-  obs::set_enabled(false);
-
-  const auto snap = obs::MetricsRegistry::global().snapshot();
-  obs::MetricsRegistry::global().reset();
-  ASSERT_TRUE(snap.counters.count("feat.match.lanes_examined"));
-  ASSERT_TRUE(snap.counters.count("feat.match.lanes_pruned"));
-  const double examined = snap.counters.at("feat.match.lanes_examined");
-  const double pruned = snap.counters.at("feat.match.lanes_pruned");
-  // Every (a, b) pair is visited once in the single dual-direction pass;
-  // each visit accounts for exactly 4 lanes, examined or pruned.
-  EXPECT_EQ(examined + pruned, 4.0 * 12 * 18);
-  EXPECT_GE(examined, 1.0 * 12 * 18);  // lane 0 is always examined
-}
-
 TEST(MatchKernelObs, DisabledObsLeavesRegistryUntouched) {
   util::Rng rng(124);
   std::vector<Descriptor256> a = random_set(6, rng);
@@ -314,9 +366,23 @@ TEST(MatchKernelObs, DisabledObsLeavesRegistryUntouched) {
   MatchWorkspace ws;
   obs::MetricsRegistry::global().reset();
   match_binary_kernel(a, b, {}, nullptr, ws);
+  EXPECT_EQ(
+      obs::MetricsRegistry::global().snapshot().counters.count(
+          "feat.match.simd_lanes"),
+      0u);
+
+  // With obs on, a vector path charges its lane words (none on scalar).
+  obs::set_enabled(true);
+  match_binary_kernel(a, b, {}, nullptr, ws);
+  obs::set_enabled(false);
   const auto snap = obs::MetricsRegistry::global().snapshot();
-  EXPECT_EQ(snap.counters.count("feat.match.lanes_examined"), 0u);
-  EXPECT_EQ(snap.counters.count("feat.match.lanes_pruned"), 0u);
+  obs::MetricsRegistry::global().reset();
+  if (active_simd_isa() == SimdIsa::kScalar) {
+    EXPECT_EQ(snap.counters.count("feat.match.simd_lanes"), 0u);
+  } else {
+    ASSERT_EQ(snap.counters.count("feat.match.simd_lanes"), 1u);
+    EXPECT_EQ(snap.counters.at("feat.match.simd_lanes"), 4.0 * 6 * 6);
+  }
 }
 
 }  // namespace

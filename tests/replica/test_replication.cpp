@@ -330,6 +330,52 @@ TEST_F(ReplicaDirTest, CatchUpKeepsTheGroupDir) {
   EXPECT_EQ(group.acked_seq(0), 9u);
 }
 
+TEST_F(ReplicaDirTest, CatchUpReleasesTheStaleSnapshotPins) {
+  // The stale primary's recovery pins the snapshot it checkpointed at seq
+  // 4.  Once the caught-up instance publishes its own manifest, nothing
+  // references those chunks: the store must count live and dead bytes as a
+  // fresh open of the same dirs does.
+  store::SegmentStoreOptions store_options;
+  store_options.dir = dir_ + "/segments";
+  serve::ShardOptions sopts;
+  sopts.dir = dir_ + "/group";
+  {
+    store::SegmentStore store(store_options);
+    sopts.segment_store = &store;
+    ReplicationGroup group(0, sopts, /*followers=*/1);
+    for (int i = 0; i < 4; ++i) group.apply(binary_record(i));
+    group.checkpoint();
+    ASSERT_TRUE(group.kill_active());
+    for (int i = 4; i < 8; ++i) group.apply(binary_record(i));
+    group.checkpoint();
+  }
+
+  store::SegmentStore store(store_options);
+  sopts.segment_store = &store;
+  ReplicationGroup group(0, sopts, /*followers=*/1);
+  ASSERT_EQ(group.resilience().catch_ups, 1u);
+  group.checkpoint();
+  const store::SegmentStore::Stats reopened = store.stats();
+
+  const std::string copy = dir_ + "-copy";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir_, copy, std::filesystem::copy_options::recursive);
+  {
+    store::SegmentStoreOptions copy_store_options;
+    copy_store_options.dir = copy + "/segments";
+    store::SegmentStore copy_store(copy_store_options);
+    serve::ShardOptions copy_options = sopts;
+    copy_options.dir = copy + "/group";
+    copy_options.segment_store = &copy_store;
+    const ReplicationGroup fresh(0, copy_options, /*followers=*/1);
+    EXPECT_EQ(fresh.resilience().catch_ups, 0u);
+    const store::SegmentStore::Stats expected = copy_store.stats();
+    EXPECT_EQ(reopened.live_bytes, expected.live_bytes);
+    EXPECT_EQ(reopened.dead_bytes, expected.dead_bytes);
+  }
+  std::filesystem::remove_all(copy);
+}
+
 TEST_F(ReplicaDirTest, DurableClusterSurvivesKillAndRestart) {
   cloud::Server server;
   const auto requests = workload_requests();
