@@ -7,12 +7,11 @@
 // justify local features in BEES.
 //
 // Not part of the paper's own comparison set; provided as an extension
-// baseline.
+// baseline on the comparison schemes' engine (core/baselines.hpp).
 #pragma once
 
-#include "core/scheme.hpp"
+#include "core/baselines.hpp"
 #include "features/global.hpp"
-#include "workload/imageset.hpp"
 
 namespace bees::core {
 
@@ -22,28 +21,40 @@ namespace bees::core {
 /// do not.
 inline constexpr double kPhotoNetThreshold = 0.8;
 
-class PhotoNetScheme final : public UploadScheme {
+class PhotoNetScheme final : public QueryThenUploadScheme {
  public:
   PhotoNetScheme(wl::ImageStore& store, SchemeConfig config)
-      : UploadScheme("PhotoNet", store, std::move(config)) {}
-
-  /// Resumes an aborted batch mid-phase when called again with the same
-  /// batch (see BeesScheme::upload_batch).
-  BatchReport upload_batch(const std::vector<wl::ImageSpec>& batch,
-                           cloud::Server& server, net::Channel& channel,
-                           energy::Battery& battery) override;
+      : QueryThenUploadScheme("PhotoNet", store, std::move(config),
+                              kPhotoNetThreshold) {}
 
  private:
-  struct Progress {
-    bool active = false;
-    std::uint64_t key = 0;
-    std::size_t queried = 0;
-    std::vector<std::size_t> unique;
-    std::size_t next_upload = 0;
-    /// Histograms computed so far (phase 2 re-uses them for the store).
-    std::vector<feat::ColorHistogram> histograms;
-  };
-  Progress progress_;
+  /// Computes image i's histogram.  extract() walks a batch in order from
+  /// index 0, so i is the next slot and 0 starts a fresh batch.
+  std::uint64_t extract(const wl::ImageSpec& spec, std::size_t i) override {
+    histograms_.resize(i);
+    std::uint64_t ops = 0;
+    histograms_.push_back(feat::color_histogram(store().pixels(spec), &ops));
+    return ops;
+  }
+  /// The query payload: the histogram (kBins floats) + the geotag.
+  Query query(const wl::ImageSpec& spec, std::size_t i) override {
+    const double fbytes = feat::ColorHistogram::kBins * 4.0 + 17.0;
+    return {net::encode(net::GlobalQueryRequest{.histogram = histograms_[i],
+                                                .geo = spec.geo,
+                                                .feature_bytes = fbytes}),
+            fbytes};
+  }
+  std::vector<std::uint8_t> upload_request(const wl::ImageSpec& spec,
+                                           std::size_t i,
+                                           double image_bytes) override {
+    return net::encode(net::GlobalUploadRequest{
+        .histogram = histograms_[i], .image_bytes = image_bytes,
+        .geo = spec.geo});
+  }
+
+  /// The batch's histograms, each computed and charged once, then reused
+  /// by the query and the upload envelope.
+  std::vector<feat::ColorHistogram> histograms_;
 };
 
 }  // namespace bees::core

@@ -2,9 +2,9 @@
 // path is always built and always correct; explicit AVX-512, AVX2 (x86)
 // and NEON (ARM) kernels are compiled when the toolchain supports them and
 // selected once per process after a CPU-feature probe.  Every path is
-// bit-exact with the others — same matches, distances, modeled `ops`, and
-// `feat.match.lanes_{examined,pruned}` counters — so dispatch is purely a
-// throughput decision (see DESIGN.md §13 for the equivalence argument).
+// bit-exact with the others — same matches, distances and modeled `ops` —
+// so dispatch is purely a throughput decision (see DESIGN.md §13 for the
+// equivalence argument).
 //
 // Overrides, strongest first:
 //  * force_simd_isa(isa) — programmatic pin, used by the differential
@@ -22,7 +22,7 @@ enum class SimdIsa {
   kScalar = 0,  ///< Portable SWAR popcount (always available).
   kAvx2 = 1,    ///< 1 candidate per 256-bit vector, pshufb popcount.
   kNeon = 2,    ///< 1 candidate per two 128-bit vectors, vcnt popcount.
-  kAvx512 = 3,  ///< 16 candidates per step, vpopcntq, vectorized decisions.
+  kAvx512 = 3,  ///< 16 candidates per step, vpopcntd, per-lane row state.
 };
 
 /// The ISA the kernel will actually run: the forced override if one is

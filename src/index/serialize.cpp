@@ -76,4 +76,14 @@ GeoTag get_geo(util::ByteReader& r) {
   return geo;
 }
 
+void put_histogram(util::ByteWriter& w, const feat::ColorHistogram& h) {
+  for (const float bin : h.bins) w.put_f32(bin);
+}
+
+feat::ColorHistogram get_histogram(util::ByteReader& r) {
+  feat::ColorHistogram h;
+  for (float& bin : h.bins) bin = r.get_f32();
+  return h;
+}
+
 }  // namespace bees::idx

@@ -1,13 +1,14 @@
 // Wire format for feature sets.  These byte counts are what the simulated
 // channel actually carries when a client uploads features for redundancy
 // detection, and what Table I measures as feature space overhead.  The
-// geotag codec beside them is the one every format shares: wire messages,
-// WAL records, shard snapshots and index snapshots.
+// geotag and color-histogram codecs beside them are the ones every format
+// shares: wire messages, WAL records, shard snapshots and index snapshots.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "features/global.hpp"
 #include "features/keypoint.hpp"
 #include "index/geo.hpp"
 #include "util/byte_io.hpp"
@@ -30,5 +31,10 @@ feat::FloatFeatures deserialize_float(const std::vector<std::uint8_t>& bytes);
 void put_geo(util::ByteWriter& w, const GeoTag& geo);
 /// Inverse of put_geo; throws util::DecodeError on a short buffer.
 GeoTag get_geo(util::ByteReader& r);
+
+/// Writes a color histogram as its kBins little-endian f32s.
+void put_histogram(util::ByteWriter& w, const feat::ColorHistogram& h);
+/// Inverse of put_histogram; throws util::DecodeError on a short buffer.
+feat::ColorHistogram get_histogram(util::ByteReader& r);
 
 }  // namespace bees::idx

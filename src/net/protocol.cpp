@@ -40,16 +40,6 @@ feat::FloatFeatures get_float_features(util::ByteReader& r) {
   return idx::deserialize_float(r.get_bytes(len));
 }
 
-void put_histogram(util::ByteWriter& w, const feat::ColorHistogram& h) {
-  for (const float v : h.bins) w.put_f32(v);
-}
-
-feat::ColorHistogram get_histogram(util::ByteReader& r) {
-  feat::ColorHistogram h;
-  for (float& v : h.bins) v = r.get_f32();
-  return h;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_binary_query(
@@ -158,7 +148,7 @@ std::vector<std::uint8_t> encode(const FloatUploadRequest& m) {
 
 std::vector<std::uint8_t> encode(const GlobalQueryRequest& m) {
   util::ByteWriter w;
-  put_histogram(w, m.histogram);
+  idx::put_histogram(w, m.histogram);
   idx::put_geo(w, m.geo);
   w.put_f64(m.feature_bytes);
   w.put_f64(m.geo_radius_deg);
@@ -167,7 +157,7 @@ std::vector<std::uint8_t> encode(const GlobalQueryRequest& m) {
 
 std::vector<std::uint8_t> encode(const GlobalUploadRequest& m) {
   util::ByteWriter w;
-  put_histogram(w, m.histogram);
+  idx::put_histogram(w, m.histogram);
   w.put_f64(m.image_bytes);
   idx::put_geo(w, m.geo);
   return seal(MessageType::kGlobalUpload, w.take());
@@ -346,7 +336,7 @@ GlobalQueryRequest decode_global_query(
     const std::vector<std::uint8_t>& payload) {
   util::ByteReader r(payload);
   GlobalQueryRequest m;
-  m.histogram = get_histogram(r);
+  m.histogram = idx::get_histogram(r);
   m.geo = idx::get_geo(r);
   m.feature_bytes = r.get_f64();
   m.geo_radius_deg = r.get_f64();
@@ -357,7 +347,7 @@ GlobalUploadRequest decode_global_upload(
     const std::vector<std::uint8_t>& payload) {
   util::ByteReader r(payload);
   GlobalUploadRequest m;
-  m.histogram = get_histogram(r);
+  m.histogram = idx::get_histogram(r);
   m.image_bytes = r.get_f64();
   m.geo = idx::get_geo(r);
   return m;

@@ -357,7 +357,9 @@ void Cluster::store_global(const feat::ColorHistogram& histogram,
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   WalRecord record;
   record.info = info;
-  record.payload = encode_histogram(histogram);
+  util::ByteWriter w;
+  idx::put_histogram(w, histogram);
+  record.payload = w.take();
   apply_mutation(WalOp::kStoreGlobal, info.geo, std::move(record),
                  &next_unrouted_, nullptr, nullptr);
   obs::count("serve.store.images");
@@ -399,7 +401,9 @@ void Cluster::seed_global(const feat::ColorHistogram& histogram,
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   WalRecord record;
   record.info.geo = geo;
-  record.payload = encode_histogram(histogram);
+  util::ByteWriter w;
+  idx::put_histogram(w, histogram);
+  record.payload = w.take();
   apply_mutation(WalOp::kSeedGlobal, geo, std::move(record), &next_unrouted_,
                  nullptr, nullptr);
 }

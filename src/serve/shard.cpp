@@ -146,11 +146,17 @@ void Shard::apply_locked(const WalRecord& record, idx::ImageId* local_out) {
       float_globals_.push_back(record.global_id);
       break;
     case WalOp::kStoreGlobal:
-      server_.store_global(decode_histogram(record.payload), record.info);
+    case WalOp::kSeedGlobal: {
+      util::ByteReader r(record.payload);
+      const feat::ColorHistogram histogram = idx::get_histogram(r);
+      if (!r.done()) throw util::DecodeError("histogram: trailing bytes");
+      if (record.op == WalOp::kStoreGlobal) {
+        server_.store_global(histogram, record.info);
+      } else {
+        server_.seed_global(histogram, record.info.geo);
+      }
       break;
-    case WalOp::kSeedGlobal:
-      server_.seed_global(decode_histogram(record.payload), record.info.geo);
-      break;
+    }
     case WalOp::kStorePlain:
       server_.store_plain(record.info);
       break;
@@ -281,10 +287,10 @@ void Shard::checkpoint_locked(bool compact) {
   // checkpoint) could otherwise reclaim the unpinned chunks and leave a
   // published manifest referencing nothing.  The old generation is
   // unpinned only after publish, so chunks shared between the two never
-  // transit a dead state.
+  // transit a dead state.  A put that cannot write throws with nothing
+  // pinned: the old manifest and the WAL tail it needs stay as they are.
   const store::Manifest manifest =
       st.put_payload_pinned(encode_snapshot_locked());
-  st.flush();
   util::ByteWriter w;
   w.put_u32(kManifestFileMagic);
   w.put_u32(kShardVersion);
@@ -339,7 +345,7 @@ std::vector<std::uint8_t> Shard::encode_snapshot_locked() {
   const auto& globals = server_.global_entries();
   w.put_varint(globals.size());
   for (const auto& [histogram, geo] : globals) {
-    for (float bin : histogram.bins) w.put_f32(bin);
+    idx::put_histogram(w, histogram);
     idx::put_geo(w, geo);
   }
   return w.take();
@@ -458,8 +464,7 @@ void Shard::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   }
   const auto n_globals = static_cast<std::size_t>(r.get_varint());
   for (std::size_t i = 0; i < n_globals; ++i) {
-    feat::ColorHistogram histogram;
-    for (float& bin : histogram.bins) bin = r.get_f32();
+    const feat::ColorHistogram histogram = idx::get_histogram(r);
     server_.seed_global(histogram, idx::get_geo(r));
   }
   if (!r.done()) throw util::DecodeError("shard snapshot: trailing bytes");

@@ -86,20 +86,6 @@ std::size_t read_wal_frame(std::span<const std::uint8_t> bytes,
   return 8 + static_cast<std::size_t>(len);
 }
 
-std::vector<std::uint8_t> encode_histogram(const feat::ColorHistogram& h) {
-  util::ByteWriter w;
-  for (float bin : h.bins) w.put_f32(bin);
-  return w.take();
-}
-
-feat::ColorHistogram decode_histogram(const std::vector<std::uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  feat::ColorHistogram h;
-  for (float& bin : h.bins) bin = r.get_f32();
-  if (!r.done()) throw util::DecodeError("histogram: trailing bytes");
-  return h;
-}
-
 WriteAheadLog::WriteAheadLog(std::string path) : path_(std::move(path)) {
   open(/*truncate=*/false);
 }

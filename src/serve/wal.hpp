@@ -44,7 +44,7 @@ enum class WalOp : std::uint8_t {
 /// One logged mutation.  `global_id` is the cluster-wide id the frontend
 /// assigned (meaningful for binary/float ops; 0 otherwise).  `payload`
 /// carries the op's feature bytes: serialize_binary / serialize_float
-/// output, or a raw ColorHistogram (kBins f32s) for global ops.
+/// output, or idx::put_histogram's kBins f32s for global ops.
 struct WalRecord {
   std::uint64_t seq = 0;
   WalOp op = WalOp::kStorePlain;
@@ -69,10 +69,6 @@ std::vector<std::uint8_t> encode_wal_frame(const WalRecord& record);
 /// CRC-valid frame carrying an earlier build's chunked body.
 std::size_t read_wal_frame(std::span<const std::uint8_t> bytes,
                            WalRecord& record);
-
-/// WAL payload codec for global-feature ops: kBins little-endian f32s.
-std::vector<std::uint8_t> encode_histogram(const feat::ColorHistogram& h);
-feat::ColorHistogram decode_histogram(const std::vector<std::uint8_t>& bytes);
 
 /// Append-only log file.  Appends are flushed per record so the log is as
 /// current as the OS page cache; a production deployment would fsync here.

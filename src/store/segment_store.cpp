@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -60,10 +61,6 @@ SegmentStore::SegmentStore(SegmentStoreOptions options)
     scan_existing_locked();
   }
   open_new_segment_locked();
-}
-
-SegmentStore::~SegmentStore() {
-  if (out_.is_open()) out_.flush();
 }
 
 std::string SegmentStore::segment_path(std::uint64_t id) const {
@@ -147,31 +144,74 @@ void SegmentStore::scan_existing_locked() {
 }
 
 void SegmentStore::open_new_segment_locked() {
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
-  }
   if (auto it = segments_.find(open_segment_); it != segments_.end()) {
     it->second.sealed = true;
   }
+  out_.close();
   Segment segment;
-  segment.id = next_segment_id_++;
+  segment.id = next_segment_id_;
   segment.bytes = kSegmentHeaderBytes;
-  open_segment_ = segment.id;
+  std::vector<std::uint8_t> header;
+  put_le32(header, kSegmentMagic);
+  put_le32(header, kSegmentVersion);
   if (options_.dir.empty()) {
-    put_le32(segment.memory, kSegmentMagic);
-    put_le32(segment.memory, kSegmentVersion);
+    segment.memory = std::move(header);
   } else {
-    out_.open(segment_path(segment.id),
-              std::ios::binary | std::ios::trunc);
-    std::vector<std::uint8_t> header;
-    put_le32(header, kSegmentMagic);
-    put_le32(header, kSegmentVersion);
-    out_.write(reinterpret_cast<const char*>(header.data()),
-               static_cast<std::streamsize>(header.size()));
-    out_.flush();
+    out_.open(segment_path(segment.id), std::ios::binary | std::ios::trunc);
+    write_out_locked(segment.id, header);
   }
+  ++next_segment_id_;
+  open_segment_ = segment.id;
   segments_.emplace(segment.id, std::move(segment));
+}
+
+void SegmentStore::write_out_locked(std::uint64_t segment_id,
+                                    const std::vector<std::uint8_t>& bytes) {
+  out_.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  out_.flush();
+  if (out_) return;
+  // The segment may now end in a torn record (a reopen truncates it): it
+  // takes no more writes, and the next record opens a fresh segment.
+  out_.close();
+  if (auto it = segments_.find(segment_id); it != segments_.end()) {
+    it->second.sealed = true;
+  }
+  throw std::runtime_error("segment store: cannot write " +
+                           segment_path(segment_id));
+}
+
+SegmentStore::Entry SegmentStore::write_record_locked(
+    const ChunkKey& key, std::span<const std::uint8_t> stored,
+    std::uint8_t encoding) {
+  const auto open = segments_.find(open_segment_);
+  if (open == segments_.end() || open->second.sealed ||
+      open->second.bytes >= options_.segment_target_bytes +
+                                kSegmentHeaderBytes) {
+    open_new_segment_locked();
+  }
+  Segment& segment = segments_.at(open_segment_);
+  std::vector<std::uint8_t> record;
+  record.reserve(kRecordHeaderBytes + stored.size());
+  put_le64(record, key.hash);
+  put_le32(record, key.crc);
+  put_le32(record, key.size);
+  put_le32(record, static_cast<std::uint32_t>(stored.size()));
+  record.push_back(encoding);
+  record.insert(record.end(), stored.begin(), stored.end());
+  if (options_.dir.empty()) {
+    segment.memory.insert(segment.memory.end(), record.begin(), record.end());
+  } else {
+    write_out_locked(segment.id, record);
+  }
+  Entry entry;
+  entry.segment = segment.id;
+  entry.offset = segment.bytes + kRecordHeaderBytes;
+  entry.stored = static_cast<std::uint32_t>(stored.size());
+  entry.raw = key.size;
+  entry.encoding = encoding;
+  segment.bytes += record.size();
+  return entry;
 }
 
 SegmentStore::Prepared SegmentStore::prepare(
@@ -199,35 +239,10 @@ void SegmentStore::append_locked(const Prepared& prepared) {
     obs::count("store.chunk.dedup_hits");
     return;
   }
-  Segment& open = segments_.at(open_segment_);
-  if (open.bytes >= options_.segment_target_bytes + kSegmentHeaderBytes) {
-    open_new_segment_locked();
-  }
-  Segment& segment = segments_.at(open_segment_);
-  std::vector<std::uint8_t> record;
-  record.reserve(kRecordHeaderBytes + prepared.stored.size());
-  put_le64(record, prepared.key.hash);
-  put_le32(record, prepared.key.crc);
-  put_le32(record, prepared.key.size);
-  put_le32(record, static_cast<std::uint32_t>(prepared.stored.size()));
-  record.push_back(prepared.encoding);
-  record.insert(record.end(), prepared.stored.begin(), prepared.stored.end());
-
-  Entry entry;
-  entry.segment = segment.id;
-  entry.offset = segment.bytes + kRecordHeaderBytes;
-  entry.stored = static_cast<std::uint32_t>(prepared.stored.size());
-  entry.raw = prepared.key.size;
-  entry.encoding = prepared.encoding;
-
-  if (options_.dir.empty()) {
-    segment.memory.insert(segment.memory.end(), record.begin(), record.end());
-  } else {
-    out_.write(reinterpret_cast<const char*>(record.data()),
-               static_cast<std::streamsize>(record.size()));
-  }
-  segment.bytes += record.size();
-  segment.dead_bytes += entry.stored;  // live once an owner pins it
+  const Entry entry =
+      write_record_locked(prepared.key, prepared.stored, prepared.encoding);
+  // Dead until an owner pins it.
+  segments_.at(entry.segment).dead_bytes += entry.stored;
   directory_.emplace(prepared.key, entry);
   obs::count("store.chunk.writes");
   obs::count("store.chunk.stored_bytes",
@@ -267,22 +282,25 @@ std::size_t SegmentStore::put_manifest_payload(
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t j = 0;  // index into prepared/missing, both in manifest order
   for (std::size_t i = 0; i < manifest.chunks.size(); ++i) {
-    const ChunkKey& key = manifest.chunks[i];
     if (j < missing.size() && missing[j] == i) {
       const bool fresh = !directory_.count(prepared[j].key);
       append_locked(prepared[j]);
       if (fresh) ++written;
       ++j;
-    } else if (!directory_.count(key)) {
+    } else if (!directory_.count(manifest.chunks[i])) {
       // Present at the first check but reclaimed by a concurrent
       // compaction since (it was unpinned).  Re-prepare inline under the
       // lock so the manifest never references an absent chunk on return.
       append_locked(prepare(chunk_bytes(payload, manifest, i)));
       ++written;
     }
-    // Pinning inside the same critical section as the presence guarantee:
-    // once we return, no compaction can have reclaimed these chunks.
-    if (pin_chunks) pin_locked(key);
+  }
+  // Pinning inside the same critical section as the presence guarantee:
+  // once we return, no compaction can have reclaimed these chunks.  Pins
+  // are taken only once every append succeeded, so a put that throws
+  // leaves none behind.
+  if (pin_chunks) {
+    for (const ChunkKey& key : manifest.chunks) pin_locked(key);
   }
   return written;
 }
@@ -320,7 +338,6 @@ std::vector<std::uint8_t> SegmentStore::read_stored_locked(
                 entry.stored, stored.begin());
     return stored;
   }
-  if (entry.segment == open_segment_ && out_.is_open()) out_.flush();
   std::ifstream in(segment_path(entry.segment), std::ios::binary);
   in.seekg(static_cast<std::streamoff>(entry.offset));
   in.read(reinterpret_cast<char*>(stored.data()), entry.stored);
@@ -388,25 +405,24 @@ void SegmentStore::cache_insert_locked(const ChunkKey& key,
   }
 }
 
-void SegmentStore::pin(const ChunkKey& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pin_locked(key);
-}
-
 void SegmentStore::pin_locked(const ChunkKey& key) {
-  const auto it = directory_.find(key);
-  if (it == directory_.end()) {
-    throw util::DecodeError("segment store: pin of missing chunk");
-  }
-  if (it->second.pins++ == 0) {
-    Segment& segment = segments_.at(it->second.segment);
-    segment.dead_bytes -= it->second.stored;
-    segment.live_bytes += it->second.stored;
+  Entry& entry = directory_.at(key);
+  if (entry.pins++ == 0) {
+    Segment& segment = segments_.at(entry.segment);
+    segment.dead_bytes -= entry.stored;
+    segment.live_bytes += entry.stored;
   }
 }
 
 void SegmentStore::pin(const std::vector<ChunkKey>& keys) {
-  for (const ChunkKey& key : keys) pin(key);
+  // All or nothing: a missing key must not leave the earlier ones pinned.
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const ChunkKey& key : keys) {
+    if (!directory_.count(key)) {
+      throw util::DecodeError("segment store: pin of missing chunk");
+    }
+  }
+  for (const ChunkKey& key : keys) pin_locked(key);
 }
 
 void SegmentStore::unpin(const ChunkKey& key) {
@@ -424,11 +440,6 @@ void SegmentStore::unpin(const std::vector<ChunkKey>& keys) {
   for (const ChunkKey& key : keys) unpin(key);
 }
 
-void SegmentStore::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) out_.flush();
-}
-
 void SegmentStore::rewrite_segment_locked(std::uint64_t segment_id) {
   // Collect the victim's entries; live ones move to the open segment in
   // offset order (deterministic), dead ones are dropped.
@@ -444,32 +455,16 @@ void SegmentStore::rewrite_segment_locked(std::uint64_t segment_id) {
   }
   std::sort(live.begin(), live.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  // A failed write throws here, before the victim is touched: chunks
+  // already moved live on at their new home, the rest still in the victim.
   for (const auto& [offset, key] : live) {
     Entry& entry = directory_.at(key);
-    std::vector<std::uint8_t> stored = read_stored_locked(entry);
-    Segment& open = segments_.at(open_segment_);
-    if (open.bytes >= options_.segment_target_bytes + kSegmentHeaderBytes) {
-      open_new_segment_locked();
-    }
-    Segment& target = segments_.at(open_segment_);
-    std::vector<std::uint8_t> record;
-    record.reserve(kRecordHeaderBytes + stored.size());
-    put_le64(record, key.hash);
-    put_le32(record, key.crc);
-    put_le32(record, key.size);
-    put_le32(record, static_cast<std::uint32_t>(stored.size()));
-    record.push_back(entry.encoding);
-    record.insert(record.end(), stored.begin(), stored.end());
-    if (options_.dir.empty()) {
-      target.memory.insert(target.memory.end(), record.begin(), record.end());
-    } else {
-      out_.write(reinterpret_cast<const char*>(record.data()),
-                 static_cast<std::streamsize>(record.size()));
-    }
-    entry.segment = target.id;
-    entry.offset = target.bytes + kRecordHeaderBytes;
-    target.bytes += record.size();
-    target.live_bytes += entry.stored;  // still pinned at its new home
+    const std::vector<std::uint8_t> stored = read_stored_locked(entry);
+    const Entry moved = write_record_locked(key, stored, entry.encoding);
+    segments_.at(segment_id).live_bytes -= entry.stored;
+    segments_.at(moved.segment).live_bytes += entry.stored;  // still pinned
+    entry.segment = moved.segment;
+    entry.offset = moved.offset;
     obs::count("store.compaction.moved_chunks");
     obs::count("store.compaction.moved_bytes",
                static_cast<double>(stored.size()));
@@ -489,11 +484,8 @@ void SegmentStore::rewrite_segment_locked(std::uint64_t segment_id) {
   }
   segments_.erase(segment_id);
   if (!options_.dir.empty()) {
-    // The live chunks just rewritten above may still sit in out_'s
-    // userspace buffer; they must reach the filesystem before the only
-    // other copy is deleted, or a crash in between loses durable pinned
-    // chunks (the same write-ahead rule WAL append follows).
-    if (out_.is_open()) out_.flush();
+    // Every moved record was flushed by its write: the only other copy
+    // can go.
     std::error_code ec;
     fs::remove(segment_path(segment_id), ec);
   }
@@ -540,8 +532,10 @@ std::size_t SegmentStore::compact_locked(double dead_ratio,
         }
       }
       if (best_dead == 0) {
-        const Segment& open = segments_.at(open_segment_);
-        if (open.dead_bytes == 0) break;  // nothing reclaimable
+        const auto open = segments_.find(open_segment_);
+        if (open == segments_.end() || open->second.dead_bytes == 0) {
+          break;  // nothing reclaimable
+        }
         open_new_segment_locked();
         continue;
       }

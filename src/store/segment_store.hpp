@@ -20,6 +20,14 @@
 // rebuilt by scanning segments (torn tails are truncated) and owners
 // re-pin whatever their recovered manifests reference.
 //
+// Writes fail loudly.  One record writer serves puts and compaction
+// moves: it flushes every record and checks the stream after each segment
+// open, write and flush.  A put that cannot write throws
+// std::runtime_error with its key left out of the directory and no pin
+// taken; a compaction that cannot move a live chunk throws before it
+// deletes the victim.  A segment whose write failed takes no more records
+// (the next one opens a fresh segment; a reopen truncates its torn tail).
+//
 // Thread-safe: all public methods may be called concurrently.  Determinism:
 // the same put sequence produces byte-identical segment files (chunks are
 // appended in call order).
@@ -66,7 +74,6 @@ class SegmentStore {
   /// truncated away, like a torn WAL tail.  Throws util::DecodeError on a
   /// structurally corrupt segment header.
   explicit SegmentStore(SegmentStoreOptions options);
-  ~SegmentStore();
 
   SegmentStore(const SegmentStore&) = delete;
   SegmentStore& operator=(const SegmentStore&) = delete;
@@ -115,15 +122,13 @@ class SegmentStore {
   std::vector<std::uint8_t> get_payload(const Manifest& manifest);
 
   /// Liveness refcounts.  pin() on an absent key throws util::DecodeError
-  /// (a manifest referencing a missing chunk must fail loudly); unpin() on
-  /// an unpinned or absent key is ignored.
-  void pin(const ChunkKey& key);
+  /// (a manifest referencing a missing chunk must fail loudly), and is
+  /// all-or-nothing: it checks every key before pinning any, so a missing
+  /// one leaves nothing pinned.  unpin() on an unpinned or absent key is
+  /// ignored.
   void pin(const std::vector<ChunkKey>& keys);
   void unpin(const ChunkKey& key);
   void unpin(const std::vector<ChunkKey>& keys);
-
-  /// Flushes the open segment to disk (no-op in memory mode).
-  void flush();
 
   /// Rewrites live (pinned) chunks out of every sealed segment whose dead
   /// fraction exceeds `dead_ratio`, then deletes those segments.  Returns
@@ -180,11 +185,23 @@ class SegmentStore {
   };
 
   std::string segment_path(std::uint64_t id) const;
+  /// Seals the open segment and opens the next; throws (registering
+  /// nothing) when the new file cannot be written.
   void open_new_segment_locked();
+  /// Writes and flushes `bytes` to segment `segment_id`'s stream; on a bad
+  /// stream seals that segment and throws std::runtime_error.
+  void write_out_locked(std::uint64_t segment_id,
+                        const std::vector<std::uint8_t>& bytes);
+  /// The one record writer: appends a chunk record to the open segment
+  /// (rolling over first when it is sealed or full) and returns where the
+  /// stored bytes landed.  Leaves the directory to the caller.
+  Entry write_record_locked(const ChunkKey& key,
+                            std::span<const std::uint8_t> stored,
+                            std::uint8_t encoding);
   void scan_existing_locked();
   /// Appends one prepared chunk record to the open segment (dedup-checked).
   void append_locked(const Prepared& prepared);
-  /// pin() body; the caller holds mutex_.
+  /// Pins one present key; the caller holds mutex_.
   void pin_locked(const ChunkKey& key);
   static Prepared prepare(std::span<const std::uint8_t> raw);
   std::vector<std::uint8_t> read_stored_locked(const Entry& entry);

@@ -1,7 +1,7 @@
 // Minimal fixed-size thread pool with a parallel_for helper.  The serving
-// cluster runs its request workers and segment-store chunk compression on
-// pools, a feature index that asks for one splits exact rescoring over it,
-// and the fleet simulator steps its devices on one.  Deterministic: the
+// cluster runs its request workers on a pool, a feature index that asks
+// for one splits exact rescoring over it, and the fleet simulator steps
+// its devices on one.  Deterministic: the
 // work partition is static, so results are identical to the serial path.
 #pragma once
 

@@ -8,6 +8,9 @@
 // so an asan/ubsan build of just this target sweeps the whole stack.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "core/baselines.hpp"
 #include "core/bees.hpp"
 #include "core/photonet.hpp"
@@ -45,6 +48,117 @@ class FaultToleranceTest : public ::testing::Test {
   }
   std::shared_ptr<const feat::PcaModel> pca() const {
     return {pca_, [](const feat::PcaModel*) {}};
+  }
+
+  enum class AbortIn { kQueryPhase, kUploadPhase };
+  using SchemeFactory = std::function<std::unique_ptr<UploadScheme>()>;
+
+  /// Config of the resume tests: a short retry budget, so a dead link
+  /// gives up fast (a loss-free link never retries).
+  SchemeConfig resume_config() const {
+    SchemeConfig cfg = config();
+    cfg.retry.max_attempts = 2;
+    return cfg;
+  }
+
+  /// Uploads the batch's first three images through a fresh scheme, so the
+  /// batch has cross-batch redundancy for the query phase to find.
+  void seed(cloud::Server& server, const SchemeFactory& make) const {
+    const std::vector<wl::ImageSpec> prior(set_->images.begin(),
+                                           set_->images.begin() + 3);
+    net::Channel ch = lossy_channel(0.0);
+    energy::Battery bat;
+    ASSERT_FALSE(make()->upload_batch(prior, server, ch, bat).aborted);
+  }
+
+  /// Aborts a batch in `phase`, resumes it with the same batch, and checks
+  /// the runs together account for the batch as one uninterrupted run does.
+  /// A query-phase abort is a battery death mid-phase followed by a
+  /// transport give-up on a dead link, which leaves the next image's
+  /// extraction charged but its query undelivered.
+  void expect_resume_matches_uninterrupted(const SchemeFactory& make,
+                                           AbortIn phase) const {
+    const std::vector<wl::ImageSpec>& batch = set_->images;
+    BatchReport whole;
+    {
+      cloud::Server server;
+      seed(server, make);
+      net::Channel ch = lossy_channel(0.0);
+      energy::Battery bat;
+      whole = make()->upload_batch(batch, server, ch, bat);
+      ASSERT_FALSE(whole.aborted);
+    }
+    const double query_j = whole.energy.extraction_j +
+                           whole.energy.feature_tx_j + whole.energy.rx_j;
+    // A querying scheme finds the seeded images.
+    if (query_j > 0.0) {
+      EXPECT_GT(whole.eliminated_cross_batch, 0);
+    }
+
+    cloud::Server server;
+    seed(server, make);
+    const std::size_t stored_before = server.stats().images_stored;
+    const std::unique_ptr<UploadScheme> scheme = make();
+    net::Channel ch = lossy_channel(0.0);
+    std::vector<BatchReport> runs;
+    if (phase == AbortIn::kQueryPhase) {
+      energy::Battery small(0.5 * query_j);
+      runs.push_back(scheme->upload_batch(batch, server, ch, small));
+      net::Channel dead = lossy_channel(1.0);
+      energy::Battery bat;
+      runs.push_back(scheme->upload_batch(batch, server, dead, bat));
+      ASSERT_TRUE(runs[0].aborted);
+      ASSERT_TRUE(runs[1].aborted);
+      EXPECT_GT(runs[1].gave_up, 0);
+      EXPECT_EQ(runs[0].images_uploaded + runs[1].images_uploaded, 0);
+    } else {
+      energy::Battery small(query_j + 0.5 * whole.energy.image_tx_j);
+      runs.push_back(scheme->upload_batch(batch, server, ch, small));
+      ASSERT_TRUE(runs[0].aborted);
+      EXPECT_GT(runs[0].images_uploaded, 0);
+      EXPECT_LT(runs[0].images_uploaded, whole.images_uploaded);
+    }
+    energy::Battery recharged;
+    runs.push_back(scheme->upload_batch(batch, server, ch, recharged));
+    ASSERT_FALSE(runs.back().aborted);
+
+    BatchReport total;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      if (k > 0) {
+        EXPECT_EQ(runs[k].images_offered, 0) << "run " << k;
+      }
+      total += runs[k];
+    }
+    const int n = static_cast<int>(batch.size());
+    EXPECT_EQ(total.images_offered, n);
+    EXPECT_EQ(total.images_uploaded + total.eliminated_cross_batch, n);
+    EXPECT_EQ(server.stats().images_stored - stored_before,
+              static_cast<std::size_t>(total.images_uploaded));
+    EXPECT_EQ(total.eliminated_cross_batch, whole.eliminated_cross_batch);
+    EXPECT_NEAR(total.energy.extraction_j, whole.energy.extraction_j,
+                1e-9 * whole.energy.extraction_j);
+  }
+
+  SchemeFactory direct() const {
+    return [this] {
+      return std::make_unique<DirectUploadScheme>(*store_, resume_config());
+    };
+  }
+  SchemeFactory smarteye() const {
+    return [this] {
+      return std::make_unique<SmartEyeScheme>(*store_, resume_config(),
+                                              pca());
+    };
+  }
+  SchemeFactory mrc() const {
+    return [this] {
+      return std::make_unique<MrcScheme>(*store_, resume_config());
+    };
+  }
+  SchemeFactory photonet() const {
+    return [this] {
+      return std::make_unique<PhotoNetScheme>(*store_, resume_config());
+    };
   }
 
   static wl::Imageset* set_;
@@ -227,6 +341,34 @@ TEST_F(FaultToleranceTest, RetryBudgetExhaustionAbortsAndResumes) {
   EXPECT_EQ(second.images_offered, 0);
   EXPECT_EQ(second.images_uploaded, 12);
   EXPECT_EQ(server.stats().images_stored, 12u);
+}
+
+TEST_F(FaultToleranceTest, DirectUploadResumesAfterUploadPhaseAbort) {
+  expect_resume_matches_uninterrupted(direct(), AbortIn::kUploadPhase);
+}
+
+TEST_F(FaultToleranceTest, SmartEyeResumesAfterQueryPhaseAbort) {
+  expect_resume_matches_uninterrupted(smarteye(), AbortIn::kQueryPhase);
+}
+
+TEST_F(FaultToleranceTest, SmartEyeResumesAfterUploadPhaseAbort) {
+  expect_resume_matches_uninterrupted(smarteye(), AbortIn::kUploadPhase);
+}
+
+TEST_F(FaultToleranceTest, MrcResumesAfterQueryPhaseAbort) {
+  expect_resume_matches_uninterrupted(mrc(), AbortIn::kQueryPhase);
+}
+
+TEST_F(FaultToleranceTest, MrcResumesAfterUploadPhaseAbort) {
+  expect_resume_matches_uninterrupted(mrc(), AbortIn::kUploadPhase);
+}
+
+TEST_F(FaultToleranceTest, PhotoNetResumesAfterQueryPhaseAbort) {
+  expect_resume_matches_uninterrupted(photonet(), AbortIn::kQueryPhase);
+}
+
+TEST_F(FaultToleranceTest, PhotoNetResumesAfterUploadPhaseAbort) {
+  expect_resume_matches_uninterrupted(photonet(), AbortIn::kUploadPhase);
 }
 
 TEST_F(FaultToleranceTest, NewBatchAfterAbortDropsStaleProgress) {

@@ -6,7 +6,9 @@
 // wrote must be refused, never dropped as a torn tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -82,8 +84,8 @@ class StoreDurabilityTest : public ::testing::Test {
   std::string dir_;
 };
 
-void apply_ops(Cluster& cluster, int count) {
-  for (int i = 0; i < count; ++i) {
+void apply_ops(Cluster& cluster, int count, int first = 0) {
+  for (int i = first; i < first + count; ++i) {
     switch (i % 4) {
       case 0:
         cluster.store_binary(make_binary(50 + static_cast<std::uint64_t>(i)),
@@ -250,6 +252,49 @@ TEST_F(StoreDurabilityTest, RecoveredClusterSurvivesCheckpointAndRestart) {
 
   expect_store_stats_equal(again.stats(), reference.stats());
   expect_serves_like(again, reference, kOps);
+}
+
+TEST_F(StoreDurabilityTest, FailedCheckpointWriteKeepsSnapshotAndWalTail) {
+  // A checkpoint whose snapshot cannot be written must fail loudly, publish
+  // nothing and keep the WAL: the old snapshot plus the log tail still
+  // recover every image.
+  ClusterOptions options = durable(1);
+  options.segment_store.segment_target_bytes = 1;  // a segment per chunk
+  const std::string wal = dir_ + "/shard-0/wal.log";
+  std::string blocked;
+  {
+    Cluster cluster(options);
+    apply_ops(cluster, 5);
+    cluster.checkpoint();
+    apply_ops(cluster, 3, 5);
+    // The snapshot's first new chunk rolls over to the next segment id:
+    // make that path a directory, so the segment cannot be opened.
+    std::uint64_t next_id = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.segment_store.dir)) {
+      const std::string name = entry.path().filename().string();
+      next_id = std::max<std::uint64_t>(next_id,
+                                        std::stoull(name.substr(4, 6)) + 1);
+    }
+    char name[32];
+    std::snprintf(name, sizeof(name), "/seg-%06llu.bsg",
+                  static_cast<unsigned long long>(next_id));
+    blocked = options.segment_store.dir + name;
+    std::filesystem::create_directory(blocked);
+    const auto wal_bytes = std::filesystem::file_size(wal);
+    ASSERT_GT(wal_bytes, 0u);
+    EXPECT_THROW(cluster.checkpoint(), std::runtime_error);
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+  }
+  std::filesystem::remove(blocked);
+
+  Cluster recovered(options);
+  ClusterOptions in_memory;
+  in_memory.shards = 1;
+  Cluster reference(in_memory);
+  apply_ops(reference, 8);
+  expect_store_stats_equal(recovered.stats(), reference.stats());
+  expect_serves_like(recovered, reference, 8);
 }
 
 TEST_F(StoreDurabilityTest, TornSegmentTailUnderASnapshotFailsRecovery) {

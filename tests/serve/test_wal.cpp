@@ -5,10 +5,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "index/serialize.hpp"
 #include "obs/metrics.hpp"
+#include "serve/shard.hpp"
 #include "util/byte_io.hpp"
 #include "util/hash.hpp"
 
@@ -244,15 +247,27 @@ TEST(WalReplay, ResetTruncatesTheLog) {
 }
 
 TEST(WalCodec, HistogramRoundTrips) {
+  // Global-op payloads are the shared idx::put_histogram codec.
   feat::ColorHistogram h;
   for (std::size_t i = 0; i < h.bins.size(); ++i) {
     h.bins[i] = static_cast<float>(i) * 0.25f;
   }
-  const feat::ColorHistogram back = decode_histogram(encode_histogram(h));
-  EXPECT_EQ(back.bins, h.bins);
-  auto bytes = encode_histogram(h);
-  bytes.push_back(0);
-  EXPECT_THROW(decode_histogram(bytes), util::DecodeError);
+  util::ByteWriter w;
+  idx::put_histogram(w, h);
+  const std::vector<std::uint8_t> bytes = w.take();
+  EXPECT_EQ(bytes.size(), feat::ColorHistogram::kBins * 4u);
+  util::ByteReader r(bytes);
+  EXPECT_EQ(idx::get_histogram(r).bins, h.bins);
+  EXPECT_TRUE(r.done());
+  util::ByteReader truncated(
+      std::span<const std::uint8_t>(bytes).first(bytes.size() - 1));
+  EXPECT_THROW(idx::get_histogram(truncated), util::DecodeError);
+  // A global record whose payload runs past its histogram is corrupt.
+  WalRecord record;
+  record.op = WalOp::kStoreGlobal;
+  record.payload = bytes;
+  record.payload.push_back(0);
+  EXPECT_THROW(Shard(0, ShardOptions{}).apply(record), util::DecodeError);
 }
 
 }  // namespace

@@ -102,7 +102,6 @@ TEST_F(SegmentStoreTest, ReopenRescansSegments) {
   {
     SegmentStore store(options);
     m = store.put_payload(payload);
-    store.flush();
   }
   SegmentStore reopened(options);
   for (const ChunkKey& key : m.chunks) EXPECT_TRUE(reopened.contains(key));
@@ -119,7 +118,6 @@ TEST_F(SegmentStoreTest, SegmentsRollAtTargetBytes) {
   SegmentStore store(options);
   for (int i = 0; i < 8; ++i) store.put(random_payload(2048, 100 + i));
   EXPECT_GT(store.stats().segments, 1u);
-  store.flush();
   std::size_t files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     (void)entry;
@@ -138,14 +136,14 @@ TEST_F(SegmentStoreTest, PinProtectsFromCompactionUnpinnedDropped) {
   const ChunkKey keep = store.put(keep_bytes);
   const ChunkKey drop = store.put(drop_bytes);
   store.put(random_payload(100, 9));  // seals drop's segment
-  store.pin(keep);
+  store.pin({keep});
 
   EXPECT_GT(store.compact(0.0), 0u);
   EXPECT_TRUE(store.contains(keep));
   EXPECT_EQ(store.get(keep), keep_bytes);
   EXPECT_FALSE(store.contains(drop));
   EXPECT_THROW(store.get(drop), util::DecodeError);
-  EXPECT_THROW(store.pin(drop), util::DecodeError);
+  EXPECT_THROW(store.pin({drop}), util::DecodeError);
   store.unpin(drop);  // unpin of an absent key is ignored
 }
 
@@ -163,7 +161,6 @@ TEST_F(SegmentStoreTest, PinnedChunksSurviveCompactionAndReopen) {
     for (int i = 0; i < 6; ++i) store.put(random_payload(700, 20 + i));
     store.compact(0.0);
     EXPECT_EQ(store.get_payload(m), payload);
-    store.flush();
   }
   SegmentStore reopened(options);
   reopened.pin(m.chunks);
@@ -222,11 +219,11 @@ TEST_F(SegmentStoreTest, CompactionFlushesMovedChunksBeforeDeletingVictim) {
   store.put(random_payload(900, 81));   // dead filler, same segment
   store.put(random_payload(4096, 82));  // pushes the segment past target
   store.put(random_payload(100, 83));   // rolls over, sealing the victim
-  store.pin(keep);
+  store.pin({keep});
   EXPECT_GT(store.compact(0.5), 0u);  // moves `keep` into the open segment
 
   // Snapshot the directory as a crash right after compaction would leave
-  // it — no flush() call, the writing store still open.  The moved chunk
+  // it, the writing store still open.  The moved chunk
   // must already be on disk: its only other copy was just deleted.
   const std::string crash_dir = dir_ + "_crash";
   std::filesystem::remove_all(crash_dir);
@@ -296,6 +293,43 @@ TEST_F(SegmentStoreTest, StatsTrackRawAndStoredBytes) {
   EXPECT_EQ(stats.dead_bytes, 0u);
   // Compressible data stores smaller than raw.
   EXPECT_LT(stats.live_bytes, stats.raw_bytes);
+}
+
+TEST_F(SegmentStoreTest, PutAcrossFailedSegmentOpenThrowsAndKeepsNothing) {
+  SegmentStoreOptions options;
+  options.dir = dir_;
+  options.segment_target_bytes = 1;  // every record rolls to a new segment
+  const auto a = random_payload(500, 90);
+  const auto b = random_payload(500, 91);
+  const ChunkKey kb = build_manifest(b, options.chunk_size).chunks[0];
+  ChunkKey ka;
+  {
+    SegmentStore store(options);
+    ka = store.put(a);  // fills seg-000000; the next record rolls over
+    const std::string blocked = dir_ + "/seg-000001.bsg";
+    std::filesystem::create_directory(blocked);
+    EXPECT_THROW(store.put_payload_pinned(b), std::runtime_error);
+    EXPECT_FALSE(store.contains(kb));
+    EXPECT_EQ(store.stats().live_bytes, 0u);  // no pin left behind
+    EXPECT_THROW(store.put(b), std::runtime_error);  // still blocked
+
+    // Once the path is free the store writes again.
+    std::filesystem::remove(blocked);
+    EXPECT_EQ(store.put(b), kb);
+    EXPECT_EQ(store.get(kb), b);
+  }
+  SegmentStore reopened(options);
+  EXPECT_EQ(reopened.get(ka), a);
+  EXPECT_EQ(reopened.get(kb), b);
+}
+
+TEST_F(SegmentStoreTest, PinOfKeysIsAllOrNothing) {
+  SegmentStore store({});
+  const ChunkKey present = store.put(random_payload(500, 92));
+  const ChunkKey absent =
+      build_manifest(random_payload(500, 93), store.chunk_size()).chunks[0];
+  EXPECT_THROW(store.pin({present, absent}), util::DecodeError);
+  EXPECT_EQ(store.stats().live_bytes, 0u);
 }
 
 }  // namespace

@@ -73,7 +73,6 @@ TEST_F(StoreCorruptionTest, FlippedRawChunkFailsChecksumOnGet) {
     // Random bytes are incompressible, so the body is stored raw and a
     // single bit flip maps directly onto the chunk payload.
     key = store.put(random_payload(900, 1));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -93,7 +92,6 @@ TEST_F(StoreCorruptionTest, FlippedCompressedChunkFailsOnGet) {
   {
     SegmentStore store(options);
     key = store.put(std::vector<std::uint8_t>(4096, 0xAB));  // compresses
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -117,7 +115,6 @@ TEST_F(StoreCorruptionTest, TruncatedTailDropsOnlyTheTornRecord) {
     SegmentStore store(options);
     first = store.put(first_bytes);
     second = store.put(random_payload(600, 3));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -140,7 +137,6 @@ TEST_F(StoreCorruptionTest, TailShorterThanRecordHeaderIsTruncated) {
   {
     SegmentStore store(options);
     key = store.put(random_payload(500, 4));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -188,7 +184,6 @@ TEST_F(StoreCorruptionTest, BadSegmentMagicRejectedOnOpen) {
   {
     SegmentStore store(options);
     store.put(random_payload(100, 8));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -202,7 +197,6 @@ TEST_F(StoreCorruptionTest, UnknownSegmentVersionRejectedOnOpen) {
   {
     SegmentStore store(options);
     store.put(random_payload(100, 9));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
@@ -217,7 +211,6 @@ TEST_F(StoreCorruptionTest, StraySegmentLookalikeFileIsSkippedOnOpen) {
   {
     SegmentStore store(options);
     key = store.put(random_payload(300, 11));
-    store.flush();
   }
   // A 14-char name shaped like a segment but with a non-digit id must not
   // reach std::stoull (which would throw std::invalid_argument, an
@@ -235,7 +228,6 @@ TEST_F(StoreCorruptionTest, GarbageRecordHeaderTreatedAsTornTail) {
   {
     SegmentStore store(options);
     key = store.put(random_payload(400, 10));
-    store.flush();
   }
   const auto files = segment_files();
   ASSERT_EQ(files.size(), 1u);
