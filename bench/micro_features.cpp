@@ -39,6 +39,7 @@
 #include "submodular/ssmm.hpp"
 #include "util/rng.hpp"
 #include "workload/image_store.hpp"
+#include "workload/imageset.hpp"
 
 namespace {
 
@@ -269,6 +270,23 @@ void BM_DetectFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectFast);
+
+/// ORB on what perfbench's capture phase and the fleet's devices extract:
+/// disaster-like 320x240 captures, shrunk by EAC at 0.16 to 269x202.  Each
+/// iteration extracts one bitmap, cycling through a batch of 8.
+void BM_DisasterCaptureOrb(benchmark::State& state) {
+  std::vector<img::Image> bitmaps;
+  for (const wl::ImageSpec& spec :
+       wl::make_disaster_like(8, 0, 320, 240, 1).images) {
+    bitmaps.push_back(img::bitmap_compress(spec.render(), 0.16));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        feat::extract_orb(bitmaps[i++ % bitmaps.size()]));
+  }
+}
+BENCHMARK(BM_DisasterCaptureOrb);
 
 constexpr int kMatchReps = 7;
 constexpr int kMatchCallsPerRep = 8;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 namespace bees::feat {
 
@@ -63,6 +66,60 @@ float segment_score(const std::uint8_t* p, const CircleOffsets& off, int t) {
   return 0;
 }
 
+/// Whether the circle pixels more than `t` brighter, or those more than
+/// `t` darker, than the centre `p` hold a circular run of 9.  For t >= 0
+/// these are segment_score's +1 and -1 states, and every pixel in a run
+/// adds at least 1 to the arc sum, so segment_score is positive exactly
+/// when this holds.
+bool has_arc9(const std::uint8_t* p, const CircleOffsets& off, int t) {
+  const int center = *p;
+  std::uint32_t brighter = 0, darker = 0;
+  for (std::size_t i = 0; i < off.size(); ++i) {
+    const int d = p[off[i]] - center;
+    brighter |= std::uint32_t{d > t} << i;
+    darker |= std::uint32_t{d < -t} << i;
+  }
+  const auto run9 = [](std::uint32_t bits) {
+    const std::uint32_t twice = bits | bits << 16;  // runs may wrap
+    std::uint32_t run = twice & twice >> 1;  // bit i: bits i..i+1 all set
+    run &= run >> 2;                         // i..i+3
+    run &= run >> 4;                         // i..i+7
+    return (run & twice >> 8) != 0;          // i..i+8
+  };
+  return run9(brighter) || run9(darker);
+}
+
+/// Sixteen gray pixels, one per byte lane.  GCC vector extensions lower
+/// these to SSE2 on x86-64 and NEON on AArch64, both baseline, so the
+/// pre-test needs no runtime dispatch.  A comparison yields 0 or -1 lanes.
+using Bytes16 = std::uint8_t __attribute__((vector_size(16)));
+using Mask16 = std::int8_t __attribute__((vector_size(16)));
+
+Bytes16 load16(const std::uint8_t* p) {
+  Bytes16 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// The compass pre-test of the 16 pixels from `p`: lane k is -1 where at
+/// least 2 of pixel k's 4 compass points are more than t brighter, or 2
+/// more than t darker, than it.  `tv` holds t, 0 <= t <= 255, in every
+/// lane.
+Mask16 compass_pass16(const std::uint8_t* p, std::ptrdiff_t north,
+                      std::ptrdiff_t east, std::ptrdiff_t south,
+                      std::ptrdiff_t west, Bytes16 tv) {
+  const Bytes16 c = load16(p);
+  // v - c > t iff v > c + t, unless c + t wraps past 255 and no v can be;
+  // c - v > t iff v < c - t, unless c - t wraps below 0 and none can be.
+  const Bytes16 hi = c + tv, lo = c - tv;
+  const Bytes16 vn = load16(p + north), ve = load16(p + east),
+                vs = load16(p + south), vw = load16(p + west);
+  // Minus the number of brighter and of darker compass points.
+  const Mask16 brighter = (vn > hi) + (ve > hi) + (vs > hi) + (vw > hi);
+  const Mask16 darker = (vn < lo) + (ve < lo) + (vs < lo) + (vw < lo);
+  return ((brighter <= -2) & (hi >= c)) | ((darker <= -2) & (lo <= c));
+}
+
 /// Harris measure over the 7x7 window around a pixel; `px(dx, dy)` reads
 /// the pixel at that offset from it.
 template <class Pixel>
@@ -93,61 +150,88 @@ std::vector<Keypoint> detect_fast(const img::Image& gray,
   const int b = std::max(params.border, 3);
   if (gray.width() <= 2 * b || gray.height() <= 2 * b) return out;
 
-  // Response map for non-max suppression (0 = not a corner).
+  // Response map for non-max suppression (0 = not a corner), and the
+  // indices of its non-zero entries in scan order.
   const int w = gray.width(), h = gray.height(), ch = gray.channels();
   std::vector<float> response(static_cast<std::size_t>(w) * h, 0.0f);
+  std::vector<std::size_t> scored;
   const CircleOffsets off = circle_offsets(gray);
   const std::ptrdiff_t north = off[0], east = off[4], south = off[8],
                        west = off[12];
   const int t = params.threshold;
+  // Gray rows are pre-tested 16 pixels per step when t fits a byte.
+  const bool wide = ch == 1 && t >= 0 && t <= 255;
+  const Bytes16 tv = Bytes16{} + static_cast<std::uint8_t>(t);
   std::uint64_t work = 0;
+  const auto record = [&](std::size_t i, float score) {
+    if (score > 0) {
+      response[i] = score;
+      scored.push_back(i);
+    }
+  };
   for (int y = b; y < h - b; ++y) {
-    const std::uint8_t* p = gray.data().data() +
-                            (static_cast<std::size_t>(y) * w + b) * ch;
-    float* resp = response.data() + static_cast<std::size_t>(y) * w;
-    for (int x = b; x < w - b; ++x, p += ch) {
+    const std::size_t row = static_cast<std::size_t>(y) * w;
+    const std::uint8_t* p = gray.data().data() + row * ch;
+    int x = b;
+    for (; wide && x + 16 <= w - b; x += 16) {
+      work += 8 * 16;
+      // Lane k of the pass mask lands in byte k of `lanes`.
+      static_assert(std::endian::native == std::endian::little);
+      std::uint64_t lanes[2];
+      const Mask16 pass = compass_pass16(p + x, north, east, south, west, tv);
+      std::memcpy(lanes, &pass, sizeof lanes);
+      for (int half = 0; half < 2; ++half) {
+        // One set bit per passing lane: the top bit of its byte.
+        for (std::uint64_t m = lanes[half] & 0x8080808080808080ull; m != 0;
+             m &= m - 1) {
+          const int xi = x + 8 * half + (std::countr_zero(m) >> 3);
+          work += 64;
+          if (has_arc9(p + xi, off, t)) {
+            record(row + xi, segment_score(p + xi, off, t));
+          }
+        }
+      }
+    }
+    for (; x < w - b; ++x) {
       // Quick rejection for the 9-contiguous test: an arc of >= 9 pixels
       // must contain at least 2 of the 4 compass points with the same
       // sign (the 3-of-4 variant is only valid for FAST-12).
-      const int c = *p;
-      const int vn = p[north], ve = p[east], vs = p[south], vw = p[west];
+      const std::uint8_t* q = p + static_cast<std::size_t>(x) * ch;
+      const int c = *q;
+      const int vn = q[north], ve = q[east], vs = q[south], vw = q[west];
       const int brighter =
           (vn - c > t) + (ve - c > t) + (vs - c > t) + (vw - c > t);
       const int darker =
           (c - vn > t) + (c - ve > t) + (c - vs > t) + (c - vw > t);
       work += 8;
       if (brighter < 2 && darker < 2) continue;
-      const float score = segment_score(p, off, t);
       work += 64;
-      if (score > 0) resp[x] = score;
+      record(row + x, segment_score(q, off, t));
     }
   }
 
-  for (int y = b; y < h - b; ++y) {
-    const float* row = response.data() + static_cast<std::size_t>(y) * w;
-    for (int x = b; x < w - b; ++x) {
-      const float r = row[x];
-      if (r <= 0) continue;
-      if (params.nonmax_suppression) {
-        bool is_max = true;
-        for (int dy = -1; dy <= 1 && is_max; ++dy) {
-          const float* nb = row + static_cast<std::ptrdiff_t>(dy) * w + x;
-          for (int dx = -1; dx <= 1; ++dx) {
-            if (dx == 0 && dy == 0) continue;
-            if (nb[dx] > r) {
-              is_max = false;
-              break;
-            }
+  for (const std::size_t i : scored) {
+    const float r = response[i];
+    if (params.nonmax_suppression) {
+      bool is_max = true;
+      for (int dy = -1; dy <= 1 && is_max; ++dy) {
+        const float* nb =
+            response.data() + i + static_cast<std::ptrdiff_t>(dy) * w;
+        for (int dx = -1; dx <= 1; ++dx) {
+          if (dx == 0 && dy == 0) continue;
+          if (nb[dx] > r) {
+            is_max = false;
+            break;
           }
         }
-        if (!is_max) continue;
       }
-      Keypoint kp;
-      kp.x = static_cast<float>(x);
-      kp.y = static_cast<float>(y);
-      kp.response = r;
-      out.push_back(kp);
+      if (!is_max) continue;
     }
+    Keypoint kp;
+    kp.x = static_cast<float>(i % static_cast<std::size_t>(w));
+    kp.y = static_cast<float>(i / static_cast<std::size_t>(w));
+    kp.response = r;
+    out.push_back(kp);
   }
   if (ops) *ops += work;
   return out;

@@ -1,8 +1,10 @@
 #include "features/orb.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "features/fast.hpp"
 #include "imaging/transform.hpp"
@@ -12,84 +14,126 @@ namespace bees::feat {
 
 namespace {
 
+/// The BRIEF pattern is drawn for a 31x31 patch and its test points are
+/// clipped to kBriefClip pixels on each axis.
+constexpr int kBriefRadius = 15;
+constexpr int kBriefClip = kBriefRadius - 2;
+/// A rotated test point lies within kBriefClip * sqrt(2) < 18.5 pixels of
+/// the keypoint, so each rounded offset is at most this many pixels.
+constexpr int kBriefReach = 18;
+static_assert(4 * 2 * kBriefClip * kBriefClip <
+              (2 * kBriefReach + 1) * (2 * kBriefReach + 1));
+
 /// The 256 BRIEF test pairs.  Generated once, deterministically, from a
 /// fixed seed with the Gaussian(0, patch/5) sampling of the original BRIEF
-/// paper, clipped to the patch.
+/// paper, clipped to the patch.  Test i compares point (x[i], y[i]) with
+/// point (x[256 + i], y[256 + i]); the coordinates are small integers,
+/// held as floats for the rotation.
 struct BriefPattern {
-  std::array<std::int8_t, 256> x1, y1, x2, y2;
+  std::array<float, 512> x, y;
 
-  explicit BriefPattern(int radius) {
+  BriefPattern() {
     util::Rng rng(0x0b5e55ed5eedULL);  // fixed: pattern is part of the format
-    const double sigma = radius / 2.5;
+    const double sigma = kBriefRadius / 2.5;
     auto sample = [&]() {
       const double v = rng.normal(0.0, sigma);
-      return static_cast<std::int8_t>(std::clamp(
-          static_cast<int>(std::lround(v)), -(radius - 2), radius - 2));
+      return static_cast<float>(std::clamp(static_cast<int>(std::lround(v)),
+                                            -kBriefClip, kBriefClip));
     };
-    for (int i = 0; i < 256; ++i) {
-      x1[static_cast<std::size_t>(i)] = sample();
-      y1[static_cast<std::size_t>(i)] = sample();
-      x2[static_cast<std::size_t>(i)] = sample();
-      y2[static_cast<std::size_t>(i)] = sample();
+    for (std::size_t i = 0; i < 256; ++i) {
+      x[i] = sample();
+      y[i] = sample();
+      x[256 + i] = sample();
+      y[256 + i] = sample();
     }
   }
 };
 
-const BriefPattern& pattern_for_radius15() {
-  static const BriefPattern p(15);
+const BriefPattern& brief_pattern() {
+  static const BriefPattern p;
   return p;
 }
 
 /// std::lround of a rotated BRIEF offset.  The offset is a float of
 /// magnitude below 2^5, so d +/- 0.5 in double is exact (or, for a float
 /// too small for that, still strictly between -1 and 1), and truncating it
-/// rounds half away from zero.
+/// rounds half away from zero.  copysign picks the sign without a branch
+/// (for -0.0 it subtracts, which still truncates to 0).
 int round_half_away(float v) noexcept {
   const double d = v;
-  return static_cast<int>(d < 0 ? d - 0.5 : d + 0.5);
+  return static_cast<int>(d + std::copysign(0.5, d));
+}
+
+/// The 256 tests of one keypoint; `px(k)` reads the pixel under test
+/// point k.  Test 64w + j sets bit j of word w, the bit set_bit(64w + j)
+/// sets.
+template <class Pixel>
+Descriptor256 brief_tests(Pixel px) {
+  Descriptor256 d;
+  for (std::size_t word = 0; word < 4; ++word) {
+    std::uint64_t bits = 0;
+    for (std::size_t j = 0; j < 64; ++j) {
+      const std::size_t i = word * 64 + j;
+      bits |= std::uint64_t{px(i) < px(256 + i)} << j;
+    }
+    d.bits[word] = bits;
+  }
+  return d;
 }
 
 Descriptor256 steered_brief(const img::Image& gray, const Keypoint& kp,
                             int cx, int cy, std::uint64_t* ops) {
-  const BriefPattern& pat = pattern_for_radius15();
+  const BriefPattern& pat = brief_pattern();
   const float cosa = std::cos(kp.angle);
   const float sina = std::sin(kp.angle);
-  Descriptor256 d;
-  for (int i = 0; i < 256; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    // Rotate both test points by the keypoint orientation (steered BRIEF).
-    const int ax =
-        cx + round_half_away(cosa * pat.x1[idx] - sina * pat.y1[idx]);
-    const int ay =
-        cy + round_half_away(sina * pat.x1[idx] + cosa * pat.y1[idx]);
-    const int bx =
-        cx + round_half_away(cosa * pat.x2[idx] - sina * pat.y2[idx]);
-    const int by =
-        cy + round_half_away(sina * pat.x2[idx] + cosa * pat.y2[idx]);
-    if (gray.at_clamped(ax, ay) < gray.at_clamped(bx, by)) d.set_bit(i);
+  // Rotate every test point by the keypoint orientation (steered BRIEF)
+  // and round it to a pixel offset, all 512 points in one pass.
+  std::array<int, 512> dx, dy;
+  for (std::size_t k = 0; k < 512; ++k) {
+    dx[k] = round_half_away(cosa * pat.x[k] - sina * pat.y[k]);
+    dy[k] = round_half_away(sina * pat.x[k] + cosa * pat.y[k]);
   }
   if (ops) *ops += 256 * 8;
-  return d;
+  if (cx >= kBriefReach && cy >= kBriefReach &&
+      cx + kBriefReach < gray.width() && cy + kBriefReach < gray.height()) {
+    // Every test point lies inside the image: read it directly.
+    const std::ptrdiff_t ch = gray.channels();
+    const std::ptrdiff_t stride = gray.width() * ch;
+    const std::uint8_t* p = gray.data().data() + (cy * stride + cx * ch);
+    return brief_tests(
+        [&](std::size_t k) { return p[dy[k] * stride + dx[k] * ch]; });
+  }
+  return brief_tests([&](std::size_t k) {
+    return gray.at_clamped(cx + dx[k], cy + dy[k]);
+  });
 }
 
 /// First moments of the circular patch of the given radius, walked row by
 /// row between each row's end points; `px(dx, dy)` reads the pixel at that
-/// offset from the centre.
+/// offset from the centre.  The moments are summed in integers and
+/// converted once.  Summed in double, one product dx * v or dy * v at a
+/// time (tests/reference), every partial sum is an integer of magnitude at
+/// most 255 * r * (2r + 1)^2, below 2^53 for any r under 10^4, so those
+/// sums are exact and atan2 receives the same operands.
 template <class Pixel>
 float centroid_angle(Pixel px, int radius) {
-  double m10 = 0, m01 = 0;
+  std::int64_t m10 = 0, m01 = 0;
   const int r2 = radius * radius;
   for (int dy = -radius; dy <= radius; ++dy) {
     // The row holds exactly the dx with dx * dx + dy * dy <= r2.
     int half = radius;
     while (half * half + dy * dy > r2) --half;
+    std::int64_t sum = 0, moment = 0;
     for (int dx = -half; dx <= half; ++dx) {
-      const double v = px(dx, dy);
-      m10 += dx * v;
-      m01 += dy * v;
+      const int v = px(dx, dy);
+      sum += v;
+      moment += dx * v;
     }
+    m10 += moment;
+    m01 += dy * sum;
   }
-  return static_cast<float>(std::atan2(m01, m10));
+  return static_cast<float>(
+      std::atan2(static_cast<double>(m01), static_cast<double>(m10)));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // too, and extract_orb's output on fixed scenes is pinned by digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,12 +59,21 @@ void expect_same_features(const BinaryFeatures& got,
 
 TEST(OrbOracle, DetectFastMatchesReference) {
   std::uint64_t seed = 1;
-  for (const auto& [w, h] : {std::pair{7, 7}, std::pair{13, 10},
-                             std::pair{41, 37}, std::pair{97, 61},
-                             std::pair{269, 202}}) {
+  // Gray rows are pre-tested 16 pixels per step and finished one by one;
+  // the sizes from 21x37 on scan interiors, w - 2 * max(border, 3), of
+  // 15-17 and 31-33 pixels (border 0 or 3 from 21 to 39 wide, border 16
+  // from 47 to 65), so each edge of that split is crossed.  Thresholds
+  // outside 0-255 take the one-by-one path throughout.
+  for (const auto& [w, h] :
+       {std::pair{7, 7}, std::pair{13, 10}, std::pair{41, 37},
+        std::pair{97, 61}, std::pair{269, 202}, std::pair{21, 37},
+        std::pair{22, 37}, std::pair{23, 37}, std::pair{37, 37},
+        std::pair{38, 37}, std::pair{39, 37}, std::pair{47, 40},
+        std::pair{48, 40}, std::pair{49, 40}, std::pair{63, 40},
+        std::pair{64, 40}, std::pair{65, 40}}) {
     for (int ch : {1, 3}) {
       const img::Image im = random_image(w, h, ch, seed++);
-      for (int threshold : {5, 20, 40}) {
+      for (int threshold : {-1, 0, 1, 5, 20, 40, 127, 128, 254, 255, 300}) {
         for (int border : {0, 3, 16}) {
           for (bool nms : {true, false}) {
             FastParams p;
@@ -136,24 +147,32 @@ TEST(OrbOracle, ExtractOrbMatchesReference) {
   OrbParams dense;
   dense.max_features = 2000;
   dense.fast_threshold = 10;
-  // Rotated BRIEF pairs reach up to 13 * sqrt(2) pixels from a keypoint
-  // that FAST keeps 16 pixels from the border, so keypoints within 19
-  // pixels of an edge test pairs that the clamped read folds back.
-  std::size_t near_border = 0;
+  // Rotated BRIEF offsets reach 18 pixels (13 * sqrt(2), rounded), so
+  // steered BRIEF reads a keypoint's test pixels directly when it lies 18
+  // or more pixels from every edge (x >= 18 and x + 18 < width) and
+  // through the clamped read otherwise; FAST keeps keypoints 16 pixels
+  // from the border.  Level-0 keypoints 17 to 20 pixels from their
+  // nearest edge must occur, on both sides of that bound.
+  std::array<std::size_t, 4> at_edge_distance{};  // 17, 18, 19, 20
   for (const img::Image& im : images) {
     for (const OrbParams& params : {OrbParams{}, dense}) {
       const BinaryFeatures want = ref::extract_orb(im, params);
       expect_same_features(extract_orb(im, params), want, shape(im));
       for (const Keypoint& kp : want.keypoints) {
-        if (kp.level == 0 && (kp.x < 19 || kp.y < 19 ||
-                              kp.x > static_cast<float>(im.width() - 20) ||
-                              kp.y > static_cast<float>(im.height() - 20))) {
-          ++near_border;
+        if (kp.level != 0) continue;
+        const int x = static_cast<int>(kp.x), y = static_cast<int>(kp.y);
+        const int edge = std::min(
+            {x, y, im.width() - 1 - x, im.height() - 1 - y});
+        if (edge >= 17 && edge <= 20) {
+          ++at_edge_distance[static_cast<std::size_t>(edge - 17)];
         }
       }
     }
   }
-  EXPECT_GT(near_border, 0u);
+  for (std::size_t i = 0; i < at_edge_distance.size(); ++i) {
+    EXPECT_GT(at_edge_distance[i], 0u)
+        << "no level-0 keypoint " << 17 + i << " pixels from an edge";
+  }
 }
 
 TEST(OrbOracle, ExtractOrbAfterBitmapCompressionMatchesReference) {

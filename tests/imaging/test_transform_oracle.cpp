@@ -37,6 +37,17 @@ const std::vector<std::pair<int, int>>& shapes() {
   return s;
 }
 
+// The kernels and the reference loops both round a * b + c twice, as the
+// source reads.  A build that fuses it into one FMA rounding (GCC's
+// default in C++ wherever the target has FMA) moves output bits, which
+// the build rules out with -ffp-contract=off.  The inputs are read through
+// volatile so the compiler cannot fold the expression.
+TEST(TransformOracle, MultiplyAddRoundsTwice) {
+  volatile double one = 1.0, eps = 0x1p-30;
+  const double a = one + eps, b = one + eps, c = -one;
+  EXPECT_EQ(a * b + c, 0x1p-29);  // an FMA gives 2^-29 + 2^-60
+}
+
 TEST(TransformOracle, ToGrayMatchesReference) {
   std::uint64_t seed = 1;
   for (const auto& [w, h] : shapes()) {
