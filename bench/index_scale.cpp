@@ -135,11 +135,11 @@ struct Result {
 };
 
 int main_impl(bool smoke) {
-  // The million-image configuration: per-descriptor LSH tables are off
-  // (their memory is O(descriptors x tables)); candidate generation is the
-  // ANN front end alone, with a 16^3 = 4096-leaf vocabulary.
+  // The million-image configuration: candidate generation is the ANN
+  // front end alone, with a 16^3 = 4096-leaf vocabulary, so the index
+  // keeps no per-descriptor LSH tables (their memory is
+  // O(descriptors x tables)).
   idx::FeatureIndexParams params;
-  params.enable_descriptor_lsh = false;
   params.ann.enabled = true;
   params.ann.vocabulary.branching = 16;
   params.ann.vocabulary.depth = 3;

@@ -2,8 +2,9 @@
 // at (shards, server threads) = (1,1), (2,2), (4,4), driven by concurrent
 // client threads.  Reports queries/second and the speedup over the 1/1
 // serial configuration.  Every request takes the production path:
-// admission gate, worker pool, cloud::dispatch, and the cluster's binary
-// fan-out.
+// admission gate, execution permit, cloud::dispatch, and the cluster's
+// binary fan-out.  The cluster serves each request on its caller's
+// thread, so the client threads are the serving threads.
 //
 // The full run repeats every configuration 5 times, interleaved so a drift
 // in host speed spreads over all of them, and reports the median qps with
@@ -15,20 +16,21 @@
 // <dir>/BENCH_serving.json alongside the core count that produced them.
 //
 // Every timed run follows one untimed pass of the same requests through the
-// same cluster, so the timing starts from warm workers and caches.  The
-// client threads are started before the clock and released together, so
-// the timed window holds serving only, and they claim requests from one
-// shared counter, so no client is left holding a costlier fixed share
-// while the others idle.
+// same cluster on the same client threads, so the timing starts from warm
+// threads and caches.  The clients meet at a barrier before each pass; its
+// completion step runs once all of them have arrived, resets the request
+// counter and reads the clock before it releases them, so the timed window
+// holds serving only.  Clients claim requests from that shared counter, so
+// no client is left holding a costlier fixed share while the others idle.
 //
 // Usage: serving_throughput [--smoke]   (--smoke cuts the request count and
 // runs each configuration once so the perfsmoke ctest label can verify the
 // bench end-to-end in ~a second)
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,37 +76,37 @@ double run_config(const Config& config,
                         11'000.0);
   }
 
-  // Seconds from the clients' release until every request is answered.
-  const auto serve_all = [&] {
-    std::atomic<std::size_t> next{0};
-    std::latch ready(client_threads);
-    std::latch go(1);
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<std::size_t>(client_threads));
-    for (int c = 0; c < client_threads; ++c) {
-      clients.emplace_back([&] {
-        ready.count_down();
-        go.wait();
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < requests.size();
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          cluster.handle(requests[i]);
-        }
-      });
+  std::atomic<std::size_t> next{0};
+  const auto serve_pass = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < requests.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      cluster.handle(requests[i]);
     }
-    ready.wait();
-    const auto start = std::chrono::steady_clock::now();
-    go.count_down();
-    for (auto& t : clients) t.join();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
   };
-  // One untimed pass first: the workers' first requests pay for page
+  // The second release's clock reading starts the timed pass.
+  std::chrono::steady_clock::time_point start;
+  std::barrier release(client_threads, [&]() noexcept {
+    next.store(0, std::memory_order_relaxed);
+    start = std::chrono::steady_clock::now();
+  });
+  // The untimed pass first: the threads' first requests pay for page
   // faults and cold caches, which at the smoke's 32 requests is a large
   // share of the timed window.
-  serve_all();
-  const double seconds = serve_all();
+  std::vector<std::thread> clients;
+  clients.reserve(static_cast<std::size_t>(client_threads));
+  for (int c = 0; c < client_threads; ++c) {
+    clients.emplace_back([&] {
+      for (int pass = 0; pass < 2; ++pass) {
+        release.arrive_and_wait();
+        serve_pass();
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   return seconds > 0.0 ? static_cast<double>(requests.size()) / seconds : 0.0;
 }
 
@@ -132,8 +134,8 @@ int main_impl(bool smoke) {
   std::vector<std::vector<double>> qps(configs.size());
   for (int rep = 0; rep < kReps; ++rep) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      // Client-side concurrency matches the server's worker count (the 1/1
-      // baseline is the serial reference: one client, one worker).
+      // Client-side concurrency matches the cluster's permit count (the 1/1
+      // baseline is the serial reference: one client, one permit).
       qps[c].push_back(run_config(configs[c], seeds, requests,
                                   std::max(1, configs[c].threads)));
     }

@@ -1,5 +1,5 @@
 // Deterministic virtual-time model of the serving cluster's admission gate
-// and worker pool: `servers` parallel servers behind a bounded
+// and execution permits: `servers` parallel servers behind a bounded
 // first-come-first-served queue.  The fleet simulator resolves shedding and
 // queueing delay here, in simulated time, instead of observing the real
 // cluster's gate — real thread scheduling would make shed decisions (and

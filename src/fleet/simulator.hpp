@@ -85,7 +85,7 @@ struct FleetOptions {
 
   // Serving layer.
   int shards = 1;
-  int server_threads = 1;     ///< Virtual servers; real cluster threads.
+  int server_threads = 1;     ///< Virtual servers; real cluster permits.
   std::size_t queue_depth = 64;  ///< Admission bound (virtual gate).
   /// Coalescing window: admitted query runs are grouped into batches of at
   /// most this many requests *in virtual arrival order* and served through

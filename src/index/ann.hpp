@@ -35,7 +35,7 @@
 namespace bees::idx {
 
 struct AnnParams {
-  /// Master switch; off keeps the exact LSH-vote candidate path.
+  /// Master switch: on replaces the exact LSH-vote candidate path.
   bool enabled = false;
   /// MinHash bands probed per query; each band holds `rows` sketch minima.
   int bands = 8;

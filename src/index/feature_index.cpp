@@ -91,10 +91,11 @@ FeatureIndex::FeatureIndex(const FeatureIndexParams& params)
 ImageId FeatureIndex::insert(feat::BinaryFeatures features,
                              const GeoTag& geo) {
   const auto id = static_cast<ImageId>(images_.size());
-  if (params_.enable_descriptor_lsh) {
+  if (ann_) {
+    ann_->insert(id, features.descriptors);
+  } else {
     for (const auto& d : features.descriptors) lsh_.insert(d, id);
   }
-  if (ann_) ann_->insert(id, features.descriptors);
   descriptor_count_ += features.descriptors.size();
   wire_bytes_ += features.wire_bytes();
   images_.push_back({std::move(features), geo});
@@ -161,10 +162,11 @@ std::vector<std::pair<ImageId, std::uint32_t>> FeatureIndex::candidates(
     const feat::BinaryFeatures& query_features) const {
   if (images_.empty() || query_features.empty()) return {};
   std::vector<std::uint32_t> scores(images_.size(), 0);
-  if (ann_) ann_->collect(query_features.descriptors, scores);
-  // LSH voting: every query descriptor votes for owners of colliding
-  // stored descriptors (the tables are empty when descriptor LSH is off).
-  if (params_.enable_descriptor_lsh) {
+  if (ann_) {
+    ann_->collect(query_features.descriptors, scores);
+  } else {
+    // LSH voting: every query descriptor votes for owners of colliding
+    // stored descriptors.
     lsh_.vote(query_features.descriptors, scores);
   }
   return top_scored(scores, candidate_budget(params_));

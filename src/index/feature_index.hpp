@@ -25,12 +25,9 @@ class ThreadPool;
 namespace bees::idx {
 
 struct FeatureIndexParams {
+  /// Descriptor-level LSH tables: the exact-vote candidate path, built
+  /// only while `ann.enabled` is off.
   LshParams lsh;
-  /// Descriptor-level LSH tables: the exact-vote candidate path, and a
-  /// score refiner for the ANN shortlist when `ann.enabled`.  Off saves the
-  /// per-descriptor bucket storage at million-image scale; with it off,
-  /// `ann.enabled` must be on for query() to see any candidates.
-  bool enable_descriptor_lsh = true;
   /// ANN candidate-pruning front end (MinHash banding + vocabulary
   /// routing); see index/ann.hpp.
   AnnParams ann;
@@ -41,8 +38,8 @@ struct FeatureIndexParams {
   /// Worker threads for the exact-rescore stage: 1 = serial (no pool),
   /// 0 = hardware concurrency, n = n threads.  Any other setting than 1
   /// gives the index its own pool, created with it.  Serial is the default
-  /// because a server's request workers already fill the cores; one long
-  /// query with nothing else running is what a pool speeds up.  Results
+  /// because a server's callers already fill the cores; one long query
+  /// with nothing else running is what a pool speeds up.  Results
   /// are identical for every setting — the candidate partition is static
   /// and per-candidate results are merged in candidate order.
   int rescore_threads = 1;
@@ -77,8 +74,7 @@ class FeatureIndex {
   /// Phase 1 of a query: the top candidate_budget(params) stored images,
   /// ranked (score desc, id asc).  The score is the image's LSH collision
   /// votes on the exact path; with `params.ann.enabled` it is band
-  /// collisions * 8 + shared words (+ deduplicated LSH votes
-  /// when the index keeps descriptor LSH tables).  Scores are pure
+  /// collisions * 8 + shared words.  Scores are pure
   /// per-(query, image) functions and the order is total, so the candidate
   /// set is a pure function of the scores: the global top-N by
   /// (score, id) is always contained in the union of each shard's local

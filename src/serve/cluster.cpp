@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <future>
 #include <stdexcept>
 
 #include "cloud/rpc.hpp"
@@ -26,9 +25,23 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Runs `fn` when the scope exits, by whichever path.
+template <typename Fn>
+class OnExit {
+ public:
+  explicit OnExit(Fn fn) : fn_(std::move(fn)) {}
+  ~OnExit() { fn_(); }
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+
+ private:
+  Fn fn_;
+};
+
 }  // namespace
 
-Cluster::Cluster(const ClusterOptions& options) : options_(options) {
+Cluster::Cluster(const ClusterOptions& options)
+    : options_(options), permits_(std::max(1, options.threads)) {
   const int n = std::max(1, options_.shards);
   options_.shards = n;
   if (options_.segment_store.dir.empty() && !options_.data_dir.empty()) {
@@ -84,9 +97,6 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   }
   next_binary_gid_ = static_cast<std::uint32_t>(binary_locations_.size());
   next_float_gid_ = static_cast<std::uint32_t>(float_locations_.size());
-
-  pool_ = std::make_unique<util::ThreadPool>(
-      static_cast<std::size_t>(std::max(1, options_.threads)));
 }
 
 std::size_t Cluster::route(const idx::GeoTag& geo, std::uint32_t gid) const {
@@ -104,22 +114,19 @@ std::vector<std::uint8_t> Cluster::handle(
     const std::vector<std::uint8_t>& request) {
   const std::size_t depth =
       pending_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (depth > options_.queue_depth) {
+  const OnExit leave([this] {
     pending_.fetch_sub(1, std::memory_order_acq_rel);
+  });
+  if (depth > options_.queue_depth) {
     shed_.fetch_add(1, std::memory_order_relaxed);
     obs::count("serve.shed");
     return net::encode_error(kShedErrorMessage);
   }
   obs::gauge("serve.queue.depth", static_cast<double>(depth));
   obs::count("serve.requests");
-  auto promise = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-  std::future<std::vector<std::uint8_t>> reply = promise->get_future();
-  pool_->submit([this, request, promise] {
-    std::vector<std::uint8_t> bytes = cloud::dispatch(*this, request);
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    promise->set_value(std::move(bytes));
-  });
-  return reply.get();
+  permits_.acquire();
+  const OnExit release([this] { permits_.release(); });
+  return cloud::dispatch(*this, request);
 }
 
 std::vector<std::vector<std::uint8_t>> Cluster::handle_coalesced(

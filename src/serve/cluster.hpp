@@ -1,11 +1,12 @@
-// The serving cluster frontend: N durable shards behind a worker pool and
-// an admission gate.  Requests arrive as encoded cloud::rpc envelopes; a
-// bounded number are in flight at once (excess load is shed with an encoded
-// error reply, never a throw), and each worker answers its request through
-// cloud::dispatch — the serial server's own dispatcher, instantiated over
-// the cluster.  Binary similarity queries take one fan-out,
-// query_binary_batch (dispatch hands it each run of query messages; a
-// single query is a batch of one), and merge exactly:
+// The serving cluster frontend: N durable shards behind an admission gate.
+// Requests arrive as encoded cloud::rpc envelopes and run on the calling
+// thread (the cluster starts no threads); a bounded number are in flight
+// at once (excess load is shed with an encoded error reply, never a
+// throw), and each is answered through cloud::dispatch — the serial
+// server's own dispatcher, instantiated over the cluster.  Binary
+// similarity queries take one fan-out, query_binary_batch (dispatch hands
+// it each run of query messages; a single query is a batch of one), and
+// merge exactly:
 //
 //   phase 1 gathers each shard's candidate ranking (deterministically
 //   tie-broken by global id), merges and truncates to the single-index
@@ -32,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -41,7 +43,6 @@
 #include "net/transport.hpp"
 #include "serve/backend.hpp"
 #include "serve/shard.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bees::serve {
 
@@ -54,9 +55,9 @@ inline constexpr const char* kShedErrorMessage =
 
 struct ClusterOptions {
   int shards = 1;
-  /// Worker threads draining the request queue (minimum 1).
+  /// Requests handle() executes at once (minimum 1); others admitted wait.
   int threads = 1;
-  /// Admission bound: requests in flight (queued + executing) before new
+  /// Admission bound: requests in flight (waiting + executing) before new
   /// arrivals are shed with an encoded error reply.
   std::size_t queue_depth = 256;
   /// Durability root (one subdirectory per shard); empty = in-memory only.
@@ -91,11 +92,11 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Serves one encoded rpc envelope through the admission gate and worker
-  /// pool; blocks until the reply is ready.  Thread-safe; never throws a
-  /// request error — malformed input, internal failures, and shed load all
-  /// come back as net::encode_error replies, exactly as cloud::dispatch
-  /// answers them (and counted in its `cloud.dispatch.*` metrics).
+  /// Serves one encoded rpc envelope through the admission gate, on the
+  /// calling thread.  Thread-safe; never throws a request error —
+  /// malformed input, internal failures, and shed load all come back as
+  /// net::encode_error replies, exactly as cloud::dispatch answers them
+  /// (and counted in its `cloud.dispatch.*` metrics).
   std::vector<std::uint8_t> handle(const std::vector<std::uint8_t>& request);
 
   /// Serves a group of encoded envelopes as one unit through the group
@@ -221,10 +222,11 @@ class Cluster {
   /// Precedes backends_, whose shards hold pointers to it.
   std::unique_ptr<store::SegmentStore> store_;
   std::vector<std::unique_ptr<ShardBackend>> backends_;
-  std::unique_ptr<util::ThreadPool> pool_;
 
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> shed_{0};
+  /// One permit per request that may execute at once (options_.threads).
+  std::counting_semaphore<> permits_;
 
   /// Serializes stores/seeds: gid assignment, WAL append order, and routing
   /// table growth stay consistent without finer-grained ordering.

@@ -87,9 +87,11 @@ struct GreedyState {
   }
 };
 
-std::vector<std::size_t> plain_greedy(const SimilarityGraph& graph,
-                                      const std::vector<int>& components,
-                                      int budget, const SsmmParams& params) {
+}  // namespace
+
+std::vector<std::size_t> plain_greedy_maximize(
+    const SimilarityGraph& graph, const std::vector<int>& components,
+    int budget, const SsmmParams& params) {
   GreedyState state(graph, components, params);
   std::vector<char> in_s(graph.size(), 0);
   std::vector<std::size_t> selected;
@@ -116,9 +118,10 @@ std::vector<std::size_t> plain_greedy(const SimilarityGraph& graph,
 /// Lazy greedy (Minoux acceleration): cached gains are upper bounds by
 /// submodularity, so a candidate whose refreshed gain still tops the heap
 /// is the exact argmax.
-std::vector<std::size_t> lazy_greedy(const SimilarityGraph& graph,
-                                     const std::vector<int>& components,
-                                     int budget, const SsmmParams& params) {
+std::vector<std::size_t> greedy_maximize(const SimilarityGraph& graph,
+                                         const std::vector<int>& components,
+                                         int budget,
+                                         const SsmmParams& params) {
   GreedyState state(graph, components, params);
   struct HeapItem {
     double gain;
@@ -126,9 +129,9 @@ std::vector<std::size_t> lazy_greedy(const SimilarityGraph& graph,
     std::size_t stamp;  // |S| at which gain was computed
     bool operator<(const HeapItem& other) const {
       // Tie-break on the lower vertex index (max-heap: "less" = higher
-      // index) so equal-gain candidates pop in the same order plain_greedy
-      // scans them; without this the two variants could pick different —
-      // equally good — summaries on tie-heavy graphs.
+      // index) so equal-gain candidates pop in the same order
+      // plain_greedy_maximize scans them; without this the two could pick
+      // different — equally good — summaries on tie-heavy graphs.
       if (gain != other.gain) return gain < other.gain;
       return v > other.v;
     }
@@ -152,16 +155,6 @@ std::vector<std::size_t> lazy_greedy(const SimilarityGraph& graph,
     }
   }
   return selected;
-}
-
-}  // namespace
-
-std::vector<std::size_t> greedy_maximize(const SimilarityGraph& graph,
-                                         const std::vector<int>& components,
-                                         int budget,
-                                         const SsmmParams& params) {
-  return params.lazy ? lazy_greedy(graph, components, budget, params)
-                     : plain_greedy(graph, components, budget, params);
 }
 
 std::vector<std::size_t> brute_force_maximize(

@@ -23,9 +23,6 @@ namespace bees::sub {
 struct SsmmParams {
   double lambda_coverage = 1.0;
   double lambda_diversity = 1.0;
-  /// Use the lazy-greedy (accelerated) maximizer; the plain greedy is kept
-  /// for differential testing.
-  bool lazy = true;
 };
 
 /// The coverage component f_cov(S) for a candidate summary S.
@@ -58,9 +55,16 @@ SsmmResult select_unique_images(const SimilarityGraph& graph, double tw,
 
 /// Greedy maximization of F subject to |S| <= budget over an explicit
 /// partition (exposed separately for tests and the fixed-budget ablation).
+/// Runs the lazy greedy (Minoux acceleration).
 std::vector<std::size_t> greedy_maximize(const SimilarityGraph& graph,
                                          const std::vector<int>& components,
                                          int budget, const SsmmParams& params);
+
+/// The plain greedy: a full gain scan per pick, which greedy_maximize must
+/// match selection for selection; the differential tests' oracle.
+std::vector<std::size_t> plain_greedy_maximize(
+    const SimilarityGraph& graph, const std::vector<int>& components,
+    int budget, const SsmmParams& params);
 
 /// Exhaustive maximizer for small instances (n <= ~20); used by property
 /// tests to validate the (1 - 1/e) guarantee.  Throws std::invalid_argument

@@ -1,8 +1,8 @@
-// Minimal fixed-size thread pool with a parallel_for helper.  The serving
-// cluster runs its request workers on a pool, a feature index that asks
-// for one splits exact rescoring over it, and the fleet simulator steps
-// its devices on one.  Deterministic: the
-// work partition is static, so results are identical to the serial path.
+// Minimal fixed-size fork-join thread pool: parallel_for splits [0, n)
+// over the workers and waits for its own chunks.  A feature index that
+// asks for one splits exact rescoring over it, and the fleet simulator
+// steps its devices on one.  Deterministic: the work partition is static,
+// so results are identical to the serial path.
 #pragma once
 
 #include <algorithm>
@@ -21,16 +21,11 @@ class ThreadPool {
  public:
   /// Spawns `threads` workers (0 = hardware concurrency, at least 1).
   explicit ThreadPool(std::size_t threads = 0);
-  /// Runs every task still queued, then joins the workers.
+  /// Joins the workers; no parallel_for call may still be running.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; it may run on any worker.  Nothing waits on a
-  /// submitted task, so it must not throw: an escaping exception
-  /// terminates the process.
-  void submit(std::function<void()> task);
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
@@ -95,6 +90,8 @@ class ThreadPool {
     std::exception_ptr error_;
   };
 
+  /// Enqueues a chunk; it may run on any worker and must not throw.
+  void submit(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;

@@ -131,7 +131,6 @@ TEST(FeatureIndexAnn, WorksWithoutDescriptorLsh) {
   // The million-image configuration: descriptor LSH off, ANN only.
   FeatureIndexParams params;
   params.ann = small_ann();
-  params.enable_descriptor_lsh = false;
   FeatureIndex index(params);
   std::vector<ImageId> ids;
   for (std::uint64_t s = 0; s < 6; ++s) {

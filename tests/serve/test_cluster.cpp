@@ -348,7 +348,7 @@ std::map<std::string, double> dispatch_counters(Serve serve) {
 }
 
 TEST(Cluster, DispatchCountsClusterTraffic) {
-  // Cluster workers answer through cloud::dispatch, so cluster traffic is
+  // The cluster answers through cloud::dispatch, so cluster traffic is
   // counted exactly like the serial server's: one request per envelope,
   // per-type counters, and wire bytes.
   cloud::Server server;

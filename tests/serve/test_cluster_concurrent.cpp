@@ -1,12 +1,15 @@
-// Concurrency behaviour of the serving cluster: parallel clients get the
-// same bytes the serial path produces, mixed read/write traffic keeps the
-// accounting consistent, and the admission gate sheds with an encoded
-// error instead of throwing.  Sizes are kept small: these tests also run
+// Concurrency behaviour of the serving cluster: it serves on its callers'
+// threads and starts none of its own, parallel clients get the same bytes
+// the serial path produces, mixed read/write traffic keeps the accounting
+// consistent, and the admission gate sheds with an encoded error instead
+// of throwing.  Sizes are kept small: these tests also run
 // under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
@@ -34,6 +37,35 @@ feat::BinaryFeatures make_binary(std::uint64_t seed) {
 
 idx::GeoTag geo_of(int i) {
   return {2.29 + 0.01 * (i % 3), 48.85 + 0.002 * (i % 3), true};
+}
+
+// Threads of this process, one /proc/self/task entry each.
+std::ptrdiff_t task_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(ClusterConcurrent, ClusterStartsNoThreads) {
+  if (!std::filesystem::is_directory("/proc/self/task")) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  const std::ptrdiff_t before = task_count();
+  ClusterOptions options;
+  options.shards = 4;
+  options.threads = 4;
+  Cluster cluster(options);
+  for (int i = 0; i < 4; ++i) {
+    cluster.seed_binary(make_binary(100 + static_cast<std::uint64_t>(i)),
+                        geo_of(i), 11'000.0);
+  }
+  for (int q = 0; q < 4; ++q) {
+    const auto reply = cluster.handle(net::encode_binary_query(
+        make_binary(100 + static_cast<std::uint64_t>(q)), idx::kDefaultTopK,
+        9'000.0));
+    EXPECT_EQ(net::open_envelope(reply).type,
+              net::MessageType::kQueryResponse);
+  }
+  EXPECT_EQ(task_count(), before);
 }
 
 TEST(ClusterConcurrent, ParallelClientsGetSerialReplies) {

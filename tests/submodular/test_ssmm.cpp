@@ -135,14 +135,12 @@ TEST_P(SsmmRandomGraphs, GreedyMeetsApproximationGuarantee) {
 TEST_P(SsmmRandomGraphs, LazyGreedyEqualsPlainGreedy) {
   const SimilarityGraph g = random_graph(14, 0.4, GetParam() * 17 + 3);
   const auto comps = partition_components(g, 0.4);
-  SsmmParams lazy, plain;
-  lazy.lazy = true;
-  plain.lazy = false;
+  SsmmParams p;
   for (const int budget : {1, 3, 6, 14}) {
-    const auto a = greedy_maximize(g, comps, budget, lazy);
-    const auto b = greedy_maximize(g, comps, budget, plain);
+    const auto a = greedy_maximize(g, comps, budget, p);
+    const auto b = plain_greedy_maximize(g, comps, budget, p);
     // Tie-breaking may differ; the achieved objective must be identical.
-    EXPECT_NEAR(eval(g, comps, a, lazy), eval(g, comps, b, plain), 1e-9);
+    EXPECT_NEAR(eval(g, comps, a, p), eval(g, comps, b, p), 1e-9);
   }
 }
 
@@ -155,9 +153,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SsmmRandomGraphs,
 // weights drawn from {0, 0.5} so many candidates share exact gains — the
 // selections must now be identical element for element, order included.
 TEST(Greedy, LazyMatchesPlainSelectionUnderTies) {
-  SsmmParams lazy, plain;
-  lazy.lazy = true;
-  plain.lazy = false;
+  SsmmParams p;
   for (const std::uint64_t seed : {1u, 5u, 9u, 23u}) {
     for (const std::size_t n : {6u, 10u, 14u}) {
       util::Rng rng(seed * 100 + n);
@@ -169,8 +165,8 @@ TEST(Greedy, LazyMatchesPlainSelectionUnderTies) {
       }
       const auto comps = partition_components(g, 0.25);
       for (const int budget : {1, 3, static_cast<int>(n)}) {
-        const auto a = greedy_maximize(g, comps, budget, lazy);
-        const auto b = greedy_maximize(g, comps, budget, plain);
+        const auto a = greedy_maximize(g, comps, budget, p);
+        const auto b = plain_greedy_maximize(g, comps, budget, p);
         EXPECT_EQ(a, b) << "seed " << seed << " n " << n << " budget "
                         << budget;
       }
@@ -186,12 +182,10 @@ TEST(Greedy, LazyMatchesPlainOnFullyTiedGraph) {
       for (std::size_t j = i + 1; j < n; ++j) g.set_weight(i, j, 0.3);
     }
     const auto comps = partition_components(g, 0.2);
-    SsmmParams lazy, plain;
-    lazy.lazy = true;
-    plain.lazy = false;
+    SsmmParams p;
     for (const int budget : {1, 2, static_cast<int>(n / 2)}) {
-      EXPECT_EQ(greedy_maximize(g, comps, budget, lazy),
-                greedy_maximize(g, comps, budget, plain))
+      EXPECT_EQ(greedy_maximize(g, comps, budget, p),
+                plain_greedy_maximize(g, comps, budget, p))
           << "n " << n << " budget " << budget;
     }
   }

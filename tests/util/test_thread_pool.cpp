@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <future>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -16,20 +15,6 @@ namespace {
 // Long enough for a loaded sanitizer run; a pool that makes one caller
 // wait on another's chunks misses it instead of hanging the suite.
 constexpr auto kReturnBound = std::chrono::seconds(10);
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> done;
-  for (int i = 0; i < 100; ++i) {
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        [&counter] { counter.fetch_add(1); });
-    done.push_back(task->get_future());
-    pool.submit([task] { (*task)(); });
-  }
-  for (auto& f : done) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   ThreadPool pool(0);
@@ -142,17 +127,6 @@ TEST(ThreadPool, ManySmallBatchesStress) {
     });
   }
   EXPECT_EQ(total.load(), 50L * (63 * 64 / 2));
-}
-
-TEST(ThreadPool, DestructionWithPendingWorkCompletes) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor runs the queued tasks, then joins
-  EXPECT_EQ(counter.load(), 20);
 }
 
 }  // namespace

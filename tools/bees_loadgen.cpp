@@ -39,7 +39,7 @@
 //   --shards / --server-threads / --queue-depth   serving layer shape
 //   --batch-window   max admitted queries coalesced per fan-out (default 1);
 //                    requires --server-threads (the window coalesces the
-//                    queue that pool serves); replies and every non-batching
+//                    queue those servers drain); replies and every non-batching
 //                    report field are byte-identical to batch-window 1
 //   --service-base / --service-per-image          virtual service time model
 //   --bitrate / --loss / --retries / --backoff    per-device radio
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, opt)) return usage(argv[0]);
   if (opt.batch_window_set && !opt.server_threads_set) {
     std::cerr << "bees_loadgen: --batch-window requires --server-threads "
-                 "(the window coalesces the queue that pool serves)\n";
+                 "(the window coalesces the queue those servers drain)\n";
     return 2;
   }
   if (opt.fleet.relays < 1 &&

@@ -34,7 +34,7 @@
 // serve::Cluster instead of the in-process serial server; results are
 // byte-identical for every shard/thread count):
 //   --shards         cluster shard count                       (default 1)
-//   --server-threads cluster worker threads                    (default 1)
+//   --server-threads requests the cluster executes at once     (default 1)
 //   --queue-depth    admission bound before requests are shed  (default 256)
 //   --data-dir       durability root: recover on start, write per-shard
 //                    WALs during the run, checkpoint on exit; snapshots
@@ -58,7 +58,7 @@
 // Flag coherence: --load-index requires --data-dir (a warm start only
 // makes sense against a durability root to recover into), --queue-depth
 // requires --server-threads (the admission bound gates the cluster's
-// worker pool), --chunk-size requires --store-dir (a chunking interval
+// execution slots), --chunk-size requires --store-dir (a chunking interval
 // without a chunk store has nothing to apply to), --progressive requires
 // --store-dir (scans ride the chunk-manifest plane), and --scans requires
 // --progressive; incoherent combinations are rejected with a one-line
@@ -258,7 +258,7 @@ int run(int argc, char** argv) {
   }
   if (opt.queue_depth > 0 && opt.server_threads == 0) {
     std::cerr << "bees_sim: --queue-depth requires --server-threads (the "
-                 "admission bound gates the cluster worker pool)\n";
+                 "admission bound gates the cluster's execution slots)\n";
     return 2;
   }
   if (opt.chunk_size > 0 && opt.store_dir.empty()) {
@@ -358,7 +358,7 @@ int run(int argc, char** argv) {
     }
     cluster = std::make_unique<serve::Cluster>(cluster_options);
     // Every exchange of the run now rides the cluster's admission gate and
-    // worker pool, whose workers run cloud::dispatch against the cluster.
+    // runs cloud::dispatch against the cluster on the scheme's thread.
     scheme->set_server_handler(cluster->handler());
   } else if (!opt.store_dir.empty()) {
     store::SegmentStoreOptions store_options;

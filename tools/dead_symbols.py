@@ -42,6 +42,8 @@ LINK_FLAGS = "-Wl,--gc-sections"
 ALLOWLIST = {
     "bees::sub::brute_force_maximize":
         "oracle: exact optimum the SSMM greedy is checked against",
+    "bees::sub::plain_greedy_maximize":
+        "oracle: full-scan greedy the lazy SSMM greedy is checked against",
     "bees::idx::MinHasher::exact_token_jaccard":
         "oracle: exact Jaccard the MinHash estimate is checked against",
     "bees::idx::DescriptorLsh::table_collision_probability":
