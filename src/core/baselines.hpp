@@ -140,7 +140,7 @@ class MrcScheme final : public QueryThenUploadScheme {
   std::vector<std::uint8_t> upload_request(const wl::ImageSpec& spec,
                                            std::size_t,
                                            double image_bytes) override {
-    const wl::EncodedImage thumb = store().encoded(spec, 0.75, 0.5);
+    const wl::EncodedImage thumb = store().thumbnail(spec);
     return net::encode_image_upload(store().orb(spec, 0.0), image_bytes,
                                     spec.geo, image_wire_bytes(thumb.bytes));
   }

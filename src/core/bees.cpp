@@ -146,7 +146,7 @@ BatchReport BeesScheme::upload_batch(const std::vector<wl::ImageSpec>& batch,
     report.energy.other_compute_j += config().cost.compute_energy(enc.ops);
 
     const double bytes = image_wire_bytes(enc.bytes);
-    const wl::EncodedImage thumb = store().encoded(batch[i], 0.75, 0.5);
+    const wl::EncodedImage thumb = store().thumbnail(batch[i]);
     const auto request = net::encode_image_upload(
         *features[i], bytes, batch[i].geo, image_wire_bytes(thumb.bytes));
     const PayloadRef payload = image_payload(

@@ -213,9 +213,7 @@ UploadScheme::PayloadRef UploadScheme::image_payload(const wl::ImageSpec& spec,
 
 UploadScheme::PayloadRef UploadScheme::original_image_payload(
     const wl::ImageSpec& spec) {
-  const double original_prop =
-      1.0 - store_->params().original_quality / 100.0;
-  return image_payload(spec, 0.0, original_prop);
+  return image_payload(spec, 0.0, store_->original_quality_prop());
 }
 
 std::uint64_t batch_key(const std::vector<wl::ImageSpec>& batch) {

@@ -43,8 +43,7 @@ std::vector<std::size_t> seed_cross_batch_redundancy(
   for (const std::size_t i : indices) {
     const wl::ImageSpec dup = wl::make_near_duplicate(batch[i], seed ^ i);
     const double thumb =
-        static_cast<double>(store.encoded(dup, 0.75, 0.5).bytes) *
-        image_byte_scale;
+        static_cast<double>(store.thumbnail(dup).bytes) * image_byte_scale;
     server.seed_binary(store.orb(dup, 0.0), dup.geo, thumb);
     server.seed_global(feat::color_histogram(store.pixels(dup)), dup.geo);
     if (pca != nullptr) {

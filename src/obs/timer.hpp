@@ -4,12 +4,13 @@
 // lambda reading its simulated clock (e.g. net::Channel::now or a
 // BatchReport's busy-seconds accumulator) so recorded durations stay
 // deterministic.  When observability is disabled at construction the timer
-// is fully inert: the clock function is never invoked.
+// is fully inert: the clock function is never invoked and nothing is
+// allocated — the name is a literal, turned into a string only when a
+// sample is recorded.
 #pragma once
 
 #include <chrono>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -29,14 +30,15 @@ inline double wall_seconds() noexcept {
 
 class ScopedTimer {
  public:
-  /// Wall-clock timer charging `name` in the global registry.
-  explicit ScopedTimer(std::string name)
-      : ScopedTimer(std::move(name), ClockFn(&wall_seconds)) {}
+  /// Wall-clock timer charging `name` (a string literal, or any string
+  /// outliving the timer) in the global registry.
+  explicit ScopedTimer(const char* name)
+      : ScopedTimer(name, ClockFn(&wall_seconds)) {}
 
   /// Timer reading `clock`; charges `name` in `registry`.
-  ScopedTimer(std::string name, ClockFn clock,
+  ScopedTimer(const char* name, ClockFn clock,
               MetricsRegistry& registry = MetricsRegistry::global())
-      : name_(std::move(name)),
+      : name_(name),
         clock_(std::move(clock)),
         registry_(&registry),
         active_(enabled()) {
@@ -54,7 +56,7 @@ class ScopedTimer {
   double elapsed_seconds() const { return active_ ? clock_() - start_s_ : 0.0; }
 
  private:
-  std::string name_;
+  const char* name_;
   ClockFn clock_;
   MetricsRegistry* registry_;
   bool active_;

@@ -70,14 +70,16 @@ inline void span_event(std::string name, std::string category, double start_s,
 }
 
 /// RAII span: reads `clock` at construction and destruction and records
-/// the complete event into the global tracer.  Inert (clock never called)
-/// when observability is disabled at construction.
+/// the complete event into the global tracer.  Inert (clock never called,
+/// nothing allocated) when observability is disabled at construction:
+/// `name` and `category` are literals, copied into the event only when it
+/// is recorded.
 class ScopedSpan {
  public:
-  ScopedSpan(std::string name, std::string category, ClockFn clock,
+  ScopedSpan(const char* name, const char* category, ClockFn clock,
              std::uint32_t lane = 0)
-      : name_(std::move(name)),
-        category_(std::move(category)),
+      : name_(name),
+        category_(category),
         clock_(std::move(clock)),
         lane_(lane),
         active_(enabled()) {
@@ -85,24 +87,23 @@ class ScopedSpan {
   }
 
   /// Wall-clock span (server-side instrumentation).
-  ScopedSpan(std::string name, std::string category,
+  ScopedSpan(const char* name, const char* category,
              std::uint32_t lane = kLaneServer)
-      : ScopedSpan(std::move(name), std::move(category),
-                   ClockFn(&wall_seconds), lane) {}
+      : ScopedSpan(name, category, ClockFn(&wall_seconds), lane) {}
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   ~ScopedSpan() {
     if (active_) {
-      Tracer::global().add({std::move(name_), std::move(category_), start_s_,
-                            clock_() - start_s_, lane_});
+      Tracer::global().add(
+          {name_, category_, start_s_, clock_() - start_s_, lane_});
     }
   }
 
  private:
-  std::string name_;
-  std::string category_;
+  const char* name_;
+  const char* category_;
   ClockFn clock_;
   std::uint32_t lane_;
   bool active_;

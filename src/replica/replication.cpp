@@ -59,10 +59,6 @@ ReplicationGroup::ReplicationGroup(int shard_id,
   }
   alive_.assign(n, true);
   queues_.resize(n);
-  acked_seq_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    acked_seq_[i] = instances_[i]->last_applied_seq();
-  }
 
   // Snapshot-install every instance whose recovered sequence diverges from
   // the active's: the killed primary's stale dir after a failover, or a
@@ -70,16 +66,16 @@ ReplicationGroup::ReplicationGroup(int shard_id,
   // its snapshot's chunks; they are released once the installed shard has
   // published its own manifest in that dir.
   const int cur = active_.load(std::memory_order_relaxed);
-  const std::uint64_t target = acked_seq_[static_cast<std::size_t>(cur)];
+  serve::Shard& active = *instances_[static_cast<std::size_t>(cur)];
   for (std::size_t i = 0; i < n; ++i) {
-    if (static_cast<int>(i) == cur || acked_seq_[i] == target) continue;
-    const std::vector<std::uint8_t> snapshot =
-        instances_[static_cast<std::size_t>(cur)]->encode_snapshot();
+    if (instances_[i]->last_applied_seq() == active.last_applied_seq()) {
+      continue;
+    }
     const std::unique_ptr<serve::Shard> stale = std::move(instances_[i]);
     instances_[i] = std::make_unique<serve::Shard>(
-        shard_id_, instance_options(static_cast<int>(i)), snapshot);
+        shard_id_, instance_options(static_cast<int>(i)),
+        active.encode_snapshot());
     stale->release_snapshot_pins();
-    acked_seq_[i] = instances_[i]->last_applied_seq();
     ++catch_ups_;
     obs::count("replica.catch_up");
   }
@@ -149,7 +145,6 @@ void ReplicationGroup::drain_follower(std::size_t i) {
       throw std::runtime_error("replica: damaged ship frame");
     }
     instances_[i]->apply_replicated(record);
-    acked_seq_[i] = record.seq;
   }
 }
 
@@ -179,7 +174,9 @@ bool ReplicationGroup::kill_active() {
   int best = -1;
   for (std::size_t i = 0; i < instances_.size(); ++i) {
     if (!alive_[i]) continue;
-    if (best < 0 || acked_seq_[i] > acked_seq_[static_cast<std::size_t>(best)]) {
+    if (best < 0 || instances_[i]->last_applied_seq() >
+                        instances_[static_cast<std::size_t>(best)]
+                            ->last_applied_seq()) {
       best = static_cast<int>(i);
     }
   }

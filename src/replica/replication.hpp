@@ -13,13 +13,14 @@
 //
 // Shipping is asynchronous with a bounded per-follower queue: frames
 // accumulate until the queue reaches kShipQueueCap, then the follower
-// drains (applies every queued frame, acknowledging by sequence number).
+// drains (applies every queued frame; its last_applied_seq() is how far
+// it got).
 // Queries never read followers, so follower lag is invisible to replies.
 // The two events that demand parity force a drain first:
 //
 //   kill_active() — deterministic failover.  Every live follower is
 //   drained to the primary's sequence, the primary is marked dead, and the
-//   follower with the highest acknowledged sequence (ties to the lowest
+//   follower with the highest applied sequence (ties to the lowest
 //   index) is promoted.  Because promotion happens at apply-parity, the
 //   promoted instance's state is byte-for-byte the state the primary would
 //   have had, and every subsequent query is answered identically to a
@@ -99,11 +100,8 @@ class ReplicationGroup final : public serve::ShardBackend {
   int active_index() const {
     return active_.load(std::memory_order_acquire);
   }
-  std::uint64_t acked_seq(int i) const {
-    return acked_seq_[static_cast<std::size_t>(i)];
-  }
   /// Test access to a specific instance (e.g. comparing a follower's state
-  /// against the primary's after a drain).
+  /// against the primary's, or its last_applied_seq(), after a drain).
   serve::Shard& instance(int i) {
     return *instances_[static_cast<std::size_t>(i)];
   }
@@ -122,7 +120,6 @@ class ReplicationGroup final : public serve::ShardBackend {
   serve::ShardOptions base_options_;
   std::vector<std::unique_ptr<serve::Shard>> instances_;
   std::vector<bool> alive_;
-  std::vector<std::uint64_t> acked_seq_;
   /// Per-follower ship queues (index parallel to instances_; the active's
   /// queue is always empty).
   std::vector<std::deque<ShipFrame>> queues_;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <stdexcept>
+#include <functional>
+#include <tuple>
+#include <unordered_set>
+#include <utility>
 
 #include "cloud/rpc.hpp"
 #include "index/serialize.hpp"
@@ -23,6 +26,37 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
+}
+
+/// Phase 1's merge: every shard's candidates ranked by score (`better`
+/// first, ties to the lower gid) and truncated to the single-index
+/// candidate budget.  Returns each survivor's local id, per shard, for the
+/// shard that reported it.
+template <typename Score, typename Better>
+std::vector<std::vector<idx::ImageId>> merge_candidates(
+    const std::vector<std::vector<Candidate<Score>>>& per_shard,
+    std::size_t budget, Better better) {
+  std::vector<std::pair<Candidate<Score>, std::size_t>> merged;
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    for (const Candidate<Score>& c : per_shard[s]) merged.emplace_back(c, s);
+  }
+  std::sort(merged.begin(), merged.end(), [&](const auto& a, const auto& b) {
+    if (a.first.score != b.first.score) {
+      return better(a.first.score, b.first.score);
+    }
+    return a.first.gid < b.first.gid;
+  });
+  if (merged.size() > budget) merged.resize(budget);
+  std::vector<std::vector<idx::ImageId>> locals(per_shard.size());
+  for (const auto& [c, s] : merged) locals[s].push_back(c.local);
+  return locals;
+}
+
+std::vector<std::uint8_t> histogram_payload(
+    const feat::ColorHistogram& histogram) {
+  util::ByteWriter w;
+  idx::put_histogram(w, histogram);
+  return w.take();
 }
 
 /// Runs `fn` when the scope exits, by whichever path.
@@ -67,36 +101,22 @@ Cluster::Cluster(const ClusterOptions& options)
     shard_options.float_params = options_.float_params;
     backends_.push_back(factory(i, shard_options));
   }
-  next_binary_local_.assign(static_cast<std::size_t>(n), 0);
-  next_float_local_.assign(static_cast<std::size_t>(n), 0);
 
-  // Rebuild the global routing tables from what each shard recovered.  A
-  // gid no shard claims (lost to a torn WAL tail) stays a hole.  A
-  // replicated backend recovers its promoted instance (the persisted term
-  // decides which), so the identity read here reflects any failover the
-  // previous process lifetime committed.
-  for (int s = 0; s < n; ++s) {
-    const ShardIdentity identity =
-        backends_[static_cast<std::size_t>(s)]->active().identity();
-    for (std::size_t local = 0; local < identity.binary_globals.size();
-         ++local) {
-      const std::uint32_t gid = identity.binary_globals[local];
-      if (gid >= binary_locations_.size()) binary_locations_.resize(gid + 1);
-      binary_locations_[gid] = {s, static_cast<idx::ImageId>(local)};
-    }
-    next_binary_local_[static_cast<std::size_t>(s)] =
-        static_cast<idx::ImageId>(identity.binary_globals.size());
-    for (std::size_t local = 0; local < identity.float_globals.size();
-         ++local) {
-      const std::uint32_t gid = identity.float_globals[local];
-      if (gid >= float_locations_.size()) float_locations_.resize(gid + 1);
-      float_locations_[gid] = {s, static_cast<idx::ImageId>(local)};
-    }
-    next_float_local_[static_cast<std::size_t>(s)] =
-        static_cast<idx::ImageId>(identity.float_globals.size());
+  // Each id space continues after the largest gid any shard recovered (a
+  // shard's id list is ascending, so its last entry).  A gid no shard
+  // holds (lost to a torn WAL tail) stays a hole.  A replicated backend
+  // recovers its promoted instance (the persisted term decides which), so
+  // the identity read here reflects any failover the previous process
+  // lifetime committed.
+  const auto continue_after = [](const std::vector<std::uint32_t>& gids,
+                                 std::uint32_t* next) {
+    if (!gids.empty()) *next = std::max(*next, gids.back() + 1);
+  };
+  for (const auto& backend : backends_) {
+    const ShardIdentity identity = backend->active().identity();
+    continue_after(identity.binary_globals, &next_binary_gid_);
+    continue_after(identity.float_globals, &next_float_gid_);
   }
-  next_binary_gid_ = static_cast<std::uint32_t>(binary_locations_.size());
-  next_float_gid_ = static_cast<std::uint32_t>(float_locations_.size());
 }
 
 std::size_t Cluster::route(const idx::GeoTag& geo, std::uint32_t gid) const {
@@ -174,26 +194,13 @@ std::vector<idx::QueryResult> Cluster::query_binary_batch(
   const std::size_t budget = idx::candidate_budget(options_.binary_params);
   for (std::size_t q = 0; q < nq; ++q) {
     const feat::BinaryFeatures& features = *items[q].features;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> merged;
+    std::vector<std::vector<BinaryCandidate>> found;
+    found.reserve(n_shards);
     for (const auto& backend : backends_) {
-      const auto candidates = backend->active().binary_candidates(features);
-      merged.insert(merged.end(), candidates.begin(), candidates.end());
+      found.push_back(backend->active().binary_candidates(features));
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second != b.second) return a.second > b.second;
-                return a.first < b.first;
-              });
-    if (merged.size() > budget) merged.resize(budget);
-
-    std::vector<std::vector<idx::ImageId>> locals(n_shards);
-    {
-      std::lock_guard<std::mutex> lock(maps_mutex_);
-      for (const auto& [gid, votes] : merged) {
-        const Location& loc = binary_locations_[gid];
-        locals[static_cast<std::size_t>(loc.shard)].push_back(loc.local);
-      }
-    }
+    std::vector<std::vector<idx::ImageId>> locals =
+        merge_candidates(found, budget, std::greater<>());
     for (std::size_t s = 0; s < n_shards; ++s) {
       if (locals[s].empty()) continue;
       shard_features[s].push_back(&features);
@@ -238,23 +245,13 @@ idx::QueryResult Cluster::query_float(const feat::FloatFeatures& features,
   }
   obs::ScopedSpan span("fanout.float", "serve", obs::kLaneServer);
 
-  std::vector<std::pair<double, std::uint32_t>> merged;  // (distance, gid)
+  std::vector<std::vector<FloatCandidate>> found;
+  found.reserve(backends_.size());
   for (const auto& backend : backends_) {
-    const auto candidates = backend->active().float_candidates(features);
-    merged.insert(merged.end(), candidates.begin(), candidates.end());
+    found.push_back(backend->active().float_candidates(features));
   }
-  std::sort(merged.begin(), merged.end());  // (distance asc, gid asc)
-  const std::size_t budget = idx::candidate_budget(options_.float_params);
-  if (merged.size() > budget) merged.resize(budget);
-
-  std::vector<std::vector<idx::ImageId>> locals(backends_.size());
-  {
-    std::lock_guard<std::mutex> lock(maps_mutex_);
-    for (const auto& [distance, gid] : merged) {
-      const Location& loc = float_locations_[gid];
-      locals[static_cast<std::size_t>(loc.shard)].push_back(loc.local);
-    }
-  }
+  const std::vector<std::vector<idx::ImageId>> locals = merge_candidates(
+      found, idx::candidate_budget(options_.float_params), std::less<>());
   idx::QueryResult out;
   for (std::size_t s = 0; s < backends_.size(); ++s) {
     if (locals[s].empty()) continue;
@@ -292,39 +289,23 @@ double Cluster::query_global(const feat::ColorHistogram& histogram,
 // ---------------------------------------------------------------------------
 // Mutation plane (single-writer).
 
-std::uint32_t Cluster::apply_mutation(WalOp op, const idx::GeoTag& geo,
-                                      WalRecord record,
-                                      std::uint32_t* next_gid,
-                                      std::vector<Location>* locations,
-                                      std::vector<idx::ImageId>* next_local) {
+std::uint32_t Cluster::apply_mutation(WalOp op, const cloud::StoreInfo& info,
+                                      std::vector<std::uint8_t> payload,
+                                      std::uint32_t* next_gid) {
+  std::lock_guard<std::mutex> lock(mutation_mutex_);
   const std::uint32_t gid = (*next_gid)++;
+  WalRecord record;
   record.op = op;
   record.global_id = gid;
-  const std::size_t s = route(geo, gid);
-  ShardBackend& backend = *backends_[s];
-  idx::ImageId predicted = idx::kInvalidImageId;
-  if (locations) {
-    predicted = (*next_local)[s]++;
-    std::lock_guard<std::mutex> lock(maps_mutex_);
-    locations->push_back({static_cast<int>(s), predicted});
-  }
+  record.info = info;
+  record.payload = std::move(payload);
+  ShardBackend& backend = *backends_[route(info.geo, gid)];
   const std::uint64_t seq_before = backend.active().last_applied_seq();
-  idx::ImageId local = idx::kInvalidImageId;
   try {
-    local = backend.apply(std::move(record));
+    backend.apply(std::move(record));
   } catch (...) {
-    if (backend.active().last_applied_seq() == seq_before) {
-      --*next_gid;
-      if (locations) {
-        --(*next_local)[s];
-        std::lock_guard<std::mutex> lock(maps_mutex_);
-        locations->pop_back();
-      }
-    }
+    if (backend.active().last_applied_seq() == seq_before) --*next_gid;
     throw;
-  }
-  if (locations && local != predicted) {
-    throw std::logic_error("cluster: shard local id drifted from prediction");
   }
   return gid;
 }
@@ -332,14 +313,9 @@ std::uint32_t Cluster::apply_mutation(WalOp op, const idx::GeoTag& geo,
 idx::ImageId Cluster::store_binary(const feat::BinaryFeatures& features,
                                    const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info = info;
-  record.payload = idx::serialize_binary(features);
   const std::uint32_t gid =
-      apply_mutation(WalOp::kStoreBinary, info.geo, std::move(record),
-                     &next_binary_gid_, &binary_locations_,
-                     &next_binary_local_);
+      apply_mutation(WalOp::kStoreBinary, info,
+                     idx::serialize_binary(features), &next_binary_gid_);
   obs::count("serve.store.images");
   return gid;
 }
@@ -347,13 +323,9 @@ idx::ImageId Cluster::store_binary(const feat::BinaryFeatures& features,
 idx::ImageId Cluster::store_float(const feat::FloatFeatures& features,
                                   const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info = info;
-  record.payload = idx::serialize_float(features);
   const std::uint32_t gid =
-      apply_mutation(WalOp::kStoreFloat, info.geo, std::move(record),
-                     &next_float_gid_, &float_locations_, &next_float_local_);
+      apply_mutation(WalOp::kStoreFloat, info, idx::serialize_float(features),
+                     &next_float_gid_);
   obs::count("serve.store.images");
   return gid;
 }
@@ -361,74 +333,45 @@ idx::ImageId Cluster::store_float(const feat::FloatFeatures& features,
 void Cluster::store_global(const feat::ColorHistogram& histogram,
                            const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info = info;
-  util::ByteWriter w;
-  idx::put_histogram(w, histogram);
-  record.payload = w.take();
-  apply_mutation(WalOp::kStoreGlobal, info.geo, std::move(record),
-                 &next_unrouted_, nullptr, nullptr);
+  apply_mutation(WalOp::kStoreGlobal, info, histogram_payload(histogram),
+                 &next_unrouted_);
   obs::count("serve.store.images");
 }
 
 void Cluster::store_plain(const cloud::StoreInfo& info) {
   obs::ScopedTimer timer("serve.store.seconds");
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info = info;
-  apply_mutation(WalOp::kStorePlain, info.geo, std::move(record),
-                 &next_unrouted_, nullptr, nullptr);
+  apply_mutation(WalOp::kStorePlain, info, {}, &next_unrouted_);
   obs::count("serve.store.images");
 }
 
 void Cluster::seed_binary(const feat::BinaryFeatures& features,
                           const idx::GeoTag& geo, double thumbnail_bytes) {
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info.geo = geo;
-  record.info.thumbnail_bytes = thumbnail_bytes;
-  record.payload = idx::serialize_binary(features);
-  apply_mutation(WalOp::kSeedBinary, geo, std::move(record), &next_binary_gid_,
-                 &binary_locations_, &next_binary_local_);
+  apply_mutation(WalOp::kSeedBinary, {0.0, geo, thumbnail_bytes},
+                 idx::serialize_binary(features), &next_binary_gid_);
 }
 
 void Cluster::seed_float(const feat::FloatFeatures& features,
                          const idx::GeoTag& geo) {
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info.geo = geo;
-  record.payload = idx::serialize_float(features);
-  apply_mutation(WalOp::kSeedFloat, geo, std::move(record), &next_float_gid_,
-                 &float_locations_, &next_float_local_);
+  apply_mutation(WalOp::kSeedFloat, {0.0, geo, 0.0},
+                 idx::serialize_float(features), &next_float_gid_);
 }
 
 void Cluster::seed_global(const feat::ColorHistogram& histogram,
                           const idx::GeoTag& geo) {
-  std::lock_guard<std::mutex> lock(mutation_mutex_);
-  WalRecord record;
-  record.info.geo = geo;
-  util::ByteWriter w;
-  idx::put_histogram(w, histogram);
-  record.payload = w.take();
-  apply_mutation(WalOp::kSeedGlobal, geo, std::move(record), &next_unrouted_,
-                 nullptr, nullptr);
+  apply_mutation(WalOp::kSeedGlobal, {0.0, geo, 0.0},
+                 histogram_payload(histogram), &next_unrouted_);
 }
 
 // ---------------------------------------------------------------------------
 // Lookup, stats, durability.
 
 double Cluster::thumbnail_bytes_of(idx::ImageId gid) const {
-  Location loc;
-  {
-    std::lock_guard<std::mutex> lock(maps_mutex_);
-    if (gid >= binary_locations_.size()) return 0.0;
-    loc = binary_locations_[gid];
+  for (const auto& backend : backends_) {
+    if (const auto bytes = backend->active().thumbnail_bytes_of(gid)) {
+      return *bytes;
+    }
   }
-  if (loc.shard < 0) return 0.0;
-  return backends_[static_cast<std::size_t>(loc.shard)]
-      ->active()
-      .thumbnail_bytes_of_local(loc.local);
+  return 0.0;
 }
 
 cloud::ServerStats Cluster::stats() const {
@@ -491,17 +434,20 @@ BackendResilience Cluster::resilience() const {
 }
 
 idx::FeatureIndex Cluster::merged_binary_index() const {
-  std::vector<Location> locations;
-  {
-    std::lock_guard<std::mutex> lock(maps_mutex_);
-    locations = binary_locations_;
+  // (gid, shard, local) of every binary-indexed image, in gid order.
+  std::vector<std::tuple<std::uint32_t, std::size_t, idx::ImageId>> entries;
+  for (std::size_t s = 0; s < backends_.size(); ++s) {
+    const ShardIdentity identity = backends_[s]->active().identity();
+    for (std::size_t local = 0; local < identity.binary_globals.size();
+         ++local) {
+      entries.emplace_back(identity.binary_globals[local], s,
+                           static_cast<idx::ImageId>(local));
+    }
   }
+  std::sort(entries.begin(), entries.end());
   idx::FeatureIndex out(options_.binary_params);
-  for (const Location& loc : locations) {
-    if (loc.shard < 0) continue;
-    auto [features, geo] = backends_[static_cast<std::size_t>(loc.shard)]
-                               ->active()
-                               .binary_entry(loc.local);
+  for (const auto& [gid, s, local] : entries) {
+    auto [features, geo] = backends_[s]->active().binary_entry(local);
     out.insert(std::move(features), geo);
   }
   return out;

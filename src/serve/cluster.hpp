@@ -8,20 +8,22 @@
 // it each run of query messages; a single query is a batch of one), and
 // merge exactly:
 //
-//   phase 1 gathers each shard's candidate ranking (deterministically
-//   tie-broken by global id), merges and truncates to the single-index
-//   candidate budget; phase 2 rescores each surviving candidate on the
-//   shard that owns its features; detail::finalize_top_k orders the merged
-//   hits.  Because every shard assigns local ids in global-id order, the
-//   result is byte-identical to one serial cloud::Server for any shard or
-//   thread count.
+//   phase 1 gathers each shard's candidate ranking — score, global id and
+//   local id from one read of the shard — merges by (score, global id)
+//   and truncates to the single-index candidate budget; phase 2 hands each
+//   surviving candidate's local id back to the shard that reported it for
+//   the exact rescore; detail::finalize_top_k orders the merged hits.
+//   Because every shard assigns local ids in global-id order, the result
+//   is byte-identical to one serial cloud::Server for any shard or thread
+//   count.
 //
-// Stores are routed by geotag cell (images of the same place dedupe against
-// the same shard's index without fan-out on the write path) or by global id
-// when untagged, and are serialized through the cluster mutation lock: the
-// write path is single-writer by design — BEES serves a read-dominated
-// query workload — which keeps global id assignment, WAL append order, and
-// the routing tables trivially consistent.
+// The shards own the id maps; the cluster keeps none.  It assigns global
+// ids, routes each store by geotag cell (images of the same place dedupe
+// against the same shard's index without fan-out on the write path) or by
+// global id when untagged, and serializes stores through its mutation
+// lock: the write path is single-writer by design — BEES serves a
+// read-dominated query workload — which keeps global id assignment and
+// WAL append order trivially consistent.
 //
 // A durable cluster (data_dir set) logs every shard's mutations inline in
 // that shard's wal.log and writes its snapshots through one shared segment
@@ -35,8 +37,6 @@
 #include <mutex>
 #include <semaphore>
 #include <string>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "cloud/server.hpp"
@@ -195,28 +195,15 @@ class Cluster {
   void preload_binary(const idx::FeatureIndex& index);
 
  private:
-  /// gid -> owning shard + local id; shard < 0 marks a hole (a global id
-  /// whose record was lost to a torn WAL tail — benign: nothing references
-  /// an unindexed id).
-  struct Location {
-    int shard = -1;
-    idx::ImageId local = idx::kInvalidImageId;
-  };
-
   std::size_t route(const idx::GeoTag& geo, std::uint32_t gid) const;
-  /// Routes, WAL-logs and applies one mutation under the next id of
-  /// `next_gid` (caller holds mutation_mutex_) and returns that id.  For
-  /// indexed ops the routing-table entry is published *before* the shard
-  /// applies — the local id is predicted from the per-shard counter, which
-  /// the mutation lock keeps exact — so a concurrent query can never
-  /// surface a candidate gid the table lacks.  When the shard throws
-  /// without applying (its sequence number did not move), the id, the
-  /// routing entry and the local counter are taken back before the
-  /// exception propagates: a failed mutation leaves no trace.
-  std::uint32_t apply_mutation(WalOp op, const idx::GeoTag& geo,
-                               WalRecord record, std::uint32_t* next_gid,
-                               std::vector<Location>* locations,
-                               std::vector<idx::ImageId>* next_local);
+  /// Under the mutation lock, takes the next id of `next_gid`, then routes,
+  /// WAL-logs and applies one mutation under it and returns that id.  When
+  /// the shard throws without applying (its sequence number did not move),
+  /// the id is taken back before the exception propagates: a failed
+  /// mutation leaves no trace.
+  std::uint32_t apply_mutation(WalOp op, const cloud::StoreInfo& info,
+                               std::vector<std::uint8_t> payload,
+                               std::uint32_t* next_gid);
 
   ClusterOptions options_;
   /// Precedes backends_, whose shards hold pointers to it.
@@ -228,19 +215,12 @@ class Cluster {
   /// One permit per request that may execute at once (options_.threads).
   std::counting_semaphore<> permits_;
 
-  /// Serializes stores/seeds: gid assignment, WAL append order, and routing
-  /// table growth stay consistent without finer-grained ordering.
+  /// Serializes stores/seeds: gid assignment and WAL append order stay
+  /// consistent without finer-grained ordering.
   std::mutex mutation_mutex_;
   std::uint32_t next_binary_gid_ = 0;
   std::uint32_t next_float_gid_ = 0;
   std::uint32_t next_unrouted_ = 0;  // routing counter for gid-less ops
-  /// Per-shard next local index id (mutation_mutex_ only).
-  std::vector<idx::ImageId> next_binary_local_;
-  std::vector<idx::ImageId> next_float_local_;
-
-  mutable std::mutex maps_mutex_;
-  std::vector<Location> binary_locations_;
-  std::vector<Location> float_locations_;
 
   mutable std::mutex stats_mutex_;
   std::size_t binary_queries_ = 0;

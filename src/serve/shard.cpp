@@ -1,7 +1,9 @@
 #include "serve/shard.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 
@@ -44,6 +46,20 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   if (!in) throw std::runtime_error("shard snapshot: cannot open " + path);
   return {(std::istreambuf_iterator<char>(in)),
           std::istreambuf_iterator<char>()};
+}
+
+/// Reads `n` gid varints into an id list, which must be strictly
+/// ascending: global-id lookups binary-search it.
+std::vector<std::uint32_t> get_gids(util::ByteReader& r, std::size_t n) {
+  std::vector<std::uint32_t> gids(n);
+  for (std::uint32_t& gid : gids) {
+    gid = static_cast<std::uint32_t>(r.get_varint());
+  }
+  if (std::adjacent_find(gids.begin(), gids.end(),
+                         std::greater_equal<>()) != gids.end()) {
+    throw util::DecodeError("shard snapshot: id list not strictly ascending");
+  }
+  return gids;
 }
 
 }  // namespace
@@ -164,16 +180,16 @@ void Shard::apply_locked(const WalRecord& record, idx::ImageId* local_out) {
   if (local_out) *local_out = local;
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> Shard::binary_candidates(
+std::vector<BinaryCandidate> Shard::binary_candidates(
     const feat::BinaryFeatures& features) const {
   std::shared_lock lock(mutex_);
   const auto locals = server_.binary_index().candidates(features);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  std::vector<BinaryCandidate> out;
   out.reserve(locals.size());
   // local -> global is monotone (locals are appended in global-id order),
   // so the (votes desc, local asc) ranking is also (votes desc, gid asc).
   for (const auto& [local, votes] : locals) {
-    out.emplace_back(binary_globals_[local], votes);
+    out.push_back({votes, binary_globals_[local], local});
   }
   return out;
 }
@@ -194,14 +210,14 @@ std::vector<idx::QueryResult> Shard::rescore_binary_batch(
   return results;
 }
 
-std::vector<std::pair<double, std::uint32_t>> Shard::float_candidates(
+std::vector<FloatCandidate> Shard::float_candidates(
     const feat::FloatFeatures& features) const {
   std::shared_lock lock(mutex_);
   const auto locals = server_.float_index().centroid_candidates(features);
-  std::vector<std::pair<double, std::uint32_t>> out;
+  std::vector<FloatCandidate> out;
   out.reserve(locals.size());
   for (const auto& [dist, local] : locals) {
-    out.emplace_back(dist, float_globals_[local]);
+    out.push_back({dist, float_globals_[local], local});
   }
   return out;
 }
@@ -226,9 +242,13 @@ double Shard::peek_global(const feat::ColorHistogram& histogram,
   return server_.peek_global(histogram, geo, geo_radius_deg);
 }
 
-double Shard::thumbnail_bytes_of_local(idx::ImageId local) const {
+std::optional<double> Shard::thumbnail_bytes_of(std::uint32_t gid) const {
   std::shared_lock lock(mutex_);
-  return server_.thumbnail_bytes_of(local);
+  const auto it =
+      std::lower_bound(binary_globals_.begin(), binary_globals_.end(), gid);
+  if (it == binary_globals_.end() || *it != gid) return std::nullopt;
+  return server_.thumbnail_bytes_of(
+      static_cast<idx::ImageId>(it - binary_globals_.begin()));
 }
 
 std::pair<feat::BinaryFeatures, idx::GeoTag> Shard::binary_entry(
@@ -427,20 +447,14 @@ void Shard::restore_snapshot(const std::vector<std::uint8_t>& bytes) {
   if (n_binary > r.remaining() / 9) {
     throw util::DecodeError("shard snapshot: binary count exceeds buffer");
   }
-  binary_globals_.resize(n_binary);
-  for (std::uint32_t& gid : binary_globals_) {
-    gid = static_cast<std::uint32_t>(r.get_varint());
-  }
+  binary_globals_ = get_gids(r, n_binary);
   std::vector<double> thumbs(binary_globals_.size());
   for (double& t : thumbs) t = r.get_f64();
   const auto n_float = r.get_varint();
   if (n_float > r.remaining()) {
     throw util::DecodeError("shard snapshot: float count exceeds buffer");
   }
-  float_globals_.resize(n_float);
-  for (std::uint32_t& gid : float_globals_) {
-    gid = static_cast<std::uint32_t>(r.get_varint());
-  }
+  float_globals_ = get_gids(r, n_float);
 
   // Seed the server straight from the embedded index snapshots (seeding
   // records no stats), then reinstate the accounting the snapshot carried.

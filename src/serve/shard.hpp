@@ -3,13 +3,16 @@
 // durable by a write-ahead log of inline records plus periodic snapshot
 // checkpoints written through a content-addressed segment store.  The
 // shard speaks in *global* image ids (assigned by the cluster frontend)
-// and keeps the local<->global mapping itself; within a shard, local
-// insertion order follows global id order, which is what lets per-shard
-// top-k lists merge into exactly the single-server ranking.
+// and is the only owner of its id map: a local id -> global id list per
+// index, ascending because locals are appended in global-id order.  That
+// order is what lets per-shard top-k lists merge into exactly the
+// single-server ranking, and what lets a global id be looked up by binary
+// search; the snapshot decoder refuses a list that breaks it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -38,8 +41,22 @@ struct ShardOptions {
   idx::FloatFeatureIndex::Params float_params;
 };
 
-/// Snapshot of a shard's identity mapping, read by the cluster after
-/// recovery to rebuild its global routing tables.
+/// One phase-1 candidate as a shard reports it: the score the cluster
+/// merges on, the global id that breaks score ties, and the local id the
+/// same shard rescores it under in phase 2.  A local id stays valid on its
+/// shard slot: indexes only append, and a promoted standby applied the
+/// same records in the same order, so it holds the same local ids.
+template <typename Score>
+struct Candidate {
+  Score score;
+  std::uint32_t gid;
+  idx::ImageId local;
+};
+using BinaryCandidate = Candidate<std::uint32_t>;  ///< Score: votes.
+using FloatCandidate = Candidate<double>;  ///< Score: centroid distance.
+
+/// Copy of a shard's id map, read by the cluster after recovery (to
+/// continue each id space) and for merged-index export.
 struct ShardIdentity {
   std::vector<std::uint32_t> binary_globals;  ///< local id -> global id.
   std::vector<std::uint32_t> float_globals;
@@ -85,15 +102,15 @@ class Shard {
   /// follower's own crash recovery replays the shipped history.
   idx::ImageId apply_replicated(const WalRecord& record);
 
-  /// Query phase 1: this shard's candidates as (global id, score), ranked
-  /// (score desc, global id asc).  Scores come from the index's configured
-  /// candidate path — LSH votes, or the ANN shortlist (see
+  /// Query phase 1: this shard's candidates, read under one shared lock
+  /// and ranked (score desc, global id asc).  Scores come from the index's
+  /// configured candidate path — LSH votes, or the ANN shortlist (see
   /// idx::FeatureIndex::candidates).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> binary_candidates(
+  std::vector<BinaryCandidate> binary_candidates(
       const feat::BinaryFeatures& features) const;
-  /// Query phase 2: exact rescore of each query's `locals[q]` (local ids,
-  /// as mapped by the cluster) under one shared lock acquisition, through
-  /// FeatureIndex::rescore_batch; returned hits carry global ids.
+  /// Query phase 2: exact rescore of each query's `locals[q]` (local ids
+  /// this shard reported in phase 1) under one shared lock acquisition,
+  /// through FeatureIndex::rescore_batch; returned hits carry global ids.
   /// results[q] is byte-identical to a solo FeatureIndex::rescore of
   /// query q.
   std::vector<idx::QueryResult> rescore_binary_batch(
@@ -101,9 +118,9 @@ class Shard {
       const std::vector<std::vector<idx::ImageId>>& locals,
       const std::vector<int>& top_k) const;
 
-  /// Float-index counterparts; candidates are (centroid distance, gid)
-  /// ranked (distance asc, global id asc).
-  std::vector<std::pair<double, std::uint32_t>> float_candidates(
+  /// Float-index counterparts; candidates are ranked (distance asc,
+  /// global id asc).
+  std::vector<FloatCandidate> float_candidates(
       const feat::FloatFeatures& features) const;
   idx::QueryResult rescore_float(const feat::FloatFeatures& features,
                                  const std::vector<idx::ImageId>& locals,
@@ -113,7 +130,9 @@ class Shard {
   double peek_global(const feat::ColorHistogram& histogram,
                      const idx::GeoTag& geo, double geo_radius_deg) const;
 
-  double thumbnail_bytes_of_local(idx::ImageId local) const;
+  /// Thumbnail feedback size of binary-indexed global id `gid`; nullopt
+  /// when this shard does not hold it.
+  std::optional<double> thumbnail_bytes_of(std::uint32_t gid) const;
   /// One indexed image's features + geotag (copied out under the lock),
   /// for merged-index export.
   std::pair<feat::BinaryFeatures, idx::GeoTag> binary_entry(
@@ -165,7 +184,8 @@ class Shard {
   /// pure, so concurrent readers need nothing more.
   mutable std::shared_mutex mutex_;
   cloud::Server server_;
-  std::vector<std::uint32_t> binary_globals_;  // local id -> global id
+  /// Local id -> global id, ascending.
+  std::vector<std::uint32_t> binary_globals_;
   std::vector<std::uint32_t> float_globals_;
   std::uint64_t seq_ = 0;
   std::size_t mutations_since_checkpoint_ = 0;

@@ -147,14 +147,11 @@ const img::ProgressiveStream& ImageStore::progressive_payload(
 
 const img::ProgressiveStream& ImageStore::original_progressive_payload(
     const ImageSpec& spec, int scans) {
-  const double original_prop = 1.0 - params_.original_quality / 100.0;
-  return progressive_payload(spec, 0.0, original_prop, scans);
+  return progressive_payload(spec, 0.0, original_quality_prop(), scans);
 }
 
 EncodedImage ImageStore::original(const ImageSpec& spec) {
-  const double original_prop =
-      1.0 - params_.original_quality / 100.0;  // inverse of the quality map
-  return encoded(spec, 0.0, original_prop);
+  return encoded(spec, 0.0, original_quality_prop());
 }
 
 }  // namespace bees::wl

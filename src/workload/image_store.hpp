@@ -66,6 +66,19 @@ class ImageStore {
   /// quality) — what Direct Upload sends.
   EncodedImage original(const ImageSpec& spec);
 
+  /// The thumbnail the server keeps for feedback (MRC's downlink, the
+  /// thumbnail size every upload declares): resolution proportion 0.75,
+  /// quality proportion 0.5.
+  EncodedImage thumbnail(const ImageSpec& spec) {
+    return encoded(spec, 0.75, 0.5);
+  }
+
+  /// Quality proportion of the as-shot variant: the inverse of
+  /// img::quality_from_proportion at Params::original_quality.
+  double original_quality_prop() const noexcept {
+    return 1.0 - params_.original_quality / 100.0;
+  }
+
   /// The actual codec output bytes behind encoded() — what the
   /// chunk-manifest upload plane hashes and ships.  Cached separately from
   /// the size/ops record so legacy (non-chunked) runs never hold payload

@@ -87,11 +87,12 @@ TEST_F(ReplicaStoreTest, ShipFramesSurviveCheckpointAndCompactionMidShip) {
     group.apply(binary_record(i));
     store.maybe_compact();
   }
-  ASSERT_EQ(group.acked_seq(1), 0u) << "frames must still be queued";
+  ASSERT_EQ(group.instance(1).last_applied_seq(), 0u)
+      << "frames must still be queued";
   EXPECT_GT(store.stats().compactions, 0u);
 
   group.drain_all();
-  EXPECT_EQ(group.acked_seq(1), 8u);
+  EXPECT_EQ(group.instance(1).last_applied_seq(), 8u);
   EXPECT_EQ(group.instance(1).encode_snapshot(),
             group.active().encode_snapshot());
 }

@@ -102,8 +102,8 @@ TEST(Replication, DrainReachesApplyParity) {
   ASSERT_EQ(group.active().last_applied_seq(), 5u);
 
   group.drain_all();
-  EXPECT_EQ(group.acked_seq(1), 5u);
-  EXPECT_EQ(group.acked_seq(2), 5u);
+  EXPECT_EQ(group.instance(1).last_applied_seq(), 5u);
+  EXPECT_EQ(group.instance(2).last_applied_seq(), 5u);
   const serve::BackendResilience r = group.resilience();
   EXPECT_EQ(r.ship_records, 10u);  // 5 records x 2 followers
   EXPECT_GT(r.ship_bytes, 0u);
@@ -124,10 +124,10 @@ TEST(Replication, QueueCapBoundsLagAndForcesDrain) {
   }
   // The queue drains whenever it reaches the cap: the follower has
   // acknowledged the two full windows, and peak lag is exactly the cap.
-  EXPECT_EQ(group.acked_seq(1), 2 * kShipQueueCap);
+  EXPECT_EQ(group.instance(1).last_applied_seq(), 2 * kShipQueueCap);
   EXPECT_EQ(group.resilience().ship_lag_max, kShipQueueCap);
   group.drain_all();
-  EXPECT_EQ(group.acked_seq(1), kApplies);
+  EXPECT_EQ(group.instance(1).last_applied_seq(), kApplies);
 }
 
 TEST(Replication, ApplyReplicatedRedeliveryAndGap) {
@@ -277,7 +277,7 @@ TEST_F(ReplicaDirTest, RestartAfterFailoverRecoversPromotedTimeline) {
   EXPECT_EQ(restarted.resilience().failovers, 1u);
   EXPECT_EQ(restarted.resilience().catch_ups, 1u);
   EXPECT_EQ(restarted.active().last_applied_seq(), 7u);
-  EXPECT_EQ(restarted.acked_seq(0), 7u);
+  EXPECT_EQ(restarted.instance(0).last_applied_seq(), 7u);
 
   // Failing back over to the reinstalled instance yields identical state.
   const std::vector<std::uint8_t> before =
@@ -327,7 +327,7 @@ TEST_F(ReplicaDirTest, CatchUpKeepsTheGroupDir) {
   EXPECT_EQ(group.resilience().failovers, 1u);
   EXPECT_EQ(group.active().last_applied_seq(), 9u);
   EXPECT_EQ(group.active().stats().images_stored, 9u);
-  EXPECT_EQ(group.acked_seq(0), 9u);
+  EXPECT_EQ(group.instance(0).last_applied_seq(), 9u);
 }
 
 TEST_F(ReplicaDirTest, CatchUpReleasesTheStaleSnapshotPins) {

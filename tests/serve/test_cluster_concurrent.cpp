@@ -1,15 +1,16 @@
 // Concurrency behaviour of the serving cluster: it serves on its callers'
 // threads and starts none of its own, parallel clients get the same bytes
-// the serial path produces, mixed read/write traffic keeps the accounting
-// consistent, and the admission gate sheds with an encoded error instead
-// of throwing.  Sizes are kept small: these tests also run
-// under ThreadSanitizer.
+// the serial path produces — also while every shard fails over — mixed
+// read/write traffic keeps the accounting consistent, and the admission
+// gate sheds with an encoded error instead of throwing.  Sizes are kept
+// small: these tests also run under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <string>
@@ -289,6 +290,66 @@ TEST(ClusterConcurrent, SharedReadersWithExplicitPoolsMatchSerial) {
     EXPECT_EQ(cluster.handle(queries[q]), cloud::dispatch(server, queries[q]))
         << "query " << q;
   }
+}
+
+TEST(ClusterConcurrent, QueriesRacingFailoverGetSerialReplies) {
+  constexpr int kSeeds = 8;
+  constexpr int kReaders = 3;
+  constexpr int kQueries = 12;
+
+  // One standby per shard.  The seeds' ship frames are still queued when
+  // the kills drain the standbys and promote them, and a query's phase-1
+  // local ids, read from a primary, are rescored on its successor.
+  ClusterOptions options;
+  options.shards = 4;
+  options.threads = 4;
+  options.backend_factory = replica::make_replicated_factory(1);
+  Cluster cluster(options);
+  cloud::Server server;
+  for (int i = 0; i < kSeeds; ++i) {
+    const auto features = make_binary(100 + static_cast<std::uint64_t>(i));
+    server.seed_binary(features, geo_of(i), 11'000.0);
+    cluster.seed_binary(features, geo_of(i), 11'000.0);
+  }
+  // Queries re-find the seeds and find nothing, alternately.
+  std::vector<std::vector<std::uint8_t>> queries;
+  std::vector<std::vector<std::uint8_t>> expected;
+  for (int q = 0; q < kQueries; ++q) {
+    const std::uint64_t seed =
+        q % 2 == 0 ? 100 + static_cast<std::uint64_t>(q % kSeeds)
+                   : 5'000 + static_cast<std::uint64_t>(q);
+    queries.push_back(net::encode_binary_query(make_binary(seed),
+                                               idx::kDefaultTopK, 9'000.0));
+    expected.push_back(cloud::dispatch(server, queries.back()));
+  }
+
+  // Readers and the killing test thread start together; each reader sends
+  // every query at least once and keeps sending until every shard failed
+  // over.
+  std::latch start(kReaders + 1);
+  std::atomic<bool> kills_done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < queries.size() || !kills_done.load(); ++k) {
+        const std::size_t q =
+            (static_cast<std::size_t>(r) + k) % queries.size();
+        if (cluster.handle(queries[q]) != expected[q]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  start.arrive_and_wait();
+  for (int s = 0; s < cluster.shard_count(); ++s) {
+    EXPECT_TRUE(cluster.kill_primary(s)) << "shard " << s;
+  }
+  kills_done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cluster.resilience().failovers, 4u);
 }
 
 TEST(ClusterConcurrent, ZeroQueueDepthShedsEveryRequest) {

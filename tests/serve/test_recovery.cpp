@@ -603,5 +603,41 @@ TEST(ShardSnapshot, OversizedCountsAreDecodeErrors) {
   }
 }
 
+TEST(ShardSnapshot, UnorderedIdListsAreDecodeErrors) {
+  // Global-id lookups binary-search a shard's local -> global id lists, so
+  // a snapshot whose binary or float list repeats or steps down is refused.
+  const auto snapshot_of = [](WalOp op,
+                              const std::vector<std::uint8_t>& payload,
+                              const std::vector<std::uint32_t>& gids) {
+    Shard shard(0, ShardOptions{});
+    for (const std::uint32_t gid : gids) {
+      WalRecord record;
+      record.op = op;
+      record.global_id = gid;
+      record.payload = payload;
+      shard.apply(record);
+    }
+    return shard.encode_snapshot();
+  };
+  const std::vector<std::uint8_t> binary =
+      idx::serialize_binary(make_binary(10));
+  const std::vector<std::uint8_t> floats = idx::serialize_float(make_float(10));
+  EXPECT_NO_THROW(Shard(0, ShardOptions{},
+                        snapshot_of(WalOp::kSeedBinary, binary, {2, 5})));
+  EXPECT_NO_THROW(Shard(0, ShardOptions{},
+                        snapshot_of(WalOp::kSeedFloat, floats, {2, 5})));
+  const std::vector<std::vector<std::uint32_t>> unordered = {{5, 2}, {3, 3}};
+  for (const std::vector<std::uint32_t>& gids : unordered) {
+    EXPECT_THROW(Shard(0, ShardOptions{},
+                       snapshot_of(WalOp::kSeedBinary, binary, gids)),
+                 util::DecodeError)
+        << "binary " << gids[0] << ", " << gids[1];
+    EXPECT_THROW(Shard(0, ShardOptions{},
+                       snapshot_of(WalOp::kSeedFloat, floats, gids)),
+                 util::DecodeError)
+        << "float " << gids[0] << ", " << gids[1];
+  }
+}
+
 }  // namespace
 }  // namespace bees::serve
